@@ -127,6 +127,8 @@ def cmd_verify(run: _Run) -> int:
         print(f"unknown suites: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG
     samples = _get(parser, "verify", "samples", lambda v: int(float(v)), default=10000)
+    if samples < 1:
+        raise ConfigError(f"[verify] samples must be at least 1, got {samples}")
     fam_names = parse_list(_get(parser, "verify", "families", str,
                                 default=",".join(STANDARD_FAMILIES)))
     bad = [f for f in fam_names if f not in STANDARD_FAMILIES]

@@ -1,6 +1,6 @@
 """Experiment configuration: INI-style structured text.
 
-Sections: [mesh] a, b, n, tail_radius; [nfunction] family + parameters (or a
+Sections: [mesh] a, b, n; [nfunction] family + parameters (or a
 two-column table file); [problem] s, alpha, beta, f, k (expression or
 file:PATH), epsilon0, epsilon_min, optional obstacle; [solver] tol,
 max_iter, seed; plus per-command sections ([verify], [compare],
@@ -76,9 +76,8 @@ def build_mesh(parser) -> Mesh:
     a = _get(parser, "mesh", "a", float, required=True)
     b = _get(parser, "mesh", "b", float, required=True)
     n = _get(parser, "mesh", "n", int, required=True)
-    radius = _get(parser, "mesh", "tail_radius", float, default=0.0)
     try:
-        return Mesh(a, b, n, radius)
+        return Mesh(a, b, n)
     except ValueError as err:
         raise ConfigError(f"[mesh]: {err}") from err
 

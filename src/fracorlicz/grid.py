@@ -9,9 +9,7 @@ The nonlocal (Gagliardo-type) modular comes in two flavours: the double sum
 over the domain only, and the full-space version that adds, for every node,
 the exact integral of the kernel against the zero exterior.  The exterior
 term reduces in closed form to the cumulative integral of G(r)/r (see
-NFunction.integral_over_t), so no truncation radius enters the value; the
-mesh still records a tail radius beyond which the closed-form scaling bound
-G(|u|) * max(R^(-s p-), R^(-s p+)) / (s p-) documents the remainder.
+NFunction.integral_over_t), so no truncation radius enters the value.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nfunctions import NFunction
+from .nfunctions import NFunction, BracketExpansionError, solve_increasing
 
 __all__ = [
     "Mesh", "GridFunction", "modular", "seminorm_modular", "luxemburg_norm",
@@ -33,7 +31,7 @@ __all__ = [
 
 
 class ModularNotDecreasingError(RuntimeError):
-    """The modular failed to decrease in the Luxemburg bisection.
+    """The Luxemburg solve could not bracket the unit level of the modular.
 
     Signals a broken modular callable, not bad data.
     """
@@ -41,22 +39,17 @@ class ModularNotDecreasingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Cell-centered mesh on (a, b) with n cells and exterior tail radius."""
+    """Cell-centered mesh on (a, b) with n cells."""
 
     a: float
     b: float
     n: int
-    tail_radius: float = 0.0
 
     def __post_init__(self):
         if not (self.b > self.a):
             raise ValueError("mesh needs b > a")
         if self.n < 8:
             raise ValueError("mesh needs at least 8 cells")
-        if self.tail_radius == 0.0:
-            object.__setattr__(self, "tail_radius", 10.0 * (self.b - self.a))
-        if self.tail_radius < 10.0 * (self.b - self.a):
-            raise ValueError("tail radius must be >= 10 * (b - a)")
 
     @property
     def h(self) -> float:
@@ -67,7 +60,7 @@ class Mesh:
         return self.a + (np.arange(self.n) + 0.5) * self.h
 
     def refined(self, factor: int = 2) -> "Mesh":
-        return Mesh(self.a, self.b, self.n * factor, self.tail_radius)
+        return Mesh(self.a, self.b, self.n * factor)
 
 
 @dataclass(frozen=True)
@@ -211,13 +204,6 @@ def exterior_tail_gradient(values: np.ndarray, G: NFunction, mesh: Mesh, s: floa
     return out
 
 
-def tail_remainder_bound(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> float:
-    """Documented scaling bound on the exterior mass beyond the tail radius."""
-    R = mesh.tail_radius
-    factor = max(R ** (-s * G.p_minus), R ** (-s * G.p_plus)) / (s * G.p_minus)
-    return float(2.0 * mesh.h * np.sum(G(np.abs(values))) * factor)
-
-
 def seminorm_modular(u: GridFunction, G: NFunction, s: float,
                      domain: str = "omega") -> float:
     """Gagliardo-type modular of u at order s.
@@ -286,46 +272,29 @@ def operator_apply_batch(values: np.ndarray, G: NFunction, mesh: Mesh,
 # Luxemburg norm
 # ---------------------------------------------------------------------------
 
-def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], float],
-                   value_tol: float = 1e-10, bracket_tol: float = 1e-13,
-                   max_iter: int = 400) -> float:
-    """inf(lambda > 0 : modular(u / lambda) <= 1) by monotone bisection.
+def _unit_level_gauge(level: Callable, rows: np.ndarray) -> np.ndarray:
+    """Luxemburg gauge 1 / mu of each listed row, where level(mu, rows) = 1.
 
-    The bracket starts at [1e-12, max(1, max|u| * |domain|)] and doubles
-    until it contains the unit level; bisection then runs until the modular
-    is within value_tol of 1 AND the bracket is below bracket_tol
-    relatively, so homogeneity holds to ~1e-12.  Returns 0 for u == 0.
+    level must be nondecreasing in the scale factor mu applied to the row.
+    """
+    try:
+        mu = solve_increasing(level, np.ones(len(rows)), args=(rows,))
+    except BracketExpansionError as err:
+        raise ModularNotDecreasingError(f"no unit level of the modular: {err}") from err
+    return 1.0 / mu
+
+
+def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], float]) -> float:
+    """inf(lambda > 0 : modular(u / lambda) <= 1) by a bracketed monotone solve.
+
+    The scaled modular modular(mu u) is solved for the unit level in mu to
+    relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing), and the
+    norm is 1 / mu.  Returns 0 for u == 0.
     """
     if not np.any(u.values):
         return 0.0
-    phi = lambda lam: float(modular_fn(u / lam))
-    lo = 1e-12
-    hi = max(1.0, u.sup_norm() * (u.mesh.b - u.mesh.a))
-    for _ in range(200):
-        if phi(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ModularNotDecreasingError("modular never fell below 1 while growing lambda")
-    for _ in range(200):
-        if phi(lo) >= 1.0:
-            break
-        if lo < 1e-280:
-            # modular below 1 for every lambda: norm is the infimum of the bracket
-            return lo
-        lo *= 0.5
-    if phi(lo) < phi(hi) - 1e-12:
-        raise ModularNotDecreasingError("modular is not decreasing on the bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = phi(mid)
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(val - 1.0) < value_tol and (hi - lo) <= bracket_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    level = lambda mu, _rows: np.array([modular_fn(u * m) for m in mu])
+    return float(_unit_level_gauge(level, np.zeros(1, dtype=int))[0])
 
 
 def lg_norm(u: GridFunction, G: NFunction) -> float:
@@ -347,48 +316,19 @@ def batch_modular(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarray:
     return h * np.sum(G_eval(np.abs(values)), axis=-1)
 
 
-def batch_luxemburg(values: np.ndarray, h: float, G_eval: Callable, domain_len: float,
-                    iters: int = 60, index_bracket: Optional[tuple] = None) -> np.ndarray:
-    """Row-wise Luxemburg norms of a sample matrix, log-midpoint bisection.
+def batch_luxemburg(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarray:
+    """Row-wise Luxemburg norms of a sample matrix, solved as one batch.
 
-    index_bracket=(p_lo, p_hi) seeds the bracket from the modular-power
-    sandwich (useful when the sandwich is established independently; for a
-    homogeneous modular the bracket then collapses and no bisection runs).
-    Expansion loops re-verify bracketing empirically either way.
+    Each row's level h * sum(G_eval(mu |row|)) is solved for the unit level
+    in mu like luxemburg_norm; zero rows get norm 0.  The still-unsolved
+    rows are gathered from values at each evaluation, so no second
+    full-size copy of the batch stays alive during the solve.
     """
     out = np.zeros(values.shape[0])
-    nonzero = np.max(np.abs(values), axis=1) > 0.0
-    absu = np.abs(values[nonzero])
-    if absu.size == 0:
-        return out
-    sup = np.max(absu, axis=1)
-    level = lambda lam: h * np.sum(G_eval(absu / lam[:, None]), axis=1)
-    if index_bracket is not None:
-        p_lo, p_hi = index_bracket
-        m = np.maximum(level(np.ones(len(absu))), 1e-280)
-        lo = np.minimum(m ** (1.0 / p_lo), m ** (1.0 / p_hi)) * (1.0 - 1e-11)
-        hi = np.maximum(m ** (1.0 / p_lo), m ** (1.0 / p_hi)) * (1.0 + 1e-11)
-    else:
-        lo = np.full(len(absu), 1e-12)
-        hi = np.maximum(1.0, sup * domain_len)
-    for _ in range(80):
-        grow = level(hi) > 1.0
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    for _ in range(80):
-        shrink = level(lo) <= 1.0
-        if not shrink.any():
-            break
-        lo[shrink] *= 0.5
-    for _ in range(iters):
-        if np.all(hi - lo <= 1e-12 * hi):
-            break
-        mid = np.sqrt(lo * hi)
-        high = level(mid) > 1.0
-        lo = np.where(high, mid, lo)
-        hi = np.where(high, hi, mid)
-    out[nonzero] = 0.5 * (lo + hi)
+    nonzero = np.flatnonzero(np.any(values, axis=1))
+    out[nonzero] = _unit_level_gauge(
+        lambda mu, rows: h * np.sum(G_eval(np.abs(values[rows]) * mu[:, None]), axis=1),
+        nonzero)
     return out
 
 

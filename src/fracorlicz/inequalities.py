@@ -410,7 +410,7 @@ def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int,
     keep = np.max(np.abs(fields), axis=1) > 1e-12
     fields = fields[keep]
     phi = batch_modular(fields, mesh.h, G)
-    norm = batch_luxemburg(fields, mesh.h, G, mesh.b - mesh.a)
+    norm = batch_luxemburg(fields, mesh.h, G)
     low = np.minimum(norm ** G.p_minus, norm ** G.p_plus)
     high = np.maximum(norm ** G.p_minus, norm ** G.p_plus)
     gap = np.minimum(phi - low, high - phi)
@@ -424,8 +424,10 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
                             n: int = 8, s: float = 0.5) -> InequalityReport:
     """Same sandwich for the Gagliardo modular and its gauge (small grids).
 
-    The scaled difference quotients are precomputed once; bisection only
-    rescales them.  The bracket is independent of the claim under test.
+    The scaled difference quotients are precomputed once and flattened per
+    row, so the Gagliardo modular is a kernel-weighted plain modular of
+    them and the gauge is one batch_luxemburg solve, with a bracket
+    independent of the claim under test.
     """
     rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, n)
@@ -435,25 +437,10 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
     fields = _random_fields(rng, samples, n)
     keep = np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9
     fields = fields[keep]
-    quotients = np.abs(fields[:, :, None] - fields[:, None, :]) * inv_s[None]
-    smod_scaled = lambda lam: mesh.h ** 2 * np.sum(
-        G(quotients / lam[:, None, None]) * inv_1[None], axis=(1, 2))
-    phi = smod_scaled(np.ones(len(fields)))
-    lo = np.full(len(fields), 1e-12)
-    hi = np.maximum(1.0, np.max(np.abs(fields), axis=1))
-    for _ in range(60):
-        grow = smod_scaled(hi) > 1.0
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    for _ in range(60):
-        if np.all(hi - lo <= 1e-12 * hi):
-            break
-        mid = np.sqrt(lo * hi)
-        high_side = smod_scaled(mid) > 1.0
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-    norm = 0.5 * (lo + hi)
+    quotients = (np.abs(fields[:, :, None] - fields[:, None, :]) * inv_s).reshape(len(fields), -1)
+    weighted_G = lambda z: G(z) * inv_1.ravel()
+    phi = batch_modular(quotients, mesh.h ** 2, weighted_G)
+    norm = batch_luxemburg(quotients, mesh.h ** 2, weighted_G)
     low = np.minimum(norm ** G.p_minus, norm ** G.p_plus)
     high = np.maximum(norm ** G.p_minus, norm ** G.p_plus)
     gap = np.minimum(phi - low, high - phi)
@@ -464,23 +451,18 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
 
 
 def sweep_holder(G: NFunction, samples: int, seed: int, n: int = 32) -> InequalityReport:
-    """Orlicz Hoelder pairing bound over random field pairs.
-
-    Norm brackets are seeded from the modular-power sandwich (established
-    by its own suite): the conjugate's indices are the dual exponents.
-    """
+    """Orlicz Hoelder pairing bound over random field pairs."""
     rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, n)
     conj = complementary(G)
     u = _random_fields(rng, samples, n)
     v = _random_fields(rng, samples, n)
     lhs = mesh.h * np.sum(u * v, axis=1)
-    dual = (G.p_plus / (G.p_plus - 1.0), G.p_minus / (G.p_minus - 1.0))
-    nu = batch_luxemburg(u, mesh.h, G, 1.0, index_bracket=(G.p_minus, G.p_plus))
+    nu = batch_luxemburg(u, mesh.h, G)
     # raw table evaluation: the factor-2 slack of the bound dwarfs the
     # interpolation error, and it is several times cheaper than the
     # polished pointwise conjugate
-    nv = batch_luxemburg(v, mesh.h, conj.table, 1.0, index_bracket=dual)
+    nv = batch_luxemburg(v, mesh.h, conj.table)
     rhs = 2.0 * nu * nv
     gap = rhs - lhs
     tols = _scaled_tol(rhs)

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize.elementwise import find_root
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +37,7 @@ INDEX_GRID = np.logspace(-6.0, 6.0, 4096)
 TABLE_LOG10_RANGE = (-12.0, 12.0)
 TABLE_KNOTS = 4096
 
-BISECT_REL_TOL = 1e-12   # bracket tolerance for all monotone solves
+BISECT_REL_TOL = 1e-12   # relative root tolerance for all monotone solves
 MAX_DOUBLINGS = 200      # bracket expansion budget before giving up
 
 
@@ -64,22 +65,29 @@ def _as_array(t):
     return np.asarray(t, dtype=float)
 
 
-def solve_increasing(fn, target, lo=1e-12, hi=1.0, rel_tol=BISECT_REL_TOL):
-    """Solve fn(x) = target for a nondecreasing fn, vectorised over target.
+def solve_increasing(fn, target, args=()):
+    """Solve fn(x, *args) = target for a nondecreasing fn, vectorised over target.
 
-    Brackets are expanded geometrically (factor 2, at most MAX_DOUBLINGS
-    times per side) and then bisected at the geometric midpoint until the
-    bracket is below rel_tol relatively.  target == 0 maps to 0.
+    The bracket [1e-12, 1] is expanded geometrically (factor 2, at most
+    MAX_DOUBLINGS times per side); Chandrupatla's bracketed hybrid
+    (scipy.optimize.elementwise.find_root) then solves
+    log fn - log target = 0 in log x to BISECT_REL_TOL, i.e. to that
+    relative accuracy in x.  target == 0 maps to 0.
+
+    args holds arrays shaped like target, one entry per element.  The
+    root-finder evaluates fn only on the elements still unconverged and
+    passes args cut down to match, so a batched caller passes a row index
+    and gathers its per-row data from it.
     """
     target = _as_array(target)
     scalar = target.ndim == 0
     target = np.atleast_1d(target)
-    lo = np.full(target.shape, float(lo))
-    hi = np.full(target.shape, float(hi))
+    lo = np.full(target.shape, 1e-12)
+    hi = np.ones(target.shape)
     positive = target > 0.0
 
     for _ in range(MAX_DOUBLINGS):
-        short = positive & (fn(hi) < target)
+        short = positive & (fn(hi, *args) < target)
         if not short.any():
             break
         hi[short] *= 2.0
@@ -87,21 +95,21 @@ def solve_increasing(fn, target, lo=1e-12, hi=1.0, rel_tol=BISECT_REL_TOL):
         raise BracketExpansionError(
             "upper bracket expansion exhausted (target beyond function range)")
     for _ in range(MAX_DOUBLINGS):
-        over = positive & (fn(lo) > target)
+        over = positive & (fn(lo, *args) > target)
         if not over.any():
             break
         lo[over] *= 0.5
     else:
         raise BracketExpansionError("lower bracket expansion exhausted")
 
-    for _ in range(200):
-        if np.all(hi - lo <= rel_tol * hi):
-            break
-        mid = np.sqrt(lo * hi)
-        high_side = fn(mid) >= target
-        hi = np.where(high_side, mid, hi)
-        lo = np.where(high_side, lo, mid)
-    root = np.where(positive, 0.5 * (lo + hi), 0.0)
+    root = np.zeros(target.shape)
+    if positive.any():
+        def log_gap(y, log_target, *a):
+            return np.log(fn(np.exp(y), *a)) - log_target
+        res = find_root(log_gap, (np.log(lo[positive]), np.log(hi[positive])),
+                        args=(np.log(target[positive]), *(a[positive] for a in args)),
+                        tolerances={"xatol": BISECT_REL_TOL, "xrtol": 0.0})
+        root[positive] = np.exp(res.x)
     return float(root[0]) if scalar else root
 
 

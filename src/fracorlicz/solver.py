@@ -318,7 +318,6 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
             eta *= ARMIJO_FACTOR
         if not accepted:
             # stationary within line-search resolution
-            converged = pg_inf < max(tol, 1e2 * np.finfo(float).eps * (1.0 + abs(E)))
             break
 
         prev_u, prev_grad = u.values, grad
@@ -432,6 +431,12 @@ def solve_general(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
 # Coefficient-membership advisories
 # ---------------------------------------------------------------------------
 
+def _conjugate_norm(u: GridFunction, nf) -> float:
+    """Luxemburg norm of u in the Orlicz space of the conjugate of nf."""
+    conjugate = complementary(nf)  # built once: the solve visits many levels
+    return luxemburg_norm(u, lambda w: modular(w, conjugate))
+
+
 def membership_report(spec: ProblemSpec) -> list:
     """Advisory norms of the coefficients in the composed Orlicz spaces.
 
@@ -445,21 +450,16 @@ def membership_report(spec: ProblemSpec) -> list:
     except SobolevConjugateError as err:
         return [f"membership checks skipped: Sobolev conjugate unavailable "
                 f"({err.failed_tail} tail)"]
-    reaction = reaction_weight_nfunction(gstar, spec.beta)
-    k_norm = luxemburg_norm(
-        spec.k, lambda w: float(w.mesh.h * np.sum(complementary(reaction)(np.abs(w.values)))))
+    k_norm = _conjugate_norm(spec.k, reaction_weight_nfunction(gstar, spec.beta))
     notes.append(f"reaction coefficient norm (conjugate composed space): {k_norm:.6g}")
     if spec.alpha > 1.0:
         f_l1 = float(spec.mesh.h * np.sum(np.abs(spec.f.values)))
         notes.append(f"singular coefficient L1 norm: {f_l1:.6g}")
     elif spec.alpha == 1.0:
-        f_norm = luxemburg_norm(
-            spec.f, lambda w: float(w.mesh.h * np.sum(complementary(gstar)(np.abs(w.values)))))
+        f_norm = _conjugate_norm(spec.f, gstar)
         notes.append(f"singular coefficient norm (conjugate Sobolev space): {f_norm:.6g}")
     else:
-        weight = singular_weight_nfunction(gstar, spec.alpha)
-        f_norm = luxemburg_norm(
-            spec.f, lambda w: float(w.mesh.h * np.sum(complementary(weight)(np.abs(w.values)))))
+        f_norm = _conjugate_norm(spec.f, singular_weight_nfunction(gstar, spec.alpha))
         notes.append(f"singular coefficient norm (conjugate composed space): {f_norm:.6g}")
     return notes
 

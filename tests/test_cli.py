@@ -122,6 +122,15 @@ def test_verify_empty_suites_is_config_error(tmp_path, capsys):
     assert "no suites selected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_samples_below_one_is_config_error(tmp_path, capsys, samples):
+    cfg = write(tmp_path, "few.ini",
+                f"[verify]\nsuites = young\nsamples = {samples}\nfamilies = power3\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[verify] samples" in err
+
+
 def test_verify_unknown_suite_is_config_error(tmp_path):
     cfg = write(tmp_path, "bad.ini", "[verify]\nsuites = nosuch\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

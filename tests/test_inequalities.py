@@ -5,12 +5,13 @@ import pytest
 
 from fracorlicz.nfunctions import (power_nfunction, power_sum_nfunction,
                                    power_log_nfunction)
-from fracorlicz.grid import Mesh, GridFunction, random_positive, seminorm_modular
+from fracorlicz.grid import (Mesh, GridFunction, random_positive, seminorm_modular,
+                             gagliardo_seminorm)
 from fracorlicz.inequalities import (
     InequalityReport, FCFunction, fc_check, hidden_convexity_gap, picone_gap,
     picone_constant, diaz_saa_value, monotone_difference_gap,
     ray_convexity_probe, f2_monotonicity_check, default_exponent, run_suite,
-    SUITES, STANDARD_FAMILIES, sharpen_witness,
+    SUITES, STANDARD_FAMILIES, sharpen_witness, sweep_seminorm_sandwich,
 )
 
 P2 = power_nfunction(2.0)
@@ -311,6 +312,23 @@ def test_all_suites_clean_at_module_scale():
             report = run_suite(name, G, 1500, seed=11)
             assert report.violations == 0, (fam, name, report.min_gap)
             assert report.min_gap >= -report.tolerance
+
+
+def test_seminorm_sandwich_gauge_matches_gagliardo_seminorm():
+    # the sweep's batched gauge on its worst row equals the single-field
+    # Luxemburg gauge of the domain Gagliardo modular
+    n, s = 8, 0.5
+    mesh = Mesh(0.0, 1.0, n)
+    for seed in (3, 4):
+        for G in STANDARD_FAMILIES.values():
+            report = sweep_seminorm_sandwich(G, 40, seed, n=n, s=s)
+            rng = np.random.default_rng(seed)
+            coeff = rng.uniform(-1.0, 1.0, (40, 8))
+            fields = coeff @ np.sin(np.pi * np.outer(np.arange(1, 9), mesh.nodes))
+            keep = np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9
+            row = fields[keep][report.witness["coeff_row"]]
+            ref = gagliardo_seminorm(GridFunction(mesh, row), G, s, "omega")
+            assert report.witness["norm"] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_default_exponent_respects_lower_index():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fracorlicz.solver as solver
 from fracorlicz.nfunctions import power_nfunction, power_sum_nfunction, power_log_nfunction
 from fracorlicz.grid import (Mesh, GridFunction, random_fourier, random_positive,
                              seminorm_modular)
@@ -212,6 +213,15 @@ def test_minimize_obstacle_complementarity():
     # so the unconstrained gradient is nonpositive there and zero elsewhere
     assert np.all(r[active] <= 1e-8)
     assert np.max(np.abs(r[~active])) < 1e-8
+
+
+def test_minimize_unreachable_tol_is_not_converged():
+    # the line search stalls near machine precision, far above tol: the
+    # stage must report what it reached, not claim convergence
+    mesh = Mesh(0.0, 1.0, 16)
+    res = minimize_energy(_spec(mesh), 1e-2, GridFunction.zeros(mesh), tol=1e-300)
+    assert res.residual_inf > 1e-300
+    assert not res.converged
 
 
 def test_minimize_respects_max_iter():
@@ -444,6 +454,21 @@ def test_membership_report_with_conjugate_available():
     notes = membership_report(spec)
     assert any("reaction coefficient" in n for n in notes)
     assert any("singular coefficient" in n for n in notes)
+
+
+def test_membership_report_builds_each_conjugate_once(monkeypatch):
+    builds = []
+    build = solver.complementary
+
+    def counted(nf):
+        builds.append(nf)
+        return build(nf)
+
+    monkeypatch.setattr(solver, "complementary", counted)
+    spec = _spec(Mesh(0.0, 1.0, 64), G=P2, s=0.3, alpha=0.5, beta=0.5)
+    notes = membership_report(spec)
+    assert len(notes) == 2
+    assert len(builds) == 2  # reaction and singular weights, one table each
 
 
 def test_membership_report_skips_when_unavailable():
