@@ -6,9 +6,11 @@ symmetry (solver experiments), norm (single-function norms).  Global flags:
 
 Exit codes are a stable contract: 0 success/PASS, 1 verdict FAIL, 2 usage or
 config error, 3 inconclusive (a solve that did not converge is never
-reported as PASS).  All randomness flows from the single seed; reports and
-solution files contain no wall-clock entropy, so repeated runs with the
-same seed are byte-identical (the manifest records wall time and is the one
+reported as PASS; a numeric failure, such as a modular whose unit level
+cannot be bracketed, writes verdict=ERROR to the manifest).  All randomness
+flows from the single seed; reports and solution files contain no
+wall-clock entropy, so repeated runs with the same seed are byte-identical
+(the manifest records wall time and per-stage seconds and is the one
 exception).
 """
 
@@ -24,8 +26,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .nfunctions import NFunction
-from .grid import GridFunction, modular, seminorm_modular, luxemburg_norm
+from .nfunctions import NFunction, BracketExpansionError
+from .grid import (GridFunction, ModularNotDecreasingError, modular, seminorm_modular,
+                   luxemburg_norm)
 from .solver import (solve_singular, comparison_experiment, uniqueness_experiment,
                      symmetry_experiment, torsion_reference, membership_report)
 from .inequalities import SUITES, STANDARD_FAMILIES, run_suite
@@ -183,8 +186,12 @@ def cmd_solve(run: _Run) -> int:
     run.manifest.note(f"converged={result.converged}")
     run.manifest.note(f"residual_inf={result.residual_inf:.6e}")
     run.manifest.note(f"iterations={result.iterations}")
-    for eps, its, en in result.epsilon_trace:
-        run.manifest.note(f"stage eps={eps:.6e} iterations={its} energy={en:.12e}")
+    for (eps, its, en), stage in zip(result.epsilon_trace, result.stages):
+        run.manifest.note(
+            f"stage eps={eps:.6e} iterations={its} energy={en:.12e} "
+            f"pair_passes={stage.pair_passes} backtracks={stage.backtracks} "
+            f"bb_fallbacks={stage.bb_fallbacks} seconds={stage.seconds:.3f} "
+            f"stop={stage.stop}")
     if _is_torsion_benchmark(spec):
         ref = float(spec.k.values[0]) * torsion_reference(spec.mesh)
         err = (result.u - ref).l2_norm() / ref.l2_norm()
@@ -353,6 +360,10 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except (ModularNotDecreasingError, BracketExpansionError) as err:
+        print(f"numeric error: {err}", file=sys.stderr)
+        run.manifest.note("verdict=ERROR")
+        code = EXIT_INCONCLUSIVE
     run.finish()
     return code
 

@@ -10,6 +10,10 @@ over the domain only, and the full-space version that adds, for every node,
 the exact integral of the kernel against the zero exterior.  The exterior
 term reduces in closed form to the cumulative integral of G(r)/r (see
 NFunction.integral_over_t), so no truncation radius enters the value.
+
+The kernel powers depend only on |i - j|, so they are cached as O(n) data
+behind (n, n) Toeplitz views, and one row-blocked pair pass yields the
+double sum of G (the modular), of g (the operator), or both at once.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .nfunctions import NFunction, BracketExpansionError, solve_increasing
 
@@ -140,19 +145,20 @@ class GridFunction:
 # Kernel geometry, cached per (mesh, s)
 # ---------------------------------------------------------------------------
 
+PAIR_BLOCK = 64  # rows per slab of the pair pass: cache-sized, few Python steps
+
+
 @functools.lru_cache(maxsize=8)
 def _kernel(mesh: Mesh, s: float):
-    """Pairwise distance powers and boundary distances for a mesh."""
+    """Pairwise powers 1/d^s, 1/d, 1/d^(1+s) (zero diagonal), boundary powers.
+
+    d = h |i - j| makes each pairwise power a read-only Toeplitz view.
+    """
+    d = mesh.h * np.arange(1, mesh.n)
     x = mesh.nodes
-    d = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(d, 1.0)  # masked below; avoids 0**negative
-    off = ~np.eye(mesh.n, dtype=bool)
-    inv_s = np.where(off, d ** (-s), 0.0)          # 1/d^s
-    inv_1 = np.where(off, 1.0 / d, 0.0)            # 1/d   (N = 1 kernel)
-    inv_1s = np.where(off, d ** (-1.0 - s), 0.0)   # 1/d^{1+s}
-    dist_left = x - mesh.a
-    dist_right = mesh.b - x
-    return inv_s, inv_1, inv_1s, dist_left ** (-s), dist_right ** (-s)
+    view = lambda v: sliding_window_view(np.concatenate([v[::-1], [0.0], v]), mesh.n)[::-1]
+    return (view(d ** (-s)), view(1.0 / d), view(d ** (-1.0 - s)),
+            (x - mesh.a) ** (-s), (mesh.b - x) ** (-s))
 
 
 def _check_order(s: float):
@@ -169,10 +175,32 @@ def modular(u: GridFunction, G: NFunction) -> float:
     return float(u.mesh.h * np.sum(G(np.abs(u.values))))
 
 
-def _interior_double_sum(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> float:
-    inv_s, inv_1, _, _, _ = _kernel(mesh, s)
-    diff = np.abs(values[:, None] - values[None, :])
-    return float(mesh.h ** 2 * np.sum(G(diff * inv_s) * inv_1))
+def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
+               energy: bool, gradient: bool):
+    """(h^2 sum_ij G(q_ij) / d_ij, 2h sum_j g(q_ij) sign(u_i - u_j) / d_ij^(1+s)).
+
+    q_ij = |u_i - u_j| / d_ij^s over i != j; a part not asked for is None,
+    and values may carry batch axes.  A block of rows meets the columns from
+    its first row on, so pairs across blocks are evaluated once: G terms are
+    symmetric, g terms antisymmetric (later columns take negated sums).
+    """
+    inv_s, inv_1, inv_1s, _, _ = _kernel(mesh, s)
+    total = 0.0
+    grad = np.zeros(values.shape) if gradient else None
+    for lo in range(0, mesh.n, PAIR_BLOCK):
+        b = min(PAIR_BLOCK, mesh.n - lo)
+        diff = values[..., lo:lo + b, None] - values[..., None, lo:]
+        q = np.abs(diff) * inv_s[lo:lo + b, lo:]
+        if energy:
+            e, w = G(q), inv_1[lo:lo + b, lo:]
+            total = total + (2.0 * np.einsum("...ij,ij->...", e, w)
+                             - np.einsum("...ij,ij->...", e[..., :b], w[:, :b]))
+        if gradient:
+            t = np.copysign(G.deriv(q), diff) * inv_1s[lo:lo + b, lo:]
+            grad[..., lo:lo + b] += t.sum(axis=-1)
+            grad[..., lo + b:] -= t[..., b:].sum(axis=-2)
+    return (mesh.h ** 2 * total if energy else None,
+            2.0 * mesh.h * grad if gradient else None)
 
 
 def exterior_tail_energy(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> float:
@@ -193,15 +221,13 @@ def exterior_tail_gradient(values: np.ndarray, G: NFunction, mesh: Mesh, s: floa
     """Derivative of exterior_tail_energy / (2 h) with respect to each node.
 
     Equals sign(u_i) * (G(|u_i| dl^-s) + G(|u_i| dr^-s)) / (s |u_i|), the
-    exact weak-form pairing of the operator against the exterior zeros.
+    exact weak-form pairing of the operator against the exterior zeros;
+    values may carry leading batch axes.
     """
     _, _, _, left_s, right_s = _kernel(mesh, s)
     c = np.abs(values)
-    out = np.zeros_like(values)
-    pos = c > 0.0
-    contrib = G(c[pos] * left_s[pos]) + G(c[pos] * right_s[pos])
-    out[pos] = np.sign(values[pos]) * contrib / (s * c[pos])
-    return out
+    contrib = G(c * left_s) + G(c * right_s)
+    return np.sign(values) * contrib / (s * np.where(c > 0.0, c, 1.0))
 
 
 def seminorm_modular(u: GridFunction, G: NFunction, s: float,
@@ -214,7 +240,7 @@ def seminorm_modular(u: GridFunction, G: NFunction, s: float,
     extension, making the value the full-space modular.
     """
     _check_order(s)
-    interior = _interior_double_sum(u.values, G, u.mesh, s)
+    interior = float(_pair_pass(u.values, G, u.mesh, s, energy=True, gradient=False)[0])
     if domain == "omega":
         return interior
     if domain == "full":
@@ -231,13 +257,21 @@ def operator_apply(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> np
 
     Component i is 2h * sum_{j != i} g(|u_i - u_j| / d_ij^s) sign(u_i - u_j)
     / d_ij^(1+s) plus twice the exact exterior-tail term; this equals the
-    gradient of the full-space modular with respect to u_i divided by h.
+    gradient of the full-space modular with respect to u_i divided by h;
+    values may carry leading batch axes.
     """
-    inv_s, _, inv_1s, left_s, right_s = _kernel(mesh, s)
-    diff = values[:, None] - values[None, :]
-    interior = 2.0 * mesh.h * np.sum(
-        G.deriv(np.abs(diff) * inv_s) * np.sign(diff) * inv_1s, axis=1)
+    interior = _pair_pass(values, G, mesh, s, energy=False, gradient=True)[1]
     return interior + 2.0 * exterior_tail_gradient(values, G, mesh, s)
+
+
+operator_apply_batch = operator_apply  # the randomized sweeps' name for batches
+
+
+def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float):
+    """seminorm_modular(..., "full") and operator_apply from one pair pass."""
+    interior, grad = _pair_pass(values, G, mesh, s, energy=True, gradient=True)
+    return (float(interior) + exterior_tail_energy(values, G, mesh, s),
+            grad + 2.0 * exterior_tail_gradient(values, G, mesh, s))
 
 
 def operator_pairing(u_values: np.ndarray, phi_values: np.ndarray,
@@ -248,24 +282,6 @@ def operator_pairing(u_values: np.ndarray, phi_values: np.ndarray,
     representer so that symmetrised combinations cancel exactly in floats.
     """
     return float(mesh.h * np.sum(operator_apply(u_values, G, mesh, s) * phi_values))
-
-
-def operator_apply_batch(values: np.ndarray, G: NFunction, mesh: Mesh,
-                         s: float) -> np.ndarray:
-    """Row-wise operator_apply for a (batch, n) sample matrix."""
-    inv_s, _, inv_1s, left_s, right_s = _kernel(mesh, s)
-    diff = values[:, :, None] - values[:, None, :]
-    interior = 2.0 * mesh.h * np.sum(
-        G.deriv(np.abs(diff) * inv_s[None]) * np.sign(diff) * inv_1s[None], axis=2)
-    c = np.abs(values)
-    lam_grad = np.zeros_like(values)
-    pos = c > 0.0
-    cl = c * left_s[None]
-    cr = c * right_s[None]
-    contrib = np.zeros_like(values)
-    contrib[pos] = G(cl[pos]) + G(cr[pos])
-    lam_grad[pos] = np.sign(values[pos]) * contrib[pos] / (s * c[pos])
-    return interior + 2.0 * lam_grad
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +305,9 @@ def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], float])
 
     The scaled modular modular(mu u) is solved for the unit level in mu to
     relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing), and the
-    norm is 1 / mu.  Returns 0 for u == 0.
+    norm is 1 / mu.  Returns 0 where the modular vanishes at u, e.g. u = 0.
     """
-    if not np.any(u.values):
+    if modular_fn(u) == 0.0:
         return 0.0
     level = lambda mu, _rows: np.array([modular_fn(u * m) for m in mu])
     return float(_unit_level_gauge(level, np.zeros(1, dtype=int))[0])

@@ -15,12 +15,14 @@ regularization is then driven down a geometric schedule, warm-starting each
 stage, and the stagewise Cauchy increments are recorded.
 
 Everything is deterministic given the seed: step-size initialization uses a
-seeded power iteration, and no wall-clock entropy enters anywhere.
+seeded power iteration, and no wall-clock entropy enters the iterates (the
+per-stage seconds in StageStats are telemetry only).
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -30,7 +32,7 @@ from .nfunctions import (NFunction, complementary, sobolev_conjugate,
                          reaction_weight_nfunction, singular_weight_nfunction,
                          SobolevConjugateError)
 from .grid import (GridFunction, Mesh, modular, seminorm_modular, operator_apply,
-                   luxemburg_norm, random_positive, lg_norm)
+                   modular_and_operator, luxemburg_norm, random_positive, lg_norm)
 from .inequalities import f2_monotonicity_check
 
 logger = logging.getLogger(__name__)
@@ -117,6 +119,25 @@ class ProblemSpec:
         return notes
 
 
+@dataclass(frozen=True)
+class StageStats:
+    """Telemetry of one epsilon stage of minimize_energy.
+
+    pair_passes counts the O(n^2) kernel sweeps: one at the start, the
+    curvature probes, and one per Armijo trial.  backtracks counts rejected
+    trials, bb_fallbacks the Barzilai-Borwein proposals discarded for
+    nonpositive curvature.  stop is "pg_tol" (converged), "linesearch_stall"
+    or "max_iter".  seconds is wall-clock time, so it never enters
+    SolveResult.serialize or the solution files.
+    """
+
+    pair_passes: int
+    backtracks: int
+    bb_fallbacks: int
+    seconds: float
+    stop: str
+
+
 @dataclass
 class SolveResult:
     u: GridFunction
@@ -127,6 +148,7 @@ class SolveResult:
     iterations: int = 0
     stage_diffs: List[float] = field(default_factory=list)
     notes: Tuple[str, ...] = ()
+    stages: List[StageStats] = field(default_factory=list)
 
     def serialize(self) -> str:
         """Deterministic text form (bit-identical for identical runs)."""
@@ -232,6 +254,15 @@ def weak_residual(u: GridFunction, spec: ProblemSpec, epsilon: float) -> GridFun
     return u.with_values(op - _forcing(spec, u.values, epsilon), label="residual")
 
 
+def _energy_and_residual(spec: ProblemSpec, values: np.ndarray,
+                         epsilon: float) -> Tuple[float, np.ndarray]:
+    """energy and weak_residual at raw nodal values, from one pair pass."""
+    full, op = modular_and_operator(values, spec.G, spec.mesh, spec.s)
+    primitive = _reaction_primitive(spec, values, epsilon)
+    return (full - float(spec.mesh.h * np.sum(primitive)),
+            op - _forcing(spec, values, epsilon))
+
+
 # ---------------------------------------------------------------------------
 # Box projection and the projected-gradient loop
 # ---------------------------------------------------------------------------
@@ -242,24 +273,29 @@ def _project(values: np.ndarray, upper: Optional[np.ndarray]) -> np.ndarray:
     return lo if upper is None else np.minimum(lo, upper)
 
 
-def _curvature_estimate(spec: ProblemSpec, epsilon: float, u: GridFunction,
-                        rng: np.random.Generator, iters: int = 6) -> float:
-    """Power-iteration estimate of the residual's local Lipschitz constant."""
+def _curvature_estimate(spec: ProblemSpec, epsilon: float, values: np.ndarray,
+                        base: np.ndarray, rng: np.random.Generator,
+                        iters: int = 6) -> Tuple[float, int]:
+    """Power-iteration estimate of the residual's local Lipschitz constant.
+
+    base is the residual at values.  Returns the estimate and the number of
+    residual evaluations made.
+    """
     n = spec.mesh.n
-    base = weak_residual(u, spec, epsilon).values
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 1.0
-    delta = 1e-6 * (1.0 + u.sup_norm())
-    for _ in range(iters):
-        probe = _project(u.values + delta * v, None)
-        w = (weak_residual(u.with_values(probe), spec, epsilon).values - base) / delta
+    delta = 1e-6 * (1.0 + float(np.max(np.abs(values))))
+    probes = 0
+    for probes in range(1, iters + 1):
+        probe = GridFunction(spec.mesh, _project(values + delta * v, None))
+        w = (weak_residual(probe, spec, epsilon).values - base) / delta
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm < 1e-30:
             break
         lam = norm
         v = w / norm
-    return max(lam, 1e-12)
+    return max(lam, 1e-12), probes
 
 
 def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
@@ -269,73 +305,83 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
 
     Projected gradient descent: Barzilai-Borwein step proposals, Armijo
     backtracking (never accepts an energy increase), termination on the
-    infinity norm of the unit-step projected gradient.  Non-convergence is
+    infinity norm of the unit-step projected gradient.  Each trial point
+    costs one pair pass, which yields its energy and residual together; the
+    accepted trial's residual is the next gradient.  Non-convergence is
     reported in the result, never raised.
     """
+    start = time.perf_counter()
     mesh = spec.mesh
     if max_iter is None:
         max_iter = 50 * mesh.n
     upper = None if spec.obstacle is None else spec.obstacle.values
     rng = np.random.default_rng(seed)
 
-    u = u_init.with_values(_project(u_init.values, upper))
-    grad = weak_residual(u, spec, epsilon).values
-    E = energy(spec, u, epsilon)
+    u = _project(u_init.values, upper)
+    E, grad = _energy_and_residual(spec, u, epsilon)
     trace = [(0, E)]
-    eta = 1.0 / _curvature_estimate(spec, epsilon, u, rng)
+    curvature, probes = _curvature_estimate(spec, epsilon, u, grad, rng)
+    eta = 1.0 / curvature
+    passes = 1 + probes
+    backtracks = bb_fallbacks = 0
     prev_u = prev_grad = None
-    converged = False
-    pg_inf = float(np.max(np.abs(u.values - _project(u.values - grad, upper))))
+    stop = "max_iter"
 
     it = 0
     for it in range(1, max_iter + 1):
-        pg_inf = float(np.max(np.abs(u.values - _project(u.values - grad, upper))))
+        pg_inf = float(np.max(np.abs(u - _project(u - grad, upper))))
         if pg_inf < tol:
-            converged = True
             break
 
         if prev_u is not None:
-            du = u.values - prev_u
+            du = u - prev_u
             dg = grad - prev_grad
             denom = float(np.dot(du, dg))
             if denom > 0.0:
                 eta = float(np.dot(du, du) / denom)
             else:
                 eta *= 2.0
+                bb_fallbacks += 1
         eta = float(np.clip(eta, 1e-14, 1e14))
 
         accepted = False
         for _ in range(60):
-            trial = _project(u.values - eta * grad, upper)
-            direction = trial - u.values
+            trial = _project(u - eta * grad, upper)
+            direction = trial - u
             slope = mesh.h * float(np.dot(grad, direction))  # <dJ, d> <= 0
             if slope == 0.0:
                 break
-            E_trial = energy(spec, u.with_values(trial), epsilon)
+            E_trial, grad_trial = _energy_and_residual(spec, trial, epsilon)
+            passes += 1
             if E_trial <= E + ARMIJO_SLOPE * slope + ENERGY_DESCENT_SLACK * (1.0 + abs(E)):
                 accepted = True
                 break
+            backtracks += 1
             eta *= ARMIJO_FACTOR
         if not accepted:
             # stationary within line-search resolution
+            stop = "linesearch_stall"
             break
 
-        prev_u, prev_grad = u.values, grad
-        u = u.with_values(trial)
-        grad = weak_residual(u, spec, epsilon).values
-        E = E_trial
+        prev_u, prev_grad = u, grad
+        u, grad, E = trial, grad_trial, E_trial
         trace.append((it, E))
 
-    pg_inf = float(np.max(np.abs(u.values - _project(u.values - grad, upper))))
-    if pg_inf < tol:
-        converged = True
+    pg_inf = float(np.max(np.abs(u - _project(u - grad, upper))))
+    converged = pg_inf < tol
+    if converged:
+        stop = "pg_tol"
+    stats = StageStats(pair_passes=passes, backtracks=backtracks,
+                       bb_fallbacks=bb_fallbacks,
+                       seconds=time.perf_counter() - start, stop=stop)
     return SolveResult(
-        u=u.with_values(u.values, label=spec.label or "solution"),
+        u=u_init.with_values(u, label=spec.label or "solution"),
         energy_trace=trace,
         residual_inf=pg_inf,
         epsilon_trace=[(epsilon, it, E)],
         converged=converged,
         iterations=it,
+        stages=[stats],
     )
 
 
@@ -370,6 +416,7 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     u = u_init
     epsilon_trace: List[Tuple[float, int, float]] = []
     diffs: List[float] = []
+    stages: List[StageStats] = []
     trace: List[Tuple[int, float]] = []
     all_converged = True
     total_iters = 0
@@ -379,6 +426,7 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
         diffs.append(float(np.max(np.abs(result.u.values - u.values))))
         u = result.u
         epsilon_trace.extend(result.epsilon_trace)
+        stages.extend(result.stages)
         offset = total_iters
         trace.extend([(offset + i, e) for i, e in result.energy_trace])
         total_iters += result.iterations
@@ -403,6 +451,7 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
         iterations=total_iters,
         stage_diffs=diffs,
         notes=notes,
+        stages=stages,
     )
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from fracorlicz.cli import main
 from fracorlicz.config import load_config, config_digest
-from fracorlicz.grid import Mesh, GridFunction
+from fracorlicz.grid import Mesh, GridFunction, ModularNotDecreasingError
+from fracorlicz.nfunctions import BracketExpansionError
 
 
 BASE = """
@@ -66,6 +67,23 @@ def test_solve_torsion_reports_reference_error(tmp_path, capsys):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "config_digest=" in manifest and "command=solve" in manifest
     assert "torsion_l2_error=" in manifest
+
+
+def test_solve_manifest_reports_stage_telemetry(tmp_path):
+    cfg = torsion_config(tmp_path, n=32)
+    counts = []
+    for run in ("t1", "t2"):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / run), "--quiet"]) == 0
+        lines = (tmp_path / run / "manifest.txt").read_text().splitlines()
+        (stage,) = [line for line in lines if line.startswith("stage ")]
+        fields = dict(item.split("=") for item in stage.split()[1:])
+        assert fields["stop"] == "pg_tol"
+        assert float(fields["seconds"]) >= 0.0
+        del fields["seconds"]
+        counts.append(fields)
+        assert "seconds" not in (tmp_path / run / "solution.txt").read_text()
+    assert counts[0] == counts[1]
+    assert int(counts[0]["pair_passes"]) > int(counts[0]["iterations"])
 
 
 def test_solve_nonconverged_is_inconclusive(tmp_path):
@@ -254,6 +272,36 @@ s = 0.5
     main(["norm", "--config", cfg2, "--out", str(tmp_path / "nb")])
     v2 = float(capsys.readouterr().out.split("norm=")[1].split()[0])
     assert v2 == pytest.approx(2.0 * v1, rel=1e-9)
+
+
+def test_norm_of_constant_seminorm_is_zero(tmp_path, capsys):
+    # the domain seminorm modular of a constant field vanishes at every
+    # scale, so its Luxemburg gauge is 0 rather than an unbracketable level
+    cfg = write(tmp_path, "flat.ini",
+                "[mesh]\na = 0\nb = 1\nn = 16\n\n[nfunction]\nfamily = power\np = 2\n"
+                "\n[norm]\nu = 1\nkind = seminorm_omega\n")
+    code = main(["norm", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "norm=0 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error", [ModularNotDecreasingError, BracketExpansionError],
+                         ids=lambda e: e.__name__)
+def test_numeric_failure_is_inconclusive_error(tmp_path, capsys, monkeypatch, error):
+    import fracorlicz.cli as cli
+
+    def broken(u, modular_fn):
+        raise error("level not bracketed")
+
+    monkeypatch.setattr(cli, "luxemburg_norm", broken)
+    cfg = write(tmp_path, "err.ini",
+                "[mesh]\na = 0\nb = 1\nn = 16\n\n[nfunction]\nfamily = power\np = 2\n"
+                "\n[norm]\nu = x\n")
+    code = main(["norm", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "level not bracketed" in err
+    assert "verdict=ERROR" in (tmp_path / "o" / "manifest.txt").read_text()
 
 
 def test_norm_bad_kind(tmp_path):

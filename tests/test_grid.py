@@ -370,6 +370,67 @@ def test_operator_pairing_matches_symmetrized_double_sum():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _dense_pair_reference(values, G, mesh, s):
+    """Interior modular and operator from full n x n matrices over mesh.nodes."""
+    x = mesh.nodes
+    off = ~np.eye(mesh.n, dtype=bool)
+    d = np.where(off, np.abs(x[:, None] - x[None, :]), 1.0)
+    diff = values[:, None] - values[None, :]
+    q = np.abs(diff) / d ** s
+    energy = mesh.h ** 2 * np.sum(np.where(off, G(q) / d, 0.0))
+    terms = np.where(off, G.deriv(q) * np.sign(diff) / d ** (1.0 + s), 0.0)
+    return energy, 2.0 * mesh.h * np.sum(terms, axis=1)
+
+
+@pytest.mark.parametrize("n", [8, 65, 130])
+@pytest.mark.parametrize("G", [P2, P3, FAMILIES["powersum34"], FAMILIES["powerlog3"]],
+                         ids=lambda g: g.family + str(g.params[0]))
+def test_pair_pass_matches_dense_double_sum(G, n):
+    # the blocked pass against the plain double sum, at sizes that are not
+    # multiples of the row block; a batch of fields matches field by field
+    from fracorlicz.grid import modular_and_operator
+    rng = np.random.default_rng(n)
+    mesh = Mesh(0.0, 1.0, n)
+    s = 0.4
+    fields = np.stack([random_fourier(rng, mesh).values for _ in range(2)])
+    batch = operator_apply(fields, G, mesh, s)
+    for values, batch_row in zip(fields, batch):
+        energy, interior = _dense_pair_reference(values, G, mesh, s)
+        tails = 2.0 * exterior_tail_gradient(values, G, mesh, s)
+        u = GridFunction(mesh, values)
+        assert seminorm_modular(u, G, s, "omega") == pytest.approx(energy, rel=1e-12)
+        op = operator_apply(values, G, mesh, s)
+        scale = np.max(np.abs(interior + tails))
+        assert np.max(np.abs(op - (interior + tails))) <= 1e-10 * scale
+        assert np.max(np.abs(batch_row - op)) <= 1e-10 * scale
+        full, fused = modular_and_operator(values, G, mesh, s)
+        assert full == seminorm_modular(u, G, s, "full")
+        assert np.array_equal(fused, op)
+
+
+def _owning_array(arr):
+    """The array whose buffer a (possibly strided) view reads."""
+    owner = arr
+    while getattr(arr, "base", None) is not None:
+        arr = arr.base
+        if isinstance(arr, np.ndarray):
+            owner = arr
+    return owner
+
+
+def test_kernel_cache_owns_vectors_not_matrices():
+    # the Toeplitz views of _kernel own O(n) floats: at n = 1600 three dense
+    # matrices would own 61 MB
+    from fracorlicz.grid import _kernel
+    mesh = Mesh(0.0, 1.0, 1600)
+    owners = {}
+    for arr in _kernel(mesh, 0.5):
+        assert arr.shape in ((1600, 1600), (1600,))
+        owner = _owning_array(arr)
+        owners[id(owner)] = owner.nbytes
+    assert sum(owners.values()) < 1_000_000
+
+
 def test_operator_batch_matches_single():
     rng = np.random.default_rng(12)
     mesh = Mesh(0.0, 1.0, 12)

@@ -231,6 +231,41 @@ def test_minimize_respects_max_iter():
     assert not res.converged  # reported, never silent
 
 
+def _stage_counts(res):
+    (stage,) = res.stages
+    return stage.pair_passes, stage.backtracks, stage.bb_fallbacks, stage.stop
+
+
+def test_stage_stats_stop_reasons_repeat_exactly():
+    mesh = Mesh(-1.0, 1.0, 64)
+    spec = _torsion_spec(mesh)
+    runs = [minimize_energy(spec, 1e-2, GridFunction.zeros(mesh)) for _ in range(2)]
+    assert runs[0].stages[0].stop == "pg_tol"
+    assert _stage_counts(runs[0]) == _stage_counts(runs[1])
+    capped = minimize_energy(spec, 1e-2, GridFunction.zeros(mesh), tol=1e-14, max_iter=5)
+    assert capped.stages[0].stop == "max_iter" and capped.iterations == 5
+    small = Mesh(0.0, 1.0, 16)
+    stalled = minimize_energy(_spec(small), 1e-2, GridFunction.zeros(small), tol=1e-300)
+    assert stalled.stages[0].stop == "linesearch_stall"
+    solved = solve_singular(_spec(small), tol=1e-9)
+    assert len(solved.stages) == len(solved.epsilon_trace)
+
+
+def test_minimize_one_pair_pass_per_armijo_trial(monkeypatch):
+    # one kernel sweep at the start, six curvature probes, then exactly one
+    # per line-search trial (accepted steps plus rejected trials)
+    import fracorlicz.grid as grid
+    calls = []
+    inner = grid._pair_pass
+    monkeypatch.setattr(grid, "_pair_pass", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    mesh = Mesh(0.0, 1.0, 32)
+    res = minimize_energy(_spec(mesh), 1e-3, GridFunction.zeros(mesh))
+    (stage,) = res.stages
+    accepted = len(res.energy_trace) - 1
+    assert res.converged and stage.backtracks > 0
+    assert len(calls) == stage.pair_passes == 1 + 6 + accepted + stage.backtracks
+
+
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------
