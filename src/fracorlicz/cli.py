@@ -7,7 +7,8 @@ symmetry (solver experiments), norm (single-function norms).  Global flags:
 Exit codes are a stable contract: 0 success/PASS, 1 verdict FAIL, 2 usage or
 config error, 3 inconclusive (a solve that did not converge is never
 reported as PASS; a numeric failure, such as a modular whose unit level
-cannot be bracketed, writes verdict=ERROR to the manifest).  All randomness
+cannot be bracketed, writes verdict=ERROR to the manifest, and a listed
+output that is missing writes no manifest).  All randomness
 flows from the single seed; reports and solution files contain no
 wall-clock entropy, so repeated runs with the same seed are byte-identical
 (the manifest records wall time and per-stage seconds and is the one
@@ -139,6 +140,8 @@ def cmd_verify(run: _Run) -> int:
         print(f"unknown families: {', '.join(bad)}", file=sys.stderr)
         return EXIT_CONFIG
     s_order = _get(parser, "verify", "s", float, default=0.5)
+    if not 0.0 < s_order < 1.0:
+        raise ConfigError(f"[verify] s must lie in (0, 1), got {s_order}")
 
     rows = ["name,samples,violations,min_gap,witness"]
     failing = []
@@ -364,7 +367,11 @@ def main(argv=None) -> int:
         print(f"numeric error: {err}", file=sys.stderr)
         run.manifest.note("verdict=ERROR")
         code = EXIT_INCONCLUSIVE
-    run.finish()
+    try:
+        run.finish()
+    except RuntimeError as err:  # an output the manifest lists is missing
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return code
 
 

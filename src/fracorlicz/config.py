@@ -120,13 +120,12 @@ def coefficient_field(raw: str, mesh: Mesh, label: str,
 
 
 def build_problem(parser, mesh: Mesh, G: NFunction,
-                  base_dir: Optional[Path] = None,
-                  f_key: str = "f", k_key: str = "k") -> ProblemSpec:
+                  base_dir: Optional[Path] = None) -> ProblemSpec:
     s = _get(parser, "problem", "s", float, required=True)
     alpha = _get(parser, "problem", "alpha", float, default=0.0)
     beta = _get(parser, "problem", "beta", float, default=0.0)
-    f_raw = _get(parser, "problem", f_key, str, required=True)
-    k_raw = _get(parser, "problem", k_key, str, required=True)
+    f_raw = _get(parser, "problem", "f", str, required=True)
+    k_raw = _get(parser, "problem", "k", str, required=True)
     eps0 = _get(parser, "problem", "epsilon0", float, default=1e-2)
     eps_min = _get(parser, "problem", "epsilon_min", float, default=1e-6)
     obstacle_raw = _get(parser, "problem", "obstacle", str)

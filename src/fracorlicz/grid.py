@@ -19,7 +19,7 @@ double sum of G (the modular), of g (the operator), or both at once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,9 +64,6 @@ class Mesh:
     def nodes(self) -> np.ndarray:
         return self.a + (np.arange(self.n) + 0.5) * self.h
 
-    def refined(self, factor: int = 2) -> "Mesh":
-        return Mesh(self.a, self.b, self.n * factor)
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -84,10 +81,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, mesh: Mesh, fn: Callable, label: str = "") -> "GridFunction":
-        return cls(mesh, np.asarray(fn(mesh.nodes), float) * np.ones(mesh.n), label)
 
     @classmethod
     def constant(cls, mesh: Mesh, value: float, label: str = "") -> "GridFunction":
@@ -274,16 +267,6 @@ def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float)
             grad + 2.0 * exterior_tail_gradient(values, G, mesh, s))
 
 
-def operator_pairing(u_values: np.ndarray, phi_values: np.ndarray,
-                     G: NFunction, mesh: Mesh, s: float) -> float:
-    """Weak pairing of the operator at u against a test field phi.
-
-    Identical to h * <operator_apply(u), phi>; computed through the
-    representer so that symmetrised combinations cancel exactly in floats.
-    """
-    return float(mesh.h * np.sum(operator_apply(u_values, G, mesh, s) * phi_values))
-
-
 # ---------------------------------------------------------------------------
 # Luxemburg norm
 # ---------------------------------------------------------------------------
@@ -368,27 +351,22 @@ def holder_pairing_check(u: GridFunction, v: GridFunction, G: NFunction,
     return lhs, rhs, lhs <= rhs + 1e-8 * (1.0 + rhs)
 
 
-def random_fourier(rng: np.random.Generator, mesh: Mesh, modes: int = 8,
-                   nonnegative: bool = False) -> GridFunction:
-    """Truncated Fourier series with uniform [-1, 1] coefficients.
+def random_fourier(rng: np.random.Generator, mesh: Mesh, samples: int) -> tuple:
+    """(coefficients, fields): samples sine series with uniform [-1, 1] coefficients.
 
-    Sine modes vanish at the boundary, so the zero extension stays natural.
-    With nonnegative=True the series is clipped at zero.
+    Row i of fields is sum_k coefficients[i, k - 1] sin(pi k x) over modes
+    k = 1..8 at the nodes x scaled to (0, 1); the modes vanish at the
+    boundary, so the zero extension stays natural.  One (samples, 8) draw
+    consumes the stream like samples successive draws of 8.
     """
-    x = (mesh.nodes - mesh.a) / (mesh.b - mesh.a)
-    coeff = rng.uniform(-1.0, 1.0, modes)
-    values = np.zeros(mesh.n)
-    for k, c in enumerate(coeff, start=1):
-        values += c * np.sin(np.pi * k * x)
-    if nonnegative:
-        values = np.maximum(values, 0.0)
-    return GridFunction(mesh, values, "fourier")
+    x = (np.arange(mesh.n) + 0.5) / mesh.n
+    coeff = rng.uniform(-1.0, 1.0, (samples, 8))
+    return coeff, coeff @ np.sin(np.pi * np.outer(np.arange(1, 9), x))
 
 
-def random_positive(rng: np.random.Generator, mesh: Mesh, modes: int = 8) -> GridFunction:
+def random_positive(rng: np.random.Generator, mesh: Mesh) -> GridFunction:
     """exp of a Fourier bump: strictly positive with bounded mutual ratios."""
-    base = random_fourier(rng, mesh, modes)
-    return GridFunction(mesh, np.exp(base.values), "positive")
+    return GridFunction(mesh, np.exp(random_fourier(rng, mesh, 1)[1][0]), "positive")
 
 
 def poincare_constant_estimate(G: NFunction, s: float, mesh: Mesh,
@@ -401,12 +379,11 @@ def poincare_constant_estimate(G: NFunction, s: float, mesh: Mesh,
     _check_order(s)
     if samples < 100:
         raise ValueError("need at least 100 samples for a stable estimate")
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        u = random_fourier(rng, mesh)
-        if not np.any(u.values):
+    for values in random_fourier(np.random.default_rng(seed), mesh, samples)[1]:
+        if not np.any(values):
             continue
+        u = GridFunction(mesh, values)
         denom = seminorm_modular(u, G, s, "full")
         assert denom > 0.0, "full-space modular of a nonzero field must be positive"
         worst = max(worst, modular(u, G) / denom)

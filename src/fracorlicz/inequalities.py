@@ -13,6 +13,8 @@ front end; min_gap together with the witness makes a failing run replayable.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
@@ -21,9 +23,8 @@ import numpy as np
 from .nfunctions import (NFunction, DerivedNFunction, complementary,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
-from .grid import (GridFunction, Mesh, operator_pairing, operator_apply_batch,
-                   seminorm_modular, batch_modular, batch_luxemburg,
-                   random_positive)
+from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
+                   batch_modular, batch_luxemburg, random_fourier)
 
 __all__ = [
     "InequalityReport", "FCFunction", "fc_check",
@@ -71,7 +72,11 @@ class InequalityReport:
     extra: dict = field(default_factory=dict)
 
     def csv_row(self, witness_path: str = "-") -> str:
-        return f"{self.name},{self.samples},{self.violations},{self.min_gap:.17g},{witness_path}"
+        """One verify_report.csv row; names holding commas are quoted."""
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(
+            [self.name, self.samples, self.violations, f"{self.min_gap:.17g}", witness_path])
+        return line.getvalue()
 
     def witness_text(self) -> str:
         lines = [f"{k}={v!r}" for k, v in sorted(self.witness.items())]
@@ -86,8 +91,8 @@ class InequalityReport:
 def _finish_report(name, gaps, tols, witness_of, samples, extra=None) -> InequalityReport:
     gaps = np.asarray(gaps, float)
     tols = np.asarray(tols, float)
-    worst = int(np.argmin(gaps))
-    violations = int(np.sum(gaps < -tols))
+    worst = int(np.argmin(gaps))  # the first NaN, if any
+    violations = int(np.sum(~(gaps >= -tols)))  # a NaN gap is a violation
     return InequalityReport(
         name=name, samples=int(samples), violations=violations,
         min_gap=float(gaps[worst]), witness=witness_of(worst),
@@ -288,13 +293,21 @@ def diaz_saa_value(u: GridFunction, v: GridFunction, G: NFunction, s: float,
     if not (1.0 < q <= G.p_minus):
         raise ValueError(f"need 1 < q <= p_minus={G.p_minus:g}, got q={q}")
     _check_positive_pair(u, v)
-    uq = u.values ** q
-    vq = v.values ** q
-    bracket_u = (uq - vq) / u.values ** (q - 1.0)
-    bracket_v = (vq - uq) / v.values ** (q - 1.0)
-    mesh = u.mesh
-    return operator_pairing(u.values, bracket_u, G, mesh, s) \
-        + operator_pairing(v.values, bracket_v, G, mesh, s)
+    pair_u, pair_v = _diaz_saa_parts(u.values, v.values, G, u.mesh, s, q)
+    return float(pair_u + pair_v)
+
+
+def _diaz_saa_parts(u, v, G: NFunction, mesh: Mesh, s: float, q: float):
+    """h <A(u), (u^q - v^q) / u^(q-1)> and h <A(v), (v^q - u^q) / v^(q-1)>.
+
+    u and v are positive nodal values and may carry leading batch axes.
+    """
+    uq = u ** q
+    vq = v ** q
+    bracket_u = (uq - vq) / u ** (q - 1.0)
+    bracket_v = (vq - uq) / v ** (q - 1.0)
+    return (mesh.h * np.sum(operator_apply_batch(u, G, mesh, s) * bracket_u, axis=-1),
+            mesh.h * np.sum(operator_apply_batch(v, G, mesh, s) * bracket_v, axis=-1))
 
 
 def ray_convexity_probe(u0: GridFunction, u1: GridFunction, t: float,
@@ -395,29 +408,25 @@ def sweep_scaling(G: NFunction, samples: int, seed: int) -> InequalityReport:
     return _finish_report("scaling", gap, tols, witness, samples)
 
 
-def _random_fields(rng, samples, n, modes=8):
-    x = (np.arange(n) + 0.5) / n
-    basis = np.sin(np.pi * np.outer(np.arange(1, modes + 1), x))
-    return rng.uniform(-1.0, 1.0, (samples, modes)) @ basis
-
-
-def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int,
-                                n: int = 32) -> InequalityReport:
-    """Modular bracketed by powers of its own Luxemburg gauge (plain modular)."""
-    rng = np.random.default_rng(seed)
-    mesh = Mesh(0.0, 1.0, n)
-    fields = _random_fields(rng, samples, n)
-    keep = np.max(np.abs(fields), axis=1) > 1e-12
-    fields = fields[keep]
-    phi = batch_modular(fields, mesh.h, G)
-    norm = batch_luxemburg(fields, mesh.h, G)
+def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> InequalityReport:
+    """min(norm^p-, norm^p+) <= modular phi <= max(norm^p-, norm^p+), row-wise."""
     low = np.minimum(norm ** G.p_minus, norm ** G.p_plus)
     high = np.maximum(norm ** G.p_minus, norm ** G.p_plus)
     gap = np.minimum(phi - low, high - phi)
     tols = 1e-6 * (1.0 + phi + high)
     witness = lambda i: {"norm": float(norm[i]), "modular": float(phi[i]),
-                         "coeff_row": i, "family": G.name}
-    return _finish_report("modular_norm_sandwich", gap, tols, witness, len(fields))
+                         "coeff_row": i, "family": G.name, **witness_extra}
+    return _finish_report(name, gap, tols, witness, len(phi))
+
+
+def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int,
+                                n: int = 32) -> InequalityReport:
+    """Modular bracketed by powers of its own Luxemburg gauge (plain modular)."""
+    mesh = Mesh(0.0, 1.0, n)
+    fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
+    fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
+    return _sandwich_report("modular_norm_sandwich", G, batch_modular(fields, mesh.h, G),
+                            batch_luxemburg(fields, mesh.h, G))
 
 
 def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
@@ -429,25 +438,17 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
     them and the gauge is one batch_luxemburg solve, with a bracket
     independent of the claim under test.
     """
-    rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, n)
     from .grid import _kernel
     inv_s, inv_1, _, _, _ = _kernel(mesh, s)
 
-    fields = _random_fields(rng, samples, n)
-    keep = np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9
-    fields = fields[keep]
+    fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
+    fields = fields[np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9]
     quotients = (np.abs(fields[:, :, None] - fields[:, None, :]) * inv_s).reshape(len(fields), -1)
     weighted_G = lambda z: G(z) * inv_1.ravel()
-    phi = batch_modular(quotients, mesh.h ** 2, weighted_G)
-    norm = batch_luxemburg(quotients, mesh.h ** 2, weighted_G)
-    low = np.minimum(norm ** G.p_minus, norm ** G.p_plus)
-    high = np.maximum(norm ** G.p_minus, norm ** G.p_plus)
-    gap = np.minimum(phi - low, high - phi)
-    tols = 1e-6 * (1.0 + phi + high)
-    witness = lambda i: {"norm": float(norm[i]), "modular": float(phi[i]),
-                         "coeff_row": i, "family": G.name, "s": s}
-    return _finish_report("seminorm_sandwich", gap, tols, witness, len(fields))
+    return _sandwich_report("seminorm_sandwich", G,
+                            batch_modular(quotients, mesh.h ** 2, weighted_G),
+                            batch_luxemburg(quotients, mesh.h ** 2, weighted_G), s=s)
 
 
 def sweep_holder(G: NFunction, samples: int, seed: int, n: int = 32) -> InequalityReport:
@@ -455,8 +456,8 @@ def sweep_holder(G: NFunction, samples: int, seed: int, n: int = 32) -> Inequali
     rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, n)
     conj = complementary(G)
-    u = _random_fields(rng, samples, n)
-    v = _random_fields(rng, samples, n)
+    u = random_fourier(rng, mesh, samples)[1]
+    v = random_fourier(rng, mesh, samples)[1]
     lhs = mesh.h * np.sum(u * v, axis=1)
     nu = batch_luxemburg(u, mesh.h, G)
     # raw table evaluation: the factor-2 slack of the bound dwarfs the
@@ -577,9 +578,11 @@ def sweep_picone(G: NFunction, samples: int, seed: int,
     return report
 
 
+DIAZ_SAA_CHUNK = 512  # field pairs per batched operator call
+
+
 def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5,
-                   q: Optional[float] = None, n: int = 12,
-                   chunk: int = 512) -> InequalityReport:
+                   q: Optional[float] = None, n: int = 12) -> InequalityReport:
     """Nonnegativity of the symmetrized pairing over positive field pairs.
 
     Fields are exponentials of Fourier bumps (strictly positive, bounded
@@ -591,32 +594,17 @@ def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5,
     mesh = Mesh(0.0, 1.0, n)
     gaps = np.empty(samples)
     scales = np.empty(samples)
-    worst_seed_row = np.empty((2, 8))
-    done = 0
-    worst = np.inf
-    while done < samples:
-        m = min(chunk, samples - done)
-        cu = rng.uniform(-1.0, 1.0, (m, 8))
-        cv = rng.uniform(-1.0, 1.0, (m, 8))
-        x = (np.arange(n) + 0.5) / n
-        basis = np.sin(np.pi * np.outer(np.arange(1, 9), x))
-        u = np.exp(cu @ basis)
-        v = np.exp(cv @ basis)
-        bu = (u ** q - v ** q) / u ** (q - 1.0)
-        bv = (v ** q - u ** q) / v ** (q - 1.0)
-        pair_u = mesh.h * np.sum(operator_apply_batch(u, G, mesh, s) * bu, axis=1)
-        pair_v = mesh.h * np.sum(operator_apply_batch(v, G, mesh, s) * bv, axis=1)
-        vals = pair_u + pair_v
-        gaps[done:done + m] = vals
-        scales[done:done + m] = np.abs(pair_u) + np.abs(pair_v)
-        i = int(np.argmin(vals))
-        if vals[i] < worst:
-            worst = vals[i]
-            worst_seed_row = np.stack([cu[i], cv[i]])
-        done += m
+    coeff = np.empty((2, samples, 8))
+    for lo in range(0, samples, DIAZ_SAA_CHUNK):
+        m = min(DIAZ_SAA_CHUNK, samples - lo)
+        cu, u = random_fourier(rng, mesh, m)
+        cv, v = random_fourier(rng, mesh, m)
+        coeff[:, lo:lo + m] = cu, cv
+        pair_u, pair_v = _diaz_saa_parts(np.exp(u), np.exp(v), G, mesh, s, q)
+        gaps[lo:lo + m] = pair_u + pair_v
+        scales[lo:lo + m] = np.abs(pair_u) + np.abs(pair_v)
     tols = 1e-8 * (1.0 + scales)
-    witness = lambda i: {"coeff_u": worst_seed_row[0].tolist(),
-                         "coeff_v": worst_seed_row[1].tolist(),
+    witness = lambda i: {"coeff_u": coeff[0, i].tolist(), "coeff_v": coeff[1, i].tolist(),
                          "q": q, "s": s, "n": n, "family": G.name}
     return _finish_report("diaz_saa", gaps, tols, witness, samples)
 

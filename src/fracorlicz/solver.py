@@ -42,17 +42,6 @@ ARMIJO_FACTOR = 0.5
 ENERGY_DESCENT_SLACK = 1e-12
 
 
-def truncate(values, level: float):
-    """Symmetric truncation at a level: clip to [-level, level].
-
-    Diagnostic utility only (it reproduces the proof-style test functions);
-    the solve path never truncates.
-    """
-    if level <= 0.0:
-        raise ValueError("truncation level must be positive")
-    return np.clip(np.asarray(values, float), -level, level)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Data of the singular problem and its regularization window.

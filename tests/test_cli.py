@@ -1,5 +1,7 @@
 """End-to-end command-line runs on small configs."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,28 @@ def test_verify_samples_below_one_is_config_error(tmp_path, capsys, samples):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "[verify] samples" in err
+
+
+@pytest.mark.parametrize("s", ["0", "1", "1.5", "-0.2"])
+def test_verify_order_outside_unit_interval_is_config_error(tmp_path, capsys, s):
+    cfg = write(tmp_path, "order.ini",
+                "[verify]\nsuites = seminorm_sandwich, diaz_saa\nsamples = 50\n"
+                f"families = power3\ns = {s}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[verify] s" in err
+
+
+def test_verify_report_is_valid_csv(tmp_path):
+    # family names such as powersum(p=3,q=4) hold a comma and get quoted
+    cfg = write(tmp_path, "csv.ini",
+                "[verify]\nsuites = young\nsamples = 200\nfamilies = power3, powersum34\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    with open(tmp_path / "o" / "verify_report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [5, 5, 5]
+    assert rows[2][0] == "young[powersum(p=3,q=4)]"
+    assert rows[2][4] == "witness_young_powersum34.txt"
 
 
 def test_verify_unknown_suite_is_config_error(tmp_path):
@@ -302,6 +326,22 @@ def test_numeric_failure_is_inconclusive_error(tmp_path, capsys, monkeypatch, er
     assert code == 3
     assert err.count("\n") == 1 and "level not bracketed" in err
     assert "verdict=ERROR" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
+def test_missing_listed_output_is_inconclusive_error(tmp_path, capsys, monkeypatch):
+    import fracorlicz.cli as cli
+
+    def lists_missing(run):
+        run.manifest.add_output(run.out / "never_written.txt")
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli.COMMANDS, "norm", lists_missing)
+    cfg = write(tmp_path, "missing.ini", "[mesh]\na = 0\nb = 1\nn = 16\n")
+    code = main(["norm", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "never_written.txt" in err
 
 
 def test_norm_bad_kind(tmp_path):

@@ -10,7 +10,7 @@ from fracorlicz.grid import (
     Mesh, GridFunction, ModularNotDecreasingError, modular, seminorm_modular,
     luxemburg_norm, lg_norm, gagliardo_seminorm, holder_pairing_check,
     poincare_constant_estimate, random_fourier, random_positive,
-    operator_apply, operator_apply_batch, operator_pairing,
+    operator_apply, operator_apply_batch,
     exterior_tail_energy, exterior_tail_gradient,
     batch_luxemburg,
 )
@@ -23,6 +23,11 @@ FAMILIES = {
     "powersum34": power_sum_nfunction(3.0, 4.0),
     "powerlog3": power_log_nfunction(3.0),
 }
+
+
+def fourier_field(rng, mesh):
+    """One random sine series as a grid function."""
+    return GridFunction(mesh, random_fourier(rng, mesh, 1)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,7 @@ def test_full_space_dominates_domain_part():
     rng = np.random.default_rng(0)
     mesh = Mesh(0.0, 1.0, 24)
     for _ in range(20):
-        u = random_fourier(rng, mesh)
+        u = fourier_field(rng, mesh)
         full = seminorm_modular(u, P2, 0.5, "full")
         omega = seminorm_modular(u, P2, 0.5, "omega")
         assert full >= omega  # exact: the tail adds a nonnegative term
@@ -189,7 +194,7 @@ def test_reduction_reflection_invariance():
     rng = np.random.default_rng(5)
     mesh = Mesh(0.0, 1.0, 32)
     for _ in range(5):
-        u = random_fourier(rng, mesh)
+        u = fourier_field(rng, mesh)
         a = seminorm_modular(u, P2, 0.5, "full")
         b = seminorm_modular(u.with_values(u.values[::-1]), P2, 0.5, "full")
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
@@ -211,7 +216,7 @@ def test_luxemburg_homogeneity_exact():
     rng = np.random.default_rng(2)
     mesh = Mesh(0.0, 1.0, 32)
     for G in FAMILIES.values():
-        u = random_fourier(rng, mesh)
+        u = fourier_field(rng, mesh)
         n1 = lg_norm(2.0 * u, G)
         n2 = 2.0 * lg_norm(u, G)
         assert abs(n1 - n2) <= 1e-12 * max(n2, 1.0)
@@ -222,8 +227,8 @@ def test_luxemburg_triangle_inequality():
     mesh = Mesh(0.0, 1.0, 24)
     for G in FAMILIES.values():
         for _ in range(250):
-            u = random_fourier(rng, mesh)
-            v = random_fourier(rng, mesh)
+            u = fourier_field(rng, mesh)
+            v = fourier_field(rng, mesh)
             assert lg_norm(u + v, G) <= lg_norm(u, G) + lg_norm(v, G) + 1e-8
 
 
@@ -240,7 +245,7 @@ def test_modular_norm_sandwich_both_modulars():
     for G in FAMILIES.values():
         mesh = Mesh(0.0, 1.0, 16)
         for _ in range(25):
-            u = random_fourier(rng, mesh)
+            u = fourier_field(rng, mesh)
             if not np.any(u.values):
                 continue
             for mod_fn in (lambda w: modular(w, G),
@@ -258,7 +263,7 @@ def test_modular_norm_sandwich_both_modulars():
 def test_gagliardo_seminorm_domains():
     rng = np.random.default_rng(6)
     mesh = Mesh(0.0, 1.0, 24)
-    u = random_fourier(rng, mesh)
+    u = fourier_field(rng, mesh)
     omega = gagliardo_seminorm(u, P2, 0.5, "omega")
     full = gagliardo_seminorm(u, P2, 0.5, "full")
     assert full >= omega > 0.0  # bigger modular, bigger gauge
@@ -267,8 +272,7 @@ def test_gagliardo_seminorm_domains():
 def test_batch_luxemburg_matches_single():
     rng = np.random.default_rng(8)
     mesh = Mesh(0.0, 1.0, 16)
-    rows = np.stack([random_fourier(rng, mesh).values for _ in range(6)]
-                    + [np.zeros(16)])
+    rows = np.vstack([random_fourier(rng, mesh, 6)[1], np.zeros(16)])
     batch = batch_luxemburg(rows, mesh.h, P3)
     for row, val in zip(rows, batch):
         ref = lg_norm(GridFunction(mesh, row), P3)
@@ -280,7 +284,7 @@ def test_batch_luxemburg_level_evaluations_few_on_pure_power():
     # root-finder needs only the bracket and a couple of steps
     rng = np.random.default_rng(9)
     mesh = Mesh(0.0, 1.0, 32)
-    rows = np.stack([random_fourier(rng, mesh).values for _ in range(200)])
+    _, rows = random_fourier(rng, mesh, 200)
     calls = []
 
     def counted(t):
@@ -316,8 +320,8 @@ def test_holder_random_pairs():
     for G in FAMILIES.values():
         conj = complementary(G)
         for _ in range(40):
-            u = random_fourier(rng, mesh)
-            v = random_fourier(rng, mesh)
+            u = fourier_field(rng, mesh)
+            v = fourier_field(rng, mesh)
             lhs, rhs, ok = holder_pairing_check(u, v, G, conj)
             assert ok, (lhs, rhs, G.name)
 
@@ -343,7 +347,7 @@ def test_poincare_estimate_properties():
 def test_operator_antisymmetry():
     rng = np.random.default_rng(10)
     mesh = Mesh(-1.0, 1.0, 24)
-    u = random_fourier(rng, mesh)
+    u = fourier_field(rng, mesh)
     plus = operator_apply(u.values, P3, mesh, 0.5)
     minus = operator_apply(-u.values, P3, mesh, 0.5)
     assert np.array_equal(plus, -minus)
@@ -356,8 +360,8 @@ def test_operator_pairing_matches_symmetrized_double_sum():
     rng = np.random.default_rng(11)
     mesh = Mesh(0.0, 1.0, 16)
     s = 0.5
-    u = random_fourier(rng, mesh)
-    phi = random_fourier(rng, mesh)
+    u = fourier_field(rng, mesh)
+    phi = fourier_field(rng, mesh)
     inv_s, _, inv_1s, _, _ = _kernel(mesh, s)
     du = u.values[:, None] - u.values[None, :]
     dphi = phi.values[:, None] - phi.values[None, :]
@@ -366,7 +370,7 @@ def test_operator_pairing_matches_symmetrized_double_sum():
     tails = 2.0 * mesh.h * np.sum(
         exterior_tail_gradient(u.values, P3, mesh, s) * phi.values)
     expected = double_sum + tails
-    got = operator_pairing(u.values, phi.values, P3, mesh, s)
+    got = mesh.h * np.sum(operator_apply(u.values, P3, mesh, s) * phi.values)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -392,7 +396,7 @@ def test_pair_pass_matches_dense_double_sum(G, n):
     rng = np.random.default_rng(n)
     mesh = Mesh(0.0, 1.0, n)
     s = 0.4
-    fields = np.stack([random_fourier(rng, mesh).values for _ in range(2)])
+    _, fields = random_fourier(rng, mesh, 2)
     batch = operator_apply(fields, G, mesh, s)
     for values, batch_row in zip(fields, batch):
         energy, interior = _dense_pair_reference(values, G, mesh, s)
@@ -441,10 +445,16 @@ def test_operator_batch_matches_single():
 
 
 def test_random_field_generators():
-    rng = np.random.default_rng(13)
+    # one (m, 8) draw consumes the stream like m successive draws of 8, so
+    # batched and one-at-a-time callers see the same coefficients
     mesh = Mesh(0.0, 1.0, 32)
-    u = random_fourier(rng, mesh, nonnegative=True)
-    assert np.all(u.values >= 0.0)
+    rng = np.random.default_rng(13)
+    coeff, fields = random_fourier(rng, mesh, 5)
+    ref = np.random.default_rng(13)
+    assert np.array_equal(coeff, [ref.uniform(-1.0, 1.0, 8) for _ in range(5)])
+    modes = np.sin(np.pi * np.outer(np.arange(1, 9), mesh.nodes))
+    assert np.allclose(fields, coeff @ modes, rtol=0.0, atol=1e-14)
+    assert rng.random() == ref.random()
     v = random_positive(rng, mesh)
     assert np.all(v.values > 0.0)
     ratio = v.values.max() / v.values.min()

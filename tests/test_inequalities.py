@@ -12,6 +12,7 @@ from fracorlicz.inequalities import (
     picone_constant, diaz_saa_value, monotone_difference_gap,
     ray_convexity_probe, f2_monotonicity_check, default_exponent, run_suite,
     SUITES, STANDARD_FAMILIES, sharpen_witness, sweep_seminorm_sandwich,
+    _finish_report,
 )
 
 P2 = power_nfunction(2.0)
@@ -186,6 +187,42 @@ def test_diaz_saa_random_pairs_nonnegative():
         assert val >= -1e-8 * (1.0 + abs(val))
 
 
+@pytest.mark.parametrize("family", sorted(STANDARD_FAMILIES))
+def test_diaz_saa_witness_replays(family):
+    # the witness coefficients rebuild the worst pair of the sweep (600
+    # samples: a full chunk and a partial one); its single-pair value is
+    # min_gap up to the rounding of a batched against a one-row matmul
+    G = STANDARD_FAMILIES[family]
+    report = run_suite("diaz_saa", G, 600, seed=5)
+    w = report.witness
+    mesh = Mesh(0.0, 1.0, w["n"])
+    modes = np.sin(np.pi * np.outer(np.arange(1, 9), (np.arange(w["n"]) + 0.5) / w["n"]))
+    u, v = (GridFunction(mesh, np.exp(np.asarray(w[key]) @ modes))
+            for key in ("coeff_u", "coeff_v"))
+    value = diaz_saa_value(u, v, G, w["s"], w["q"])
+    assert value == pytest.approx(report.min_gap, rel=1e-12, abs=0.0)
+
+
+def test_diaz_saa_nan_gap_is_the_witness(monkeypatch):
+    # a NaN pairing in row 550 (row 38 of the second chunk) is a violation,
+    # and the witness holds that row's coefficients
+    import fracorlicz.inequalities as ineq
+    real = ineq.operator_apply_batch
+
+    def poisoned(values, G, mesh, s):
+        out = real(values, G, mesh, s)
+        if len(values) == 88:
+            out[38, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(ineq, "operator_apply_batch", poisoned)
+    report = run_suite("diaz_saa", P3, 600, seed=5)
+    assert report.violations == 1 and np.isnan(report.min_gap)
+    rng = np.random.default_rng(5)
+    rng.uniform(-1.0, 1.0, (2, 512, 8))  # the first chunk's u and v draws
+    assert report.witness["coeff_u"] == rng.uniform(-1.0, 1.0, (88, 8))[38].tolist()
+
+
 def test_diaz_saa_guards():
     u, v = _positive_pair(4)
     with pytest.raises(ValueError):
@@ -295,6 +332,14 @@ def test_report_invariants_and_serialization():
     assert row.endswith(",w.txt")
     text = report.witness_text()
     assert "a=" in text and "b=" in text
+
+
+def test_nan_gap_is_a_violation():
+    # NaN compares false both ways: it counts as a violation and is the witness
+    report = _finish_report("probe", [0.5, np.nan, -1e-12], 1e-8,
+                            lambda i: {"row": i}, 3)
+    assert report.violations == 1
+    assert report.witness == {"row": 1} and np.isnan(report.min_gap)
 
 
 def test_sweeps_deterministic():

@@ -9,7 +9,7 @@ from fracorlicz.grid import (Mesh, GridFunction, random_fourier, random_positive
                              seminorm_modular)
 from fracorlicz.inequalities import diaz_saa_value
 from fracorlicz.solver import (
-    ProblemSpec, SolveResult, truncate, energy, weak_residual, minimize_energy,
+    ProblemSpec, SolveResult, energy, weak_residual, minimize_energy,
     solve_singular, solve_general, comparison_experiment, uniqueness_experiment,
     symmetry_experiment, torsion_reference, membership_report,
     discretization_estimate,
@@ -19,6 +19,11 @@ P2 = power_nfunction(2.0)
 P3 = power_nfunction(3.0)
 PS = power_sum_nfunction(3.0, 4.0)
 PL = power_log_nfunction(3.0)
+
+
+def fourier_field(rng, mesh):
+    """One random sine series as a grid function."""
+    return GridFunction(mesh, random_fourier(rng, mesh, 1)[1][0])
 
 
 def _spec(mesh, G=P3, s=0.5, alpha=0.5, beta=0.5, f=1.0, k=1.0,
@@ -71,13 +76,6 @@ def test_hypothesis_warnings():
     assert any("uniqueness hypothesis" in n for n in notes)
 
 
-def test_truncate_utility():
-    vals = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
-    assert np.array_equal(truncate(vals, 1.0), [-1.0, -0.5, 0.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        truncate(vals, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # residual and energy
 # ---------------------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_residual_antisymmetry_of_operator_part():
     mesh = Mesh(-1.0, 1.0, 16)
     spec = _spec(mesh, f=0.0, k=0.0, alpha=0.0, beta=0.0)
     rng = np.random.default_rng(0)
-    u = random_fourier(rng, mesh)
+    u = fourier_field(rng, mesh)
     plus = weak_residual(u, spec, 1e-2).values
     minus = weak_residual(u.with_values(-u.values), spec, 1e-2).values
     assert np.array_equal(plus, -minus)
@@ -135,7 +133,7 @@ def test_gradient_consistency(G):
     eps = 0.5
     for _ in range(10):
         u = random_positive(rng, mesh)
-        phi = random_fourier(rng, mesh)
+        phi = fourier_field(rng, mesh)
         t = 1e-6
         fd = (energy(spec, u.with_values(u.values + t * phi.values), eps)
               - energy(spec, u.with_values(u.values - t * phi.values), eps)) / (2 * t)
@@ -147,8 +145,8 @@ def test_modular_part_convex_along_rays():
     rng = np.random.default_rng(7)
     mesh = Mesh(0.0, 1.0, 16)
     for _ in range(1000):
-        u = random_fourier(rng, mesh)
-        v = random_fourier(rng, mesh)
+        u = fourier_field(rng, mesh)
+        v = fourier_field(rng, mesh)
         theta = rng.uniform(0.0, 1.0)
         mid = u.with_values((1 - theta) * u.values + theta * v.values)
         chord = ((1 - theta) * seminorm_modular(u, PS, 0.5, "full")
@@ -167,7 +165,7 @@ def test_minimize_trivial_to_zero():
     # (derivative vanishing quadratically) only to the square root of it
     mesh = Mesh(0.0, 1.0, 24)
     rng = np.random.default_rng(1)
-    init = random_fourier(rng, mesh, nonnegative=True)
+    init = GridFunction(mesh, np.maximum(random_fourier(rng, mesh, 1)[1][0], 0.0))
     quad_spec = _spec(mesh, G=P2, f=0.0, k=0.0, alpha=0.0, beta=0.0)
     res = minimize_energy(quad_spec, 1e-2, init, tol=1e-10)
     assert res.converged
