@@ -9,10 +9,11 @@ config error, 3 inconclusive (a solve that did not converge is never
 reported as PASS; a numeric failure, such as a modular whose unit level
 cannot be bracketed, writes verdict=ERROR to the manifest, and a listed
 output that is missing writes no manifest).  All randomness
-flows from the single seed; reports and solution files contain no
-wall-clock entropy, so repeated runs with the same seed are byte-identical
-(the manifest records wall time and per-stage seconds and is the one
-exception).
+flows from the single seed, which draws the verify sweeps and the random
+uniqueness start; solve, compare and symmetry do not read it.  Reports and
+solution files contain no wall-clock entropy, so repeated runs with the same
+seed are byte-identical (the manifest records wall time and per-stage
+seconds and is the one exception).
 """
 
 from __future__ import annotations
@@ -184,14 +185,15 @@ def cmd_solve(run: _Run) -> int:
         run.manifest.note(f"warning={note}")
         run.say(f"warning: {note}")
     st = run.settings
-    result = solve_singular(spec, tol=st.tol, max_iter=st.max_iter, seed=st.seed)
+    result = solve_singular(spec, tol=st.tol, max_iter=st.max_iter)
     run.write_grid("solution.txt", result.u)
     run.manifest.note(f"converged={result.converged}")
     run.manifest.note(f"residual_inf={result.residual_inf:.6e}")
     run.manifest.note(f"iterations={result.iterations}")
-    for (eps, its, en), stage in zip(result.epsilon_trace, result.stages):
+    for stage in result.stages:
         run.manifest.note(
-            f"stage eps={eps:.6e} iterations={its} energy={en:.12e} "
+            f"stage eps={stage.epsilon:.6e} iterations={stage.iterations} "
+            f"energy={stage.energy:.12e} "
             f"pair_passes={stage.pair_passes} backtracks={stage.backtracks} "
             f"bb_fallbacks={stage.bb_fallbacks} seconds={stage.seconds:.3f} "
             f"stop={stage.stop}")
@@ -220,8 +222,7 @@ def cmd_compare(run: _Run) -> int:
     from dataclasses import replace
     high = replace(low, f=f_high, k=k_high)
     st = run.settings
-    outcome = comparison_experiment(low, high, tol=st.tol, max_iter=st.max_iter,
-                                    seed=st.seed)
+    outcome = comparison_experiment(low, high, tol=st.tol, max_iter=st.max_iter)
     run.write_grid("solution_low.txt", outcome.low.u)
     run.write_grid("solution_high.txt", outcome.high.u)
     for note in outcome.notes:
@@ -275,8 +276,7 @@ def cmd_symmetry(run: _Run) -> int:
     u_init = (coefficient_field(init_raw, mesh, "init", run.base_dir)
               if init_raw else None)
     st = run.settings
-    outcome = symmetry_experiment(spec, u_init=u_init, tol=st.tol,
-                                  max_iter=st.max_iter, seed=st.seed)
+    outcome = symmetry_experiment(spec, u_init=u_init, tol=st.tol, max_iter=st.max_iter)
     run.write_grid("solution.txt", outcome.result.u)
     run.manifest.note(f"asymmetry={outcome.asymmetry:.6e}")
     if outcome.inconclusive:

@@ -2,9 +2,9 @@
 
 Sections: [mesh] a, b, n; [nfunction] family + parameters (or a
 two-column table file); [problem] s, alpha, beta, f, k (expression or
-file:PATH), epsilon0, epsilon_min, optional obstacle; [solver] tol,
-max_iter, seed; plus per-command sections ([verify], [compare],
-[uniqueness], [symmetry], [norm]).
+file:PATH), epsilon0, epsilon_min, optional obstacle; [solver] tol
+(finite, > 0), max_iter (>= 1), seed (>= 0); plus per-command sections
+([verify], [compare], [uniqueness], [symmetry], [norm]).
 
 The config digest is the SHA-256 of the canonicalized bytes (sorted
 sections and keys, normalized whitespace), so reordering a file does not
@@ -113,10 +113,12 @@ def coefficient_field(raw: str, mesh: Mesh, label: str,
         except (OSError, ValueError) as err:
             raise ConfigError(f"coefficient {label}: {err}") from err
     try:
-        values = evaluate_expression(raw, mesh.nodes)
-    except ExpressionError as err:
+        # a non-finite value is reported below, naming the coefficient
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = evaluate_expression(raw, mesh.nodes)
+        return GridFunction(mesh, values * np.ones(mesh.n), label)
+    except (ExpressionError, ValueError) as err:
         raise ConfigError(f"coefficient {label}: {err}") from err
-    return GridFunction(mesh, values * np.ones(mesh.n), label)
 
 
 def build_problem(parser, mesh: Mesh, G: NFunction,
@@ -142,10 +144,16 @@ def build_problem(parser, mesh: Mesh, G: NFunction,
 
 def build_solver_settings(parser, seed_override: Optional[int] = None) -> SolverSettings:
     tol = _get(parser, "solver", "tol", float, default=1e-9)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"[solver] tol must be finite and positive, got {tol}")
     max_iter = _get(parser, "solver", "max_iter", int, default=None)
+    if max_iter is not None and max_iter < 1:
+        raise ConfigError(f"[solver] max_iter must be at least 1, got {max_iter}")
     seed = _get(parser, "solver", "seed", int, default=0)
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        raise ConfigError(f"[solver] seed (or --seed) must be nonnegative, got {seed}")
     return SolverSettings(tol=tol, max_iter=max_iter, seed=seed)
 
 

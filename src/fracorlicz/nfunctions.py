@@ -202,26 +202,12 @@ class LogLogTable:
 
 
 def log_grid(lo_exp: float, hi_exp: float, n: int,
-             breakpoints: Sequence[float] = (),
-             cluster: int = 0) -> np.ndarray:
-    """Log-spaced grid with optional extra knots inserted (e.g. kink points).
-
-    cluster > 0 additionally packs geometrically graded knots into a tenth
-    of a decade around each breakpoint (spacing shrinks smoothly toward the
-    point), which keeps interpolants of kinked functions accurate where the
-    regular spacing would be too coarse.
-    """
+             breakpoints: Sequence[float] = ()) -> np.ndarray:
+    """Log-spaced grid with optional extra knots inserted (e.g. kink points)."""
     parts = [np.logspace(lo_exp, hi_exp, n)]
     for b in breakpoints:
-        if not (10.0 ** lo_exp < b < 10.0 ** hi_exp):
-            continue
-        parts.append(np.asarray([b], float))
-        if cluster > 0:
-            e = np.log10(b)
-            offsets = 0.05 * 0.87 ** np.arange(cluster)
-            offsets = offsets[offsets > 1e-9]
-            parts.append(10.0 ** (e - offsets))
-            parts.append(10.0 ** (e + offsets))
+        if 10.0 ** lo_exp < b < 10.0 ** hi_exp:
+            parts.append(np.asarray([b], float))
     grid = np.unique(np.concatenate(parts)) if len(parts) > 1 else parts[0]
     return grid
 

@@ -14,9 +14,9 @@ backtracking line search (factor 1/2, slope fraction 1e-4).  The
 regularization is then driven down a geometric schedule, warm-starting each
 stage, and the stagewise Cauchy increments are recorded.
 
-Everything is deterministic given the seed: step-size initialization uses a
-seeded power iteration, and no wall-clock entropy enters the iterates (the
-per-stage seconds in StageStats are telemetry only).
+Everything is deterministic and takes no seed: each stage's first trial is
+the unit step, and no wall-clock entropy enters the iterates (the per-stage
+seconds in StageStats are telemetry only).
 """
 
 from __future__ import annotations
@@ -110,16 +110,22 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StageStats:
-    """Telemetry of one epsilon stage of minimize_energy.
+    """Record of one epsilon stage of minimize_energy.
 
-    pair_passes counts the O(n^2) kernel sweeps: one at the start, the
-    curvature probes, and one per Armijo trial.  backtracks counts rejected
-    trials, bb_fallbacks the Barzilai-Borwein proposals discarded for
-    nonpositive curvature.  stop is "pg_tol" (converged), "linesearch_stall"
-    or "max_iter".  seconds is wall-clock time, so it never enters
-    SolveResult.serialize or the solution files.
+    iterations and energy are the stage's loop count and final energy;
+    increment is the sup distance from the stage's start to its end, the
+    continuation's Cauchy increment.  pair_passes counts the O(n^2) kernel
+    sweeps: one at the start and one per Armijo trial.  backtracks counts
+    rejected trials, bb_fallbacks the Barzilai-Borwein proposals discarded
+    for nonpositive curvature.  stop is "pg_tol" (converged),
+    "linesearch_stall" or "max_iter".  seconds is wall-clock time, so it
+    never enters SolveResult.serialize or the solution files.
     """
 
+    epsilon: float
+    iterations: int
+    energy: float
+    increment: float
     pair_passes: int
     backtracks: int
     bb_fallbacks: int
@@ -132,10 +138,8 @@ class SolveResult:
     u: GridFunction
     energy_trace: List[Tuple[int, float]]
     residual_inf: float
-    epsilon_trace: List[Tuple[float, int, float]]
     converged: bool
     iterations: int = 0
-    stage_diffs: List[float] = field(default_factory=list)
     notes: Tuple[str, ...] = ()
     stages: List[StageStats] = field(default_factory=list)
 
@@ -146,10 +150,11 @@ class SolveResult:
             f"iterations={self.iterations}",
             f"residual_inf={self.residual_inf!r}",
         ]
-        for eps, its, en in self.epsilon_trace:
-            lines.append(f"stage eps={eps!r} iterations={its} energy={en!r}")
-        for d in self.stage_diffs:
-            lines.append(f"stage_diff={d!r}")
+        for st in self.stages:
+            lines.append(f"stage eps={st.epsilon!r} iterations={st.iterations} "
+                         f"energy={st.energy!r}")
+        for st in self.stages:
+            lines.append(f"stage_diff={st.increment!r}")
         for note in self.notes:
             lines.append(f"note={note}")
         lines.append("values=" + ",".join(repr(v) for v in self.u.values))
@@ -262,56 +267,30 @@ def _project(values: np.ndarray, upper: Optional[np.ndarray]) -> np.ndarray:
     return lo if upper is None else np.minimum(lo, upper)
 
 
-def _curvature_estimate(spec: ProblemSpec, epsilon: float, values: np.ndarray,
-                        base: np.ndarray, rng: np.random.Generator,
-                        iters: int = 6) -> Tuple[float, int]:
-    """Power-iteration estimate of the residual's local Lipschitz constant.
-
-    base is the residual at values.  Returns the estimate and the number of
-    residual evaluations made.
-    """
-    n = spec.mesh.n
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    delta = 1e-6 * (1.0 + float(np.max(np.abs(values))))
-    probes = 0
-    for probes in range(1, iters + 1):
-        probe = GridFunction(spec.mesh, _project(values + delta * v, None))
-        w = (weak_residual(probe, spec, epsilon).values - base) / delta
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm < 1e-30:
-            break
-        lam = norm
-        v = w / norm
-    return max(lam, 1e-12), probes
-
-
 def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
-                    tol: float = 1e-9, max_iter: Optional[int] = None,
-                    seed: int = 0) -> SolveResult:
+                    tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
     """Minimize the regularized energy over the constraint box.
 
-    Projected gradient descent: Barzilai-Borwein step proposals, Armijo
-    backtracking (never accepts an energy increase), termination on the
-    infinity norm of the unit-step projected gradient.  Each trial point
-    costs one pair pass, which yields its energy and residual together; the
-    accepted trial's residual is the next gradient.  Non-convergence is
-    reported in the result, never raised.
+    Projected gradient descent: the first trial is the unit step, whose
+    projected gradient the stopping test measures; Barzilai-Borwein
+    proposals follow the first accepted step.  Armijo backtracking never
+    accepts an energy increase.  The loop ends on the infinity norm of the
+    unit-step projected gradient.  Each trial point costs one pair pass,
+    which yields its energy and residual together; the accepted trial's
+    residual is the next gradient.  Non-convergence is reported in the
+    result, never raised.
     """
     start = time.perf_counter()
     mesh = spec.mesh
     if max_iter is None:
         max_iter = 50 * mesh.n
     upper = None if spec.obstacle is None else spec.obstacle.values
-    rng = np.random.default_rng(seed)
 
     u = _project(u_init.values, upper)
     E, grad = _energy_and_residual(spec, u, epsilon)
     trace = [(0, E)]
-    curvature, probes = _curvature_estimate(spec, epsilon, u, grad, rng)
-    eta = 1.0 / curvature
-    passes = 1 + probes
+    eta = 1.0
+    passes = 1
     backtracks = bb_fallbacks = 0
     prev_u = prev_grad = None
     stop = "max_iter"
@@ -360,14 +339,15 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     converged = pg_inf < tol
     if converged:
         stop = "pg_tol"
-    stats = StageStats(pair_passes=passes, backtracks=backtracks,
+    stats = StageStats(epsilon=epsilon, iterations=it, energy=E,
+                       increment=float(np.max(np.abs(u - u_init.values))),
+                       pair_passes=passes, backtracks=backtracks,
                        bb_fallbacks=bb_fallbacks,
                        seconds=time.perf_counter() - start, stop=stop)
     return SolveResult(
         u=u_init.with_values(u, label=spec.label or "solution"),
         energy_trace=trace,
         residual_inf=pg_inf,
-        epsilon_trace=[(epsilon, it, E)],
         converged=converged,
         iterations=it,
         stages=[stats],
@@ -389,8 +369,7 @@ def _epsilon_schedule(spec: ProblemSpec) -> List[float]:
 
 
 def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
-                   tol: float = 1e-9, max_iter: Optional[int] = None,
-                   seed: int = 0) -> SolveResult:
+                   tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
     """Continuation solve: halve the regularization, warm-starting each stage.
 
     The continuation itself is a numerical device (the analysis sends the
@@ -403,18 +382,14 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
         u_init = GridFunction.zeros(spec.mesh)
     schedule = _epsilon_schedule(spec)
     u = u_init
-    epsilon_trace: List[Tuple[float, int, float]] = []
-    diffs: List[float] = []
     stages: List[StageStats] = []
     trace: List[Tuple[int, float]] = []
     all_converged = True
     total_iters = 0
     result = None
     for eps in schedule:
-        result = minimize_energy(spec, eps, u, tol=tol, max_iter=max_iter, seed=seed)
-        diffs.append(float(np.max(np.abs(result.u.values - u.values))))
+        result = minimize_energy(spec, eps, u, tol=tol, max_iter=max_iter)
         u = result.u
-        epsilon_trace.extend(result.epsilon_trace)
         stages.extend(result.stages)
         offset = total_iters
         trace.extend([(offset + i, e) for i, e in result.energy_trace])
@@ -425,8 +400,8 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
                            eps, result.residual_inf)
 
     cauchy_ok = True
-    if len(diffs) >= 4:
-        last = diffs[-3:]
+    if len(stages) >= 4:
+        last = [st.increment for st in stages[-3:]]
         cauchy_ok = all(last[i + 1] <= last[i] * (1.0 + 1e-6) + 1e-14
                         for i in range(len(last) - 1))
         if not cauchy_ok:
@@ -435,18 +410,15 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
         u=u,
         energy_trace=trace,
         residual_inf=result.residual_inf if result else float("nan"),
-        epsilon_trace=epsilon_trace,
         converged=all_converged and cauchy_ok,
         iterations=total_iters,
-        stage_diffs=diffs,
         notes=notes,
         stages=stages,
     )
 
 
 def solve_general(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
-                  tol: float = 1e-9, max_iter: Optional[int] = None,
-                  seed: int = 0) -> SolveResult:
+                  tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
     """Continuation solve for a custom right-hand side F(x, u).
 
     Rejected up front unless F is nonnegative on samples and the ratio
@@ -462,7 +434,7 @@ def solve_general(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     for x in xs:
         if np.any(np.asarray([spec.F_custom(x, s) for s in s_grid[:8]]) < 0.0):
             raise ValueError("custom right-hand side must be nonnegative")
-    return solve_singular(spec, u_init, tol=tol, max_iter=max_iter, seed=seed)
+    return solve_singular(spec, u_init, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +500,6 @@ def discretization_estimate(mesh: Mesh, s: float, scale: float) -> float:
 def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
                           u_init: Optional[GridFunction] = None,
                           tol: float = 1e-9, max_iter: Optional[int] = None,
-                          seed: int = 0,
                           tol_cmp: Optional[float] = None) -> ComparisonOutcome:
     """Solve an ordered pair of problems and look for comparison violations.
 
@@ -545,8 +516,8 @@ def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
        np.any(spec_low.k.values > spec_high.k.values):
         raise ValueError("need f_low <= f_high and k_low <= k_high nodewise")
     notes = tuple(membership_report(spec_low))
-    low = solve_singular(spec_low, u_init, tol=tol, max_iter=max_iter, seed=seed)
-    high = solve_singular(spec_high, u_init, tol=tol, max_iter=max_iter, seed=seed)
+    low = solve_singular(spec_low, u_init, tol=tol, max_iter=max_iter)
+    high = solve_singular(spec_high, u_init, tol=tol, max_iter=max_iter)
     inconclusive = not (low.converged and high.converged)
     if tol_cmp is None:
         scale = max(low.u.sup_norm(), high.u.sup_norm(), 1e-30)
@@ -575,9 +546,10 @@ def uniqueness_experiment(spec: ProblemSpec,
                           threshold: float = 1e-5) -> UniquenessOutcome:
     """Run the continuation from several starts; measure solution spread.
 
-    The spread is the max over pairs of sup-distance normalized by
-    1 + sup-norm.  A reaction exponent at or above p_minus - 1 marks the run
-    out-of-hypothesis: it still executes, but the outcome is reported
+    Without inits, the starts are 0.1, 1 and a random_positive field drawn
+    from seed.  The spread is the max over pairs of sup-distance normalized
+    by 1 + sup-norm.  A reaction exponent at or above p_minus - 1 marks the
+    run out-of-hypothesis: it still executes, but the outcome is reported
     rather than asserted.
     """
     mesh = spec.mesh
@@ -589,8 +561,7 @@ def uniqueness_experiment(spec: ProblemSpec,
     if len(inits) < 3:
         raise ValueError("uniqueness experiment needs at least 3 distinct starts")
     out_of_hyp = spec.beta >= spec.G.p_minus - 1.0
-    results = [solve_singular(spec, u0, tol=tol, max_iter=max_iter, seed=seed)
-               for u0 in inits]
+    results = [solve_singular(spec, u0, tol=tol, max_iter=max_iter) for u0 in inits]
     spread = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
@@ -618,8 +589,7 @@ def _is_even(values: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def symmetry_experiment(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
-                        tol: float = 1e-9, max_iter: Optional[int] = None,
-                        seed: int = 0) -> SymmetryOutcome:
+                        tol: float = 1e-9, max_iter: Optional[int] = None) -> SymmetryOutcome:
     """Solve and measure the reflection asymmetry of the solution.
 
     The discrete scheme is reflection-equivariant, so with symmetric data
@@ -633,7 +603,7 @@ def symmetry_experiment(spec: ProblemSpec, u_init: Optional[GridFunction] = None
         raise ValueError("symmetry experiment needs an even cell count")
     symmetric = (_is_even(spec.f.values) and _is_even(spec.k.values)
                  and (spec.obstacle is None or _is_even(spec.obstacle.values)))
-    result = solve_singular(spec, u_init, tol=tol, max_iter=max_iter, seed=seed)
+    result = solve_singular(spec, u_init, tol=tol, max_iter=max_iter)
     u = result.u.values
     asym = float(np.max(np.abs(u - u[::-1])))
     return SymmetryOutcome(result, asym, symmetric, not result.converged)

@@ -99,6 +99,38 @@ def test_solve_nonconverged_is_inconclusive(tmp_path):
     assert code == 3  # inconclusive, never PASS
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "symmetry"])
+def test_solver_outputs_do_not_depend_on_seed(tmp_path, command):
+    text = BASE.format(a=-1.0, b=1.0, n=24, family="power", p=3,
+                       alpha=0.5, beta=0.5, f="bump(0, 0.5)", k="1",
+                       eps0="1e-2", epsmin="1e-3")
+    cfg = write(tmp_path, "seedless.ini",
+                text + "\n[compare]\nf_high = 2\n\n[symmetry]\ninit = 1 + x\n")
+    for seed in ("1", "2"):
+        assert main([command, "--config", cfg, "--seed", seed,
+                     "--out", str(tmp_path / seed), "--quiet"]) == 0
+    names = sorted(path.name for path in (tmp_path / "1").glob("solution*.txt"))
+    assert names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("line, flags, key", [
+    ("tol = inf", [], "[solver] tol"),
+    ("tol = 0", [], "[solver] tol"),
+    ("tol = nan", [], "[solver] tol"),
+    ("max_iter = 0", [], "[solver] max_iter"),
+    ("max_iter = -5", [], "[solver] max_iter"),
+    ("tol = 1e-9", ["--seed", "-1"], "[solver] seed"),
+], ids=["tol-inf", "tol-0", "tol-nan", "max_iter-0", "max_iter-neg", "seed-neg"])
+def test_solver_setting_out_of_range_is_config_error(tmp_path, capsys, line, flags, key):
+    text = open(torsion_config(tmp_path, n=16)).read().replace("tol = 1e-9", line)
+    cfg = write(tmp_path, "bad_solver.ini", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 def test_solve_emits_hypothesis_warnings(tmp_path):
     cfg = torsion_config(tmp_path)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
@@ -370,6 +402,17 @@ def test_bad_expression_exit_2(tmp_path, capsys):
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "column" in capsys.readouterr().err
+
+
+def test_nonfinite_coefficient_is_named_config_error(tmp_path, capsys, recwarn):
+    # the cell-centred mesh on [-1, 1] with 33 cells has a node at x = 0
+    text = BASE.format(a=-1.0, b=1.0, n=33, family="power", p=3,
+                       alpha=0.5, beta=0.5, f="pow(x, -1)", k="1",
+                       eps0="1e-2", epsmin="1e-3")
+    cfg = write(tmp_path, "pole.ini", text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "coefficient f" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_missing_config_exit_2(tmp_path):
