@@ -84,9 +84,10 @@ class _Run:
         self.parser = load_config(args.config)
         self.digest = config_digest(self.parser)
         self.base_dir = Path(args.config).resolve().parent
-        self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.settings = build_solver_settings(self.parser, args.seed)
+        self.out = Path(args.out)
+        self.made_out = not self.out.exists()
+        self.out.mkdir(parents=True, exist_ok=True)
         self.manifest = RunManifest(command, self.digest, self.settings.seed)
         self.t0 = time.perf_counter()
         self.quiet = args.quiet
@@ -107,6 +108,11 @@ class _Run:
     def finish(self) -> None:
         self.manifest.wall_time = time.perf_counter() - self.t0
         self.manifest.write(self.out / "manifest.txt")
+
+    def discard(self) -> None:
+        """Remove the output directory again if this run made it and wrote nothing."""
+        if self.made_out and not any(self.out.iterdir()):
+            self.out.rmdir()
 
 
 def _problem_context(run: _Run):
@@ -359,9 +365,11 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](run)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        run.discard()
         return EXIT_CONFIG
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        run.discard()
         return EXIT_CONFIG
     except (ModularNotDecreasingError, BracketExpansionError) as err:
         print(f"numeric error: {err}", file=sys.stderr)

@@ -10,9 +10,12 @@ compositions of it.
 
 All evaluators are vectorised over numpy arrays.  Derived functions are
 stored as strictly monotone tables interpolated with a monotonicity
-preserving cubic (PCHIP) in log-log coordinates, with power-law extension
-beyond the tabulated range; this preserves the monotonicity/convexity
-invariants that the test suite asserts.
+preserving cubic (PCHIP, Fritsch & Carlson) in log-log coordinates, with
+power-law extension beyond the tabulated range; this preserves the
+monotonicity/convexity invariants that the test suite asserts.  Monotone
+equations (inverses, conjugate maximizers, Luxemburg norms) go through one
+bracketed root-finder, Chandrupatla's hybrid.  Both algorithms live in this
+module on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize.elementwise import find_root
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +40,12 @@ TABLE_KNOTS = 4096
 
 BISECT_REL_TOL = 1e-12   # relative root tolerance for all monotone solves
 MAX_DOUBLINGS = 200      # bracket expansion budget before giving up
+MAX_ROOT_STEPS = 2046    # root-finder cap: the float exponent range in bits
+
+# log 0 and log inf are clipped to +-this before a table lookup, so they land
+# on the power-law extensions (where 0 * inf would give NaN) and still map
+# to the values 0 and inf
+_LOG_HUGE = 1e300
 
 
 class InvalidNFunctionError(ValueError):
@@ -70,9 +77,10 @@ def solve_increasing(fn, target, args=()):
 
     The bracket [1e-12, 1] is expanded geometrically (factor 2, at most
     MAX_DOUBLINGS times per side); Chandrupatla's bracketed hybrid
-    (scipy.optimize.elementwise.find_root) then solves
-    log fn - log target = 0 in log x to BISECT_REL_TOL, i.e. to that
-    relative accuracy in x.  target == 0 maps to 0.
+    (`_chandrupatla`) then solves log fn - log target = 0 in log x to
+    BISECT_REL_TOL, i.e. to that relative accuracy in x, starting from the
+    level values the expansion computed at the final bracket ends.
+    target == 0 maps to 0.
 
     args holds arrays shaped like target, one entry per element.  The
     root-finder evaluates fn only on the elements still unconverged and
@@ -87,7 +95,8 @@ def solve_increasing(fn, target, args=()):
     positive = target > 0.0
 
     for _ in range(MAX_DOUBLINGS):
-        short = positive & (fn(hi, *args) < target)
+        f_hi = fn(hi, *args)
+        short = positive & (f_hi < target)
         if not short.any():
             break
         hi[short] *= 2.0
@@ -95,7 +104,8 @@ def solve_increasing(fn, target, args=()):
         raise BracketExpansionError(
             "upper bracket expansion exhausted (target beyond function range)")
     for _ in range(MAX_DOUBLINGS):
-        over = positive & (fn(lo, *args) > target)
+        f_lo = fn(lo, *args)
+        over = positive & (f_lo > target)
         if not over.any():
             break
         lo[over] *= 0.5
@@ -104,24 +114,105 @@ def solve_increasing(fn, target, args=()):
 
     root = np.zeros(target.shape)
     if positive.any():
-        def log_gap(y, log_target, *a):
-            return np.log(fn(np.exp(y), *a)) - log_target
-        res = find_root(log_gap, (np.log(lo[positive]), np.log(hi[positive])),
-                        args=(np.log(target[positive]), *(a[positive] for a in args)),
-                        tolerances={"xatol": BISECT_REL_TOL, "xrtol": 0.0})
-        root[positive] = np.exp(res.x)
+        log_target = np.log(target[positive])
+        with np.errstate(divide="ignore"):
+            f1 = np.log(f_lo[positive]) - log_target
+            f2 = np.log(f_hi[positive]) - log_target
+
+        def log_gap(y, log_t, *a):
+            return np.log(fn(np.exp(y), *a)) - log_t
+        y = _chandrupatla(log_gap, np.log(lo[positive]), np.log(hi[positive]), f1, f2,
+                          (log_target, *(a[positive] for a in args)))
+        root[positive] = np.exp(y)
     return float(root[0]) if scalar else root
 
 
-class LogLogTable:
-    """Strictly increasing positive table, PCHIP-interpolated in log-log.
+def _chandrupatla(gap, x1, x2, f1, f2, args):
+    """Roots of gap(x, *args) = 0 in the brackets [x1, x2], elementwise.
 
-    Evaluation at 0 returns 0; beyond the knot range the table extends as a
-    power law using the boundary log-log slopes (so monotonicity survives
-    extrapolation, which cubic extension would not guarantee).  split_at
-    lists abscissae where the tabulated function has a derivative kink: the
-    interpolant is built piecewise there, so the C1 smoothing of a single
-    PCHIP cannot smear error across the kink.
+    f1 and f2 are gap at x1 and x2, of opposite signs.  Chandrupatla's
+    hybrid (Adv. Eng. Softw. 28, 1997) steps by inverse quadratic
+    interpolation through the last three points when its xi/phi test
+    passes and bisects otherwise, never closer than half a tolerance to a
+    bracket end.  An element stops when its bracket is narrower than
+    BISECT_REL_TOL or |gap| <= the smallest normal float and returns the
+    end with the smaller |gap|; it returns NaN if its bracket loses the sign
+    change or both ends are NaN.  gap sees only the unconverged elements,
+    with args cut down to match.
+    """
+    tiny = np.finfo(float).tiny
+    root = np.empty_like(x1)
+    idx = np.arange(x1.size)
+    t = 0.5
+    x3 = f3 = None
+    for step in range(MAX_ROOT_STEPS + 1):
+        smaller = np.abs(f1) < np.abs(f2)
+        xmin = np.where(smaller, x1, x2)
+        done = np.abs(np.where(smaller, f1, f2)) <= tiny
+        failed = ~done & ((np.sign(f1) == np.sign(f2)) | (np.isnan(f1) & np.isnan(f2)))
+        dx = np.abs(x2 - x1)
+        stop = done | failed | (dx < BISECT_REL_TOL) | (step == MAX_ROOT_STEPS)
+        root[idx[stop]] = np.where(failed[stop], np.nan, xmin[stop])
+        go = ~stop
+        if not go.any():
+            break
+        idx, x1, f1, x2, f2, dx = idx[go], x1[go], f1[go], x2[go], f2[go], dx[go]
+        args = tuple(a[go] for a in args)
+        if x3 is not None:
+            x3, f3 = x3[go], f3[go]
+            xi = (x1 - x2) / (x3 - x2)
+            alpha = (x3 - x1) / (x2 - x1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = (f1 - f2) / (f3 - f2)
+                iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                       - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+                t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                             iqi, 0.5)
+            edge = 0.5 * BISECT_REL_TOL / dx
+            t = np.clip(t, edge, 1.0 - edge)
+        x = x1 + t * (x2 - x1)
+        f = gap(x, *args)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+    return root
+
+
+def _pchip_slopes(h, m):
+    """Knot slopes of the monotone cubic through one piece of increasing data.
+
+    h are the interval widths and m the secant slopes (at least two
+    intervals).  Interior knots take the weighted harmonic mean of the
+    neighbouring secants (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980;
+    Fritsch & Butland 1984); each end takes the one-sided three-point
+    estimate, clamped at 0.  For increasing data these are the only
+    branches of the shape-preserving rules that can fire.
+    """
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    d = np.empty(m.size + 1)
+    with np.errstate(divide="ignore"):   # a flat secant gives a zero slope
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[0] = ((2.0 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1])
+    d[-1] = ((2.0 * h[-1] + h[-2]) * m[-1] - h[-1] * m[-2]) / (h[-1] + h[-2])
+    d[[0, -1]] = np.maximum(d[[0, -1]], 0.0)
+    return d
+
+
+class LogLogTable:
+    """Strictly increasing positive table, monotone-cubic interpolated in log-log.
+
+    The interpolant is PCHIP (`_pchip_slopes`) on (log abscissa, log value)
+    over N knots, held as N + 1 cubic segments: segment i, 0 < i < N, spans
+    [knot i - 1, knot i], and segments 0 and N are the power laws that
+    extend the table below and above its knots with the boundary log-log
+    slopes (so monotonicity survives extrapolation, which cubic extension
+    would not guarantee).  One binary search and one Horner pass give the
+    value or the slope.  Evaluation at 0 returns 0.  split_at
+    lists abscissae where the tabulated function has a derivative kink:
+    knot slopes are computed per piece between them, so the C1 smoothing of
+    a single PCHIP cannot smear error across the kink.
     """
 
     def __init__(self, abscissa: np.ndarray, values: np.ndarray,
@@ -136,35 +227,45 @@ class LogLogTable:
             raise InvalidNFunctionError("table must be strictly increasing")
         self.abscissa = abscissa
         self.values = values
-        self._lx = np.log(abscissa)
-        self._ly = np.log(values)
-        cuts = []
+        lx, ly = np.log(abscissa), np.log(values)
+        h = np.diff(lx)
+        m = np.diff(ly) / h
+        # piece ends (knot indices, shared at cuts); every piece spans >= 2 intervals
+        bounds = [0]
         for point in sorted(set(float(s) for s in split_at if s > 0.0)):
             idx = int(np.searchsorted(abscissa, point))
-            if 4 <= idx <= abscissa.size - 4:
-                cuts.append(idx)
-        bounds = [0] + cuts + [abscissa.size]
-        self._edges = self._lx[np.array(cuts, dtype=int)] if cuts else np.empty(0)
-        self._pieces = []
+            if max(4, bounds[-1] + 2) <= idx <= abscissa.size - 4:
+                bounds.append(idx)
+        bounds.append(abscissa.size - 1)
+        # d_left[k], d_right[k]: knot slopes at the ends of interval k
+        d_left, d_right = np.empty(h.size), np.empty(h.size)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            hi_inc = min(hi + 1, abscissa.size)  # share the cut knot
-            piece = PchipInterpolator(self._lx[lo:hi_inc], self._ly[lo:hi_inc],
-                                      extrapolate=True)
-            self._pieces.append(piece)
-        self._dpieces = [p.derivative() for p in self._pieces]
-        self._slope_lo = float(self._dpieces[0](self._lx[0]))
-        self._slope_hi = float(self._dpieces[-1](self._lx[-1]))
+            d = _pchip_slopes(h[lo:hi], m[lo:hi])
+            d_left[lo:hi], d_right[lo:hi] = d[:-1], d[1:]
+        # Hermite cubic of each segment in powers of (log x - its left end),
+        # highest power first, one column per segment
+        curv = (d_left + d_right - 2.0 * m) / h
+        self._coef = np.zeros((4, abscissa.size + 1))
+        self._coef[:, 1:-1] = curv / h, (m - d_left) / h - curv, d_left, ly[:-1]
+        self._coef[2:, 0] = d_left[0], ly[0]
+        self._coef[2:, -1] = d_right[-1], ly[-1]
+        self._origin = np.concatenate([lx[:1], lx])
+        self._lx = lx
 
-    def _piecewise(self, lx: np.ndarray, fns) -> np.ndarray:
-        if len(fns) == 1:
-            return fns[0](lx)
-        out = np.empty_like(lx)
-        seg = np.searchsorted(self._edges, lx, side="right")
-        for i, fn in enumerate(fns):
-            mask = seg == i
-            if mask.any():
-                out[mask] = fn(lx[mask])
-        return out
+    def _locate(self, x):
+        """Coefficients (4, m) and offsets s of log x in the segments holding x."""
+        with np.errstate(divide="ignore"):
+            lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
+        row = np.searchsorted(self._lx, lx, side="right")
+        return self._coef[:, row], lx - self._origin[row]
+
+    @staticmethod
+    def _log_value(c, s):
+        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+
+    @staticmethod
+    def _log_slope(c, s):
+        return (3.0 * c[0] * s + 2.0 * c[1]) * s + c[2]
 
     def __call__(self, x):
         x = _as_array(x)
@@ -174,31 +275,20 @@ class LogLogTable:
             raise ValueError("table argument must be nonnegative")
         out = np.zeros_like(x)
         pos = x > 0.0
-        lx = np.log(x[pos])
-        ly = np.empty_like(lx)
-        below = lx < self._lx[0]
-        above = lx > self._lx[-1]
-        inside = ~(below | above)
-        ly[inside] = self._piecewise(lx[inside], self._pieces)
-        ly[below] = self._ly[0] + self._slope_lo * (lx[below] - self._lx[0])
-        ly[above] = self._ly[-1] + self._slope_hi * (lx[above] - self._lx[-1])
-        out[pos] = np.exp(ly)
+        out[pos] = np.exp(self._log_value(*self._locate(x[pos])))
         return float(out[0]) if scalar else out
 
     def slope(self, x):
-        """d(log value)/d(log abscissa), clamped to the boundary slopes."""
+        """d(log value)/d(log abscissa), constant beyond the knots."""
         x = _as_array(x)
-        scalar = x.ndim == 0
-        lx = np.log(np.atleast_1d(x).astype(float))
-        inner = self._piecewise(np.clip(lx, self._lx[0], self._lx[-1]), self._dpieces)
-        s = np.where(lx < self._lx[0], self._slope_lo,
-                     np.where(lx > self._lx[-1], self._slope_hi, inner))
-        return float(s[0]) if scalar else s
+        out = self._log_slope(*self._locate(np.atleast_1d(x)))
+        return float(out[0]) if x.ndim == 0 else out
 
     def derivative(self, x):
-        """dv/dx = (v/x) * dlogv/dlogx; defined for x > 0."""
-        v = self(x)
-        return v / _as_array(x) * self.slope(x)
+        """dv/dx = (v/x) * dlogv/dlogx from one lookup; defined for x > 0."""
+        x = _as_array(x)
+        c, s = self._locate(x)
+        return np.exp(self._log_value(c, s)) / x * self._log_slope(c, s)
 
 
 def log_grid(lo_exp: float, hi_exp: float, n: int,

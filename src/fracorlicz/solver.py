@@ -78,6 +78,9 @@ class ProblemSpec:
             raise ValueError("coefficients f and k live on different meshes")
         if np.any(self.f.values < 0.0) or np.any(self.k.values < 0.0):
             raise ValueError("coefficients must be nonnegative nodewise")
+        if not (np.isfinite(self.epsilon0) and np.isfinite(self.epsilon_min)):
+            raise ValueError("epsilon0 and epsilon_min must be finite, got "
+                             f"{self.epsilon0} and {self.epsilon_min}")
         if not (self.epsilon_min > 0.0):
             raise ValueError("epsilon_min must stay positive: the bare "
                              "singularity is never evaluated")

@@ -1,10 +1,14 @@
 """End-to-end command-line runs on small configs."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracorlicz
 from fracorlicz.cli import main
 from fracorlicz.config import load_config, config_digest
 from fracorlicz.grid import Mesh, GridFunction, ModularNotDecreasingError
@@ -129,6 +133,26 @@ def test_solver_setting_out_of_range_is_config_error(tmp_path, capsys, line, fla
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+def test_config_error_leaves_no_output_directory(tmp_path, capsys):
+    text = open(torsion_config(tmp_path, n=16)).read().replace("tol = 1e-9", "tol = inf")
+    cfg = write(tmp_path, "bad_tol.ini", text + "\n[verify]\nsuites = young\nsamples = 10\n")
+    out = tmp_path / "never"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "[solver] tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonfinite_epsilon_is_config_error(tmp_path, capsys):
+    text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3,
+                       alpha=0.5, beta=0.5, f="1", k="1", eps0="nan", epsmin="1e-3")
+    cfg = write(tmp_path, "nan_eps.ini", text)
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[problem]" in err and "finite" in err
+    assert not out.exists()
 
 
 def test_solve_emits_hypothesis_warnings(tmp_path):
@@ -469,3 +493,15 @@ def test_solution_files_deterministic(tmp_path):
     a = (tmp_path / "d1" / "solution.txt").read_bytes()
     b = (tmp_path / "d2" / "solution.txt").read_bytes()
     assert a == b
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is numpy-only: scipy is a test dependency
+    src = os.path.dirname(os.path.dirname(fracorlicz.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, fracorlicz.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+

@@ -298,6 +298,22 @@ def test_batch_luxemburg_level_evaluations_few_on_pure_power():
     assert np.allclose(batch, exact, rtol=1e-12, atol=0.0)
 
 
+def test_batch_luxemburg_reuses_bracket_level_values():
+    # the root-finder starts from the level values the bracket expansion
+    # already computed at the final bracket ends, so none is evaluated twice
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    calls = []
+
+    def counted(t):
+        calls.append(1)
+        return P3(t)
+
+    batch_luxemburg(rows, mesh.h, counted)
+    assert len(calls) <= 7
+
+
 # ---------------------------------------------------------------------------
 # pairing and Poincare
 # ---------------------------------------------------------------------------

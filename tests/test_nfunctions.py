@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from fracorlicz.nfunctions import (
     NFunction, InvalidNFunctionError, BracketExpansionError,
@@ -213,6 +214,17 @@ def test_complementary_involution():
         assert np.allclose(double(t), G(t), rtol=1e-4)
 
 
+def test_solve_increasing_matches_scipy_find_root():
+    # the in-package Chandrupatla iteration against scipy's as a reference,
+    # across the derivative jump of the power-log family
+    from scipy.optimize.elementwise import find_root
+    G = FAMILIES["powerlog3"]
+    target = np.logspace(-9, 9, 37)
+    res = find_root(lambda y, log_t: np.log(G(np.exp(y))) - log_t, (-60.0, 60.0),
+                    args=(np.log(target),), tolerances={"xatol": 1e-13, "xrtol": 0.0})
+    assert np.allclose(solve_increasing(G, target), np.exp(res.x), rtol=1e-11, atol=0.0)
+
+
 def test_bracket_expansion_failure():
     # bounded increasing function never reaches the target
     with pytest.raises(BracketExpansionError):
@@ -361,3 +373,62 @@ def test_tail_primitive_against_quadrature():
         for x in (0.3, 1.0, 2.7, 10.0):
             ref, _ = quad(lambda r: float(G(r)) / r, 0.0, x, limit=200)
             assert float(G.integral_over_t(x)) == pytest.approx(ref, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the in-package monotone table against scipy's PCHIP as a reference
+# ---------------------------------------------------------------------------
+
+def _pchip_reference(table, splits=()):
+    """Value and log-log slope of one scipy PCHIP per piece between the cuts,
+    with power-law extension by the end slopes of the outer pieces."""
+    lx, ly = np.log(table.abscissa), np.log(table.values)
+    cuts = sorted(int(np.searchsorted(table.abscissa, p)) for p in splits)
+    bounds = [0] + cuts + [lx.size - 1]
+    pieces = [PchipInterpolator(lx[a:b + 1], ly[a:b + 1])
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    lo_slope = pieces[0].derivative()(lx[0])
+    hi_slope = pieces[-1].derivative()(lx[-1])
+
+    def evaluate(x):
+        l = np.log(x)
+        piece = np.searchsorted(lx[cuts], l, side="right")
+        val = np.array([pieces[k](v) for k, v in zip(piece, l)])
+        slope = np.array([pieces[k].derivative()(v) for k, v in zip(piece, l)])
+        below, above = l < lx[0], l > lx[-1]
+        val[below] = ly[0] + lo_slope * (l[below] - lx[0])
+        val[above] = ly[-1] + hi_slope * (l[above] - lx[-1])
+        slope[below], slope[above] = lo_slope, hi_slope
+        return np.exp(val), slope
+
+    return evaluate, cuts
+
+
+def _reference_points(table, cuts, rng):
+    a = table.abscissa
+    inside = np.exp(rng.uniform(np.log(a[0]), np.log(a[-1]), 400))
+    kink = [a[c] * f for c in cuts for f in (1.0, 1.0 - 1e-12, 1.0 + 1e-12)]
+    kink += [np.sqrt(a[c - 1] * a[c]) for c in cuts] + [np.sqrt(a[c] * a[c + 1]) for c in cuts]
+    ends = [a[0] * 1e-3, a[0] * 0.5, a[0], a[-1], a[-1] * 2.0, a[-1] * 1e3]
+    return np.concatenate([inside, kink, ends, a[::97]])
+
+
+@pytest.mark.parametrize("name, kind", [(f, "conjugate") for f in FAMILIES]
+                         + [("powerlog3", "inverse")])
+def test_loglog_table_matches_scipy_pchip(name, kind):
+    G = FAMILIES[name]
+    if kind == "conjugate":
+        table = complementary(G).table
+        splits = [float(G.deriv(b * (1.0 - 1e-9))) for b in G.breakpoints]
+        splits += [float(G.deriv(b)) for b in G.breakpoints]
+    else:
+        table = inverse_nfunction(G).table
+        splits = [float(G(b)) for b in G.breakpoints]
+    reference, cuts = _pchip_reference(table, splits)
+    assert len(cuts) == len(splits)   # the powerlog3 kink is really split
+    x = _reference_points(table, cuts, np.random.default_rng(5))
+    want_value, want_slope = reference(x)
+    assert np.allclose(table(x), want_value, rtol=1e-12, atol=0.0)
+    assert np.allclose(table.slope(x), want_slope, rtol=1e-12, atol=0.0)
+    assert np.allclose(table.derivative(x), want_value / x * want_slope, rtol=1e-12, atol=0.0)
+

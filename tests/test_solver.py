@@ -66,6 +66,15 @@ def test_problem_spec_rejections():
         _spec(mesh, obstacle=GridFunction.constant(mesh, -1.0))
 
 
+@pytest.mark.parametrize("eps0, eps_min", [
+    (float("inf"), 1e-6), (float("nan"), 1e-6), (float("inf"), float("inf")),
+], ids=["eps0-inf", "eps0-nan", "both-inf"])
+def test_problem_spec_rejects_nonfinite_epsilon(eps0, eps_min):
+    # inf made the halving schedule endless; nan collapsed it to one stage
+    with pytest.raises(ValueError, match="finite"):
+        _spec(Mesh(0.0, 1.0, 16), eps0=eps0, eps_min=eps_min)
+
+
 def test_hypothesis_warnings():
     mesh = Mesh(0.0, 1.0, 16)
     clean = _spec(mesh)
