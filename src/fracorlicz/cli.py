@@ -36,7 +36,8 @@ from .solver import (solve_singular, comparison_experiment, uniqueness_experimen
 from .inequalities import SUITES, STANDARD_FAMILIES, run_suite
 from .config import (ConfigError, SolverSettings, load_config, config_digest,
                      build_mesh, build_nfunction, build_problem,
-                     build_solver_settings, coefficient_field, parse_list, _get)
+                     build_solver_settings, coefficient_field, parse_list, get_setting,
+                     positive_setting)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -128,7 +129,7 @@ def _problem_context(run: _Run):
 
 def cmd_verify(run: _Run) -> int:
     parser = run.parser
-    raw_suites = _get(parser, "verify", "suites", str, default="")
+    raw_suites = get_setting(parser, "verify", "suites", str, default="")
     suites = parse_list(raw_suites)
     if not suites:
         print("no suites selected", file=sys.stderr)
@@ -137,16 +138,16 @@ def cmd_verify(run: _Run) -> int:
     if unknown:
         print(f"unknown suites: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG
-    samples = _get(parser, "verify", "samples", lambda v: int(float(v)), default=10000)
+    samples = get_setting(parser, "verify", "samples", lambda v: int(float(v)), default=10000)
     if samples < 1:
         raise ConfigError(f"[verify] samples must be at least 1, got {samples}")
-    fam_names = parse_list(_get(parser, "verify", "families", str,
-                                default=",".join(STANDARD_FAMILIES)))
+    fam_names = parse_list(get_setting(parser, "verify", "families", str,
+                                       default=",".join(STANDARD_FAMILIES)))
     bad = [f for f in fam_names if f not in STANDARD_FAMILIES]
     if bad:
         print(f"unknown families: {', '.join(bad)}", file=sys.stderr)
         return EXIT_CONFIG
-    s_order = _get(parser, "verify", "s", float, default=0.5)
+    s_order = get_setting(parser, "verify", "s", float, default=0.5)
     if not 0.0 < s_order < 1.0:
         raise ConfigError(f"[verify] s must lie in (0, 1), got {s_order}")
 
@@ -216,8 +217,8 @@ def cmd_solve(run: _Run) -> int:
 def cmd_compare(run: _Run) -> int:
     mesh, G, low = _problem_context(run)
     parser = run.parser
-    f_high_raw = _get(parser, "compare", "f_high", str)
-    k_high_raw = _get(parser, "compare", "k_high", str)
+    f_high_raw = get_setting(parser, "compare", "f_high", str)
+    k_high_raw = get_setting(parser, "compare", "k_high", str)
     if f_high_raw is None and k_high_raw is None:
         print("[compare] needs f_high and/or k_high", file=sys.stderr)
         return EXIT_CONFIG
@@ -246,7 +247,7 @@ def cmd_compare(run: _Run) -> int:
 
 def cmd_uniqueness(run: _Run) -> int:
     _, _, spec = _problem_context(run)
-    threshold = _get(run.parser, "uniqueness", "threshold", float, default=1e-5)
+    threshold = positive_setting(run.parser, "uniqueness", "threshold", 1e-5)
     for note in spec.hypothesis_warnings():
         run.manifest.note(f"warning={note}")
         if "out" in note or "uniqueness" in note:
@@ -277,8 +278,8 @@ def cmd_uniqueness(run: _Run) -> int:
 
 def cmd_symmetry(run: _Run) -> int:
     mesh, _, spec = _problem_context(run)
-    threshold = _get(run.parser, "symmetry", "threshold", float, default=1e-6)
-    init_raw = _get(run.parser, "symmetry", "init", str)
+    threshold = positive_setting(run.parser, "symmetry", "threshold", 1e-6)
+    init_raw = get_setting(run.parser, "symmetry", "init", str)
     u_init = (coefficient_field(init_raw, mesh, "init", run.base_dir)
               if init_raw else None)
     st = run.settings
@@ -303,14 +304,14 @@ def cmd_norm(run: _Run) -> int:
     parser = run.parser
     mesh = build_mesh(parser)
     G = build_nfunction(parser, run.base_dir)
-    expr = _get(parser, "norm", "u", str, required=True)
-    kind = _get(parser, "norm", "kind", str, default="LG")
+    expr = get_setting(parser, "norm", "u", str, required=True)
+    kind = get_setting(parser, "norm", "kind", str, default="LG")
     u = coefficient_field(expr, mesh, "u", run.base_dir)
     if kind == "LG":
         modular_fn = lambda w: modular(w, G)
     elif kind in ("seminorm_omega", "seminorm_full"):
-        s = _get(parser, "norm", "s", float,
-                 default=_get(parser, "problem", "s", float, default=0.5))
+        s = get_setting(parser, "norm", "s", float,
+                        default=get_setting(parser, "problem", "s", float, default=0.5))
         domain = "omega" if kind == "seminorm_omega" else "full"
         modular_fn = lambda w: seminorm_modular(w, G, s, domain)
     else:

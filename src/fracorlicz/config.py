@@ -4,7 +4,8 @@ Sections: [mesh] a, b, n; [nfunction] family + parameters (or a
 two-column table file); [problem] s, alpha, beta, f, k (expression or
 file:PATH), epsilon0, epsilon_min, optional obstacle; [solver] tol
 (finite, > 0), max_iter (>= 1), seed (>= 0); plus per-command sections
-([verify], [compare], [uniqueness], [symmetry], [norm]).
+([verify], [compare], [uniqueness], [symmetry], [norm]); the [uniqueness]
+and [symmetry] thresholds must be finite and > 0 as well.
 
 The config digest is the SHA-256 of the canonicalized bytes (sorted
 sections and keys, normalized whitespace), so reordering a file does not
@@ -60,7 +61,7 @@ def config_digest(parser: configparser.ConfigParser) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _get(parser, section, key, cast, default=None, required=False):
+def get_setting(parser, section, key, cast, default=None, required=False):
     if section not in parser or key not in parser[section]:
         if required:
             raise ConfigError(f"missing [{section}] {key}")
@@ -68,14 +69,22 @@ def _get(parser, section, key, cast, default=None, required=False):
     raw = parser[section][key].strip()
     try:
         return cast(raw)
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, OverflowError) as err:   # int(float("inf")) overflows
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from err
 
 
+def positive_setting(parser, section, key, default: float) -> float:
+    """A float setting that must be finite and > 0, else a ConfigError naming it."""
+    value = get_setting(parser, section, key, float, default=default)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError(f"[{section}] {key} must be finite and positive, got {value}")
+    return value
+
+
 def build_mesh(parser) -> Mesh:
-    a = _get(parser, "mesh", "a", float, required=True)
-    b = _get(parser, "mesh", "b", float, required=True)
-    n = _get(parser, "mesh", "n", int, required=True)
+    a = get_setting(parser, "mesh", "a", float, required=True)
+    b = get_setting(parser, "mesh", "b", float, required=True)
+    n = get_setting(parser, "mesh", "n", int, required=True)
     try:
         return Mesh(a, b, n)
     except ValueError as err:
@@ -83,17 +92,17 @@ def build_mesh(parser) -> Mesh:
 
 
 def build_nfunction(parser, base_dir: Optional[Path] = None) -> NFunction:
-    family = _get(parser, "nfunction", "family", str, required=True).lower()
+    family = get_setting(parser, "nfunction", "family", str, required=True).lower()
     try:
         if family == "tabulated":
-            rel = _get(parser, "nfunction", "table", str, required=True)
+            rel = get_setting(parser, "nfunction", "table", str, required=True)
             path = (base_dir / rel) if base_dir else Path(rel)
             data = np.loadtxt(path)
             return construct_nfunction("tabulated", abscissa=data[:, 0],
                                        values=data[:, 1], label=path.stem)
         params = {}
         for key in ("p", "q"):
-            val = _get(parser, "nfunction", key, float)
+            val = get_setting(parser, "nfunction", key, float)
             if val is not None:
                 params[key] = val
         return construct_nfunction(family, **params)
@@ -123,14 +132,14 @@ def coefficient_field(raw: str, mesh: Mesh, label: str,
 
 def build_problem(parser, mesh: Mesh, G: NFunction,
                   base_dir: Optional[Path] = None) -> ProblemSpec:
-    s = _get(parser, "problem", "s", float, required=True)
-    alpha = _get(parser, "problem", "alpha", float, default=0.0)
-    beta = _get(parser, "problem", "beta", float, default=0.0)
-    f_raw = _get(parser, "problem", "f", str, required=True)
-    k_raw = _get(parser, "problem", "k", str, required=True)
-    eps0 = _get(parser, "problem", "epsilon0", float, default=1e-2)
-    eps_min = _get(parser, "problem", "epsilon_min", float, default=1e-6)
-    obstacle_raw = _get(parser, "problem", "obstacle", str)
+    s = get_setting(parser, "problem", "s", float, required=True)
+    alpha = get_setting(parser, "problem", "alpha", float, default=0.0)
+    beta = get_setting(parser, "problem", "beta", float, default=0.0)
+    f_raw = get_setting(parser, "problem", "f", str, required=True)
+    k_raw = get_setting(parser, "problem", "k", str, required=True)
+    eps0 = get_setting(parser, "problem", "epsilon0", float, default=1e-2)
+    eps_min = get_setting(parser, "problem", "epsilon_min", float, default=1e-6)
+    obstacle_raw = get_setting(parser, "problem", "obstacle", str)
     f = coefficient_field(f_raw, mesh, "f", base_dir)
     k = coefficient_field(k_raw, mesh, "k", base_dir)
     obstacle = (coefficient_field(obstacle_raw, mesh, "obstacle", base_dir)
@@ -143,13 +152,11 @@ def build_problem(parser, mesh: Mesh, G: NFunction,
 
 
 def build_solver_settings(parser, seed_override: Optional[int] = None) -> SolverSettings:
-    tol = _get(parser, "solver", "tol", float, default=1e-9)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"[solver] tol must be finite and positive, got {tol}")
-    max_iter = _get(parser, "solver", "max_iter", int, default=None)
+    tol = positive_setting(parser, "solver", "tol", 1e-9)
+    max_iter = get_setting(parser, "solver", "max_iter", int, default=None)
     if max_iter is not None and max_iter < 1:
         raise ConfigError(f"[solver] max_iter must be at least 1, got {max_iter}")
-    seed = _get(parser, "solver", "seed", int, default=0)
+    seed = get_setting(parser, "solver", "seed", int, default=0)
     if seed_override is not None:
         seed = seed_override
     if seed < 0:

@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .nfunctions import (NFunction, DerivedNFunction, complementary,
+from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
 from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
@@ -30,8 +30,8 @@ __all__ = [
     "InequalityReport", "FCFunction", "fc_check",
     "hidden_convexity_gap", "picone_gap", "picone_constant",
     "diaz_saa_value", "monotone_difference_gap", "ray_convexity_probe",
-    "f2_monotonicity_check", "default_exponent", "run_suite", "SUITES",
-    "STANDARD_FAMILIES",
+    "f2_monotonicity_check", "default_exponent", "call_vectorised", "run_suite",
+    "SUITES", "STANDARD_FAMILIES",
 ]
 
 
@@ -51,6 +51,27 @@ STANDARD_FAMILIES = standard_families()
 def default_exponent(G: NFunction) -> float:
     """Convexity exponent for the sweeps: capped at the lower index."""
     return min(2.5, G.p_minus)
+
+
+def _check_exponent(G: NFunction, q: float) -> None:
+    if not (1.0 < q <= G.p_minus):
+        raise ValueError(f"need 1 < q <= p_minus={G.p_minus:g}, got q={q}")
+
+
+def call_vectorised(fn, *args) -> np.ndarray:
+    """fn(*args) as a float array shaped like the broadcast args.
+
+    One vectorised call is tried first; if it raises TypeError or
+    ValueError, or returns another shape, fn is called element by element.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    try:
+        out = np.asarray(fn(*args), float)
+        if out.shape == shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.vectorize(fn, otypes=[float])(*args)
 
 
 @dataclass
@@ -113,8 +134,7 @@ def hidden_convexity_gap(G: NFunction, q: float, u0x, u0y, u1x, u1y, t):
     whenever 1 < q <= p_minus.  At t = 0 and t = 1 the curve is the endpoint
     itself, so those branches are evaluated exactly.
     """
-    if not (1.0 < q <= G.p_minus):
-        raise ValueError(f"need 1 < q <= p_minus={G.p_minus:g}, got q={q}")
+    _check_exponent(G, q)
     u0x, u0y, u1x, u1y = map(np.asarray, (u0x, u0y, u1x, u1y))
     if np.any(u0x < 0) or np.any(u0y < 0) or np.any(u1x < 0) or np.any(u1y < 0):
         raise ValueError("interpolated fields must be nonnegative")
@@ -163,8 +183,7 @@ def picone_gap(G: NFunction, q: float, ux, uy, vx, vy):
     of v^q / u^(q-1); u must be strictly positive, v nonnegative.  The sign
     convention g(|0|) * 0/|0| = 0 removes the 0/0 at equal u-values.
     """
-    if not (1.0 < q <= G.p_minus):
-        raise ValueError(f"need 1 < q <= p_minus={G.p_minus:g}, got q={q}")
+    _check_exponent(G, q)
     ux, uy, vx, vy = map(lambda z: np.asarray(z, float), (ux, uy, vx, vy))
     if np.any(ux <= 0) or np.any(uy <= 0):
         raise ValueError("u must be strictly positive at both points")
@@ -200,15 +219,17 @@ def monotone_difference_gap(G: NFunction, a, b):
     return lhs, ratio
 
 
-def f2_monotonicity_check(F: Callable, x_samples, s_grid, p_minus: float,
-                          slack: float = 1e-10) -> bool:
-    """True when s -> F(x, s) / s^(p_minus - 1) is non-increasing at each x."""
+def f2_monotonicity_check(F: Callable, x_samples, s_grid, p_minus: float) -> bool:
+    """True when s -> F(x, s) / s^(p_minus - 1) is non-increasing at each x.
+
+    Each step may rise by 1e-10 times (1 + |ratio|) to absorb rounding.
+    """
     s_grid = np.sort(np.asarray(s_grid, float))
     if np.any(s_grid <= 0.0):
         raise ValueError("monotonicity grid must be positive")
     for x in np.atleast_1d(x_samples):
         ratio = np.array([float(F(x, s)) / s ** (p_minus - 1.0) for s in s_grid])
-        if np.any(np.diff(ratio) > slack * (1.0 + np.abs(ratio[:-1]))):
+        if np.any(np.diff(ratio) > 1e-10 * (1.0 + np.abs(ratio[:-1]))):
             return False
     return True
 
@@ -230,53 +251,41 @@ class FCFunction:
     theta2: float = 0.0
 
 
-def fc_check(Psi, Psi_prime: Optional[Callable] = None,
-             samples: Optional[np.ndarray] = None):
+def fc_check(Psi, Psi_prime: Optional[Callable] = None):
     """Estimate (theta1, theta2) = inf/sup of x Psi' / Psi and verify shape.
 
-    Accepts either the pair of callables or an FCFunction record.  ok
-    requires theta1 >= 0, Psi' increasing on the samples, and convexity of
-    Psi (checked via divided differences of the sampled values).
+    Accepts either the pair of callables or an FCFunction record.  The
+    samples are 2048 log-spaced points on [1e-6, 1e6].  ok requires
+    theta1 >= 0, Psi' increasing on the samples, and convexity of Psi
+    (`convex_samples` on the sampled values).
     """
     if isinstance(Psi, FCFunction):
         Psi, Psi_prime = Psi.Psi, Psi.Psi_prime
     if Psi_prime is None:
         raise TypeError("fc_check needs the derivative alongside the function")
-    if samples is None:
-        samples = np.logspace(-6, 6, 2048)
-    x = np.asarray(samples, float)
-    psi = np.asarray([float(Psi(v)) for v in x]) if not _vectorized(Psi, x) else Psi(x)
-    dpsi = np.asarray([float(Psi_prime(v)) for v in x]) if not _vectorized(Psi_prime, x) else Psi_prime(x)
+    x = np.logspace(-6, 6, 2048)
+    psi = call_vectorised(Psi, x)
+    dpsi = call_vectorised(Psi_prime, x)
     ratio = x * dpsi / psi
     theta1 = float(ratio.min())
     theta2 = float(ratio.max())
     increasing = not np.any(np.diff(dpsi) < -1e-12 * (1.0 + np.abs(dpsi[1:])))
-    d1 = np.diff(psi) / np.diff(x)
-    convex = not np.any((np.diff(d1) / (x[2:] - x[:-2])) < -1e-10 * np.maximum(1.0, psi[1:-1] / x[1:-1] ** 2))
-    ok = bool(theta1 >= 0.0 and increasing and convex)
+    ok = bool(theta1 >= 0.0 and increasing and convex_samples(x, psi))
     return theta1, theta2, ok
-
-
-def _vectorized(fn, x) -> bool:
-    try:
-        out = fn(x[:2])
-        return np.shape(out) == np.shape(x[:2])
-    except Exception:
-        return False
 
 
 # ---------------------------------------------------------------------------
 # Grid-pair gap functions
 # ---------------------------------------------------------------------------
 
-def _check_positive_pair(u: GridFunction, v: GridFunction, ratio_cap: float = 1e6):
+def _check_positive_pair(u: GridFunction, v: GridFunction):
     u._check_mesh(v)
     if np.any(u.values <= 0.0) or np.any(v.values <= 0.0):
         raise ValueError("both fields must be strictly positive on interior nodes")
     ratio = np.max(u.values / v.values)
     ratio = max(ratio, np.max(v.values / u.values))
-    if ratio >= ratio_cap:
-        raise ValueError(f"field ratio {ratio:.3g} exceeds the {ratio_cap:g} bound")
+    if ratio >= 1e6:
+        raise ValueError(f"field ratio {ratio:.3g} exceeds the 1e+06 bound")
 
 
 def diaz_saa_value(u: GridFunction, v: GridFunction, G: NFunction, s: float,
@@ -290,8 +299,7 @@ def diaz_saa_value(u: GridFunction, v: GridFunction, G: NFunction, s: float,
     the modular to be exactly q-homogeneous (pure power with exponent q);
     otherwise proportional inputs give a strictly positive value.
     """
-    if not (1.0 < q <= G.p_minus):
-        raise ValueError(f"need 1 < q <= p_minus={G.p_minus:g}, got q={q}")
+    _check_exponent(G, q)
     _check_positive_pair(u, v)
     pair_u, pair_v = _diaz_saa_parts(u.values, v.values, G, u.mesh, s, q)
     return float(pair_u + pair_v)
@@ -320,8 +328,7 @@ def ray_convexity_probe(u0: GridFunction, u1: GridFunction, t: float,
     for exactly q-homogeneous modulars; for q < p_minus and non-proportional
     inputs it is strictly positive.
     """
-    if not (1.0 < q <= G.p_minus):
-        raise ValueError(f"need 1 < q <= p_minus={G.p_minus:g}, got q={q}")
+    _check_exponent(G, q)
     if not (0.0 < t < 1.0):
         raise ValueError("t must lie strictly between 0 and 1")
     if np.any(u0.values <= 0.0) or np.any(u1.values <= 0.0):
@@ -340,8 +347,8 @@ def ray_convexity_probe(u0: GridFunction, u1: GridFunction, t: float,
 # ---------------------------------------------------------------------------
 
 def sharpen_witness(gap_fn: Callable[[dict], float], witness: dict,
-                    rng: np.random.Generator, rounds: int = 120) -> tuple:
-    """Shrink the worst gap by multiplicative coordinate tweaks.
+                    rng: np.random.Generator) -> tuple:
+    """Shrink the worst gap by 120 rounds of multiplicative coordinate tweaks.
 
     Only numeric entries are perturbed; moves that violate the gap
     function's own domain checks are discarded.  Returns (witness, gap).
@@ -350,7 +357,7 @@ def sharpen_witness(gap_fn: Callable[[dict], float], witness: dict,
     best = gap_fn(current)
     keys = [k for k, v in current.items() if isinstance(v, float)]
     scales = (0.3, 0.1, 0.03, 0.01)
-    for _ in range(rounds):
+    for _ in range(120):
         k = keys[rng.integers(len(keys))]
         step = scales[rng.integers(len(scales))] * (1 if rng.random() < 0.5 else -1)
         trial = dict(current)
@@ -378,7 +385,7 @@ def _scaled_tol(*magnitudes, base: float = 1e-8) -> np.ndarray:
 def sweep_young(G: NFunction, samples: int, seed: int) -> InequalityReport:
     """a b <= G(a) + conjugate(b) on uniform pairs in (0, 100)^2.
 
-    Uses the exact pointwise conjugate (monotone solve), not the table, so
+    conj(b) is the Newton-refined Fenchel value, not the raw table, so
     near-equality pairs are not polluted by interpolation error.
     """
     rng = np.random.default_rng(seed)
@@ -386,7 +393,7 @@ def sweep_young(G: NFunction, samples: int, seed: int) -> InequalityReport:
     b = rng.uniform(0.0, 100.0, samples)
     conj = complementary(G)
     Ga = G(a)
-    Gb = conj.exact(b)
+    Gb = conj(b)
     gaps = Ga + Gb - a * b
     tols = _scaled_tol(Ga, Gb)
     witness = lambda i: {"a": float(a[i]), "b": float(b[i]), "family": G.name}
@@ -408,6 +415,9 @@ def sweep_scaling(G: NFunction, samples: int, seed: int) -> InequalityReport:
     return _finish_report("scaling", gap, tols, witness, samples)
 
 
+FIELD_CELLS = 32  # mesh of the modular-norm sandwich and Hoelder sweeps
+
+
 def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> InequalityReport:
     """min(norm^p-, norm^p+) <= modular phi <= max(norm^p-, norm^p+), row-wise."""
     low = np.minimum(norm ** G.p_minus, norm ** G.p_plus)
@@ -419,10 +429,9 @@ def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> Ine
     return _finish_report(name, gap, tols, witness, len(phi))
 
 
-def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int,
-                                n: int = 32) -> InequalityReport:
+def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> InequalityReport:
     """Modular bracketed by powers of its own Luxemburg gauge (plain modular)."""
-    mesh = Mesh(0.0, 1.0, n)
+    mesh = Mesh(0.0, 1.0, FIELD_CELLS)
     fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
     fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
     return _sandwich_report("modular_norm_sandwich", G, batch_modular(fields, mesh.h, G),
@@ -451,10 +460,10 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
                             batch_luxemburg(quotients, mesh.h ** 2, weighted_G), s=s)
 
 
-def sweep_holder(G: NFunction, samples: int, seed: int, n: int = 32) -> InequalityReport:
+def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
     """Orlicz Hoelder pairing bound over random field pairs."""
     rng = np.random.default_rng(seed)
-    mesh = Mesh(0.0, 1.0, n)
+    mesh = Mesh(0.0, 1.0, FIELD_CELLS)
     conj = complementary(G)
     u = random_fourier(rng, mesh, samples)[1]
     v = random_fourier(rng, mesh, samples)[1]
@@ -506,10 +515,9 @@ def sweep_monotone_difference(G: NFunction, samples: int, seed: int) -> Inequali
     return report
 
 
-def sweep_hidden_convexity(G: NFunction, samples: int, seed: int,
-                           q: Optional[float] = None) -> InequalityReport:
+def sweep_hidden_convexity(G: NFunction, samples: int, seed: int) -> InequalityReport:
     rng = np.random.default_rng(seed)
-    q = default_exponent(G) if q is None else q
+    q = default_exponent(G)
     vals = np.exp(rng.uniform(-3.0, 3.0, (4, samples)))
     t = rng.uniform(0.0, 1.0, samples)
     gaps = hidden_convexity_gap(G, q, *vals, t)
@@ -536,8 +544,7 @@ def _sharpen_into(report: InequalityReport, gap_of, rng):
             report.extra["sharpened_violation"] = True
 
 
-def sweep_picone(G: NFunction, samples: int, seed: int,
-                 q: Optional[float] = None) -> InequalityReport:
+def sweep_picone(G: NFunction, samples: int, seed: int) -> InequalityReport:
     """Picone gap with stratified difference regimes.
 
     Samples split evenly between differences below and above one in each of
@@ -545,7 +552,7 @@ def sweep_picone(G: NFunction, samples: int, seed: int,
     exercised; the per-regime hit counts land in the report extras.
     """
     rng = np.random.default_rng(seed)
-    q = default_exponent(G) if q is None else q
+    q = default_exponent(G)
     big_u = rng.random(samples) < 0.5
     big_v = rng.random(samples) < 0.5
     du = np.where(big_u, rng.uniform(1.0, 20.0, samples), rng.uniform(0.0, 1.0, samples))
@@ -579,19 +586,20 @@ def sweep_picone(G: NFunction, samples: int, seed: int,
 
 
 DIAZ_SAA_CHUNK = 512  # field pairs per batched operator call
+DIAZ_SAA_CELLS = 12
 
 
-def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5,
-                   q: Optional[float] = None, n: int = 12) -> InequalityReport:
+def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5) -> InequalityReport:
     """Nonnegativity of the symmetrized pairing over positive field pairs.
 
     Fields are exponentials of Fourier bumps (strictly positive, bounded
-    mutual ratios); the pairing runs through the batched operator with the
-    exact exterior tails.
+    mutual ratios) on DIAZ_SAA_CELLS cells, paired at the exponent
+    default_exponent(G); the pairing runs through the batched operator
+    with the exact exterior tails.
     """
     rng = np.random.default_rng(seed)
-    q = default_exponent(G) if q is None else q
-    mesh = Mesh(0.0, 1.0, n)
+    q = default_exponent(G)
+    mesh = Mesh(0.0, 1.0, DIAZ_SAA_CELLS)
     gaps = np.empty(samples)
     scales = np.empty(samples)
     coeff = np.empty((2, samples, 8))
@@ -605,7 +613,7 @@ def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5,
         scales[lo:lo + m] = np.abs(pair_u) + np.abs(pair_v)
     tols = 1e-8 * (1.0 + scales)
     witness = lambda i: {"coeff_u": coeff[0, i].tolist(), "coeff_v": coeff[1, i].tolist(),
-                         "q": q, "s": s, "n": n, "family": G.name}
+                         "q": q, "s": s, "n": DIAZ_SAA_CELLS, "family": G.name}
     return _finish_report("diaz_saa", gaps, tols, witness, samples)
 
 

@@ -30,10 +30,10 @@ import numpy as np
 
 from .nfunctions import (NFunction, complementary, sobolev_conjugate,
                          reaction_weight_nfunction, singular_weight_nfunction,
-                         SobolevConjugateError)
+                         SobolevConjugateError, gauss_log_segments)
 from .grid import (GridFunction, Mesh, modular, seminorm_modular, operator_apply,
                    modular_and_operator, luxemburg_norm, random_positive, lg_norm)
-from .inequalities import f2_monotonicity_check
+from .inequalities import call_vectorised, f2_monotonicity_check
 
 logger = logging.getLogger(__name__)
 
@@ -189,47 +189,31 @@ def _reaction_primitive(spec: ProblemSpec, values: np.ndarray, epsilon: float) -
     return f_part + k_part
 
 
-def _general_primitive(F, x_nodes, w, epsilon, panels: int = 24, order: int = 12):
+def _general_primitive(F, x_nodes, w, epsilon):
     """Integral of F(x, t + eps) for t in [0, w], per node, by panel Gauss.
 
-    Substituting tau = t + eps, the panels are log-spaced on [eps, w + eps],
-    which resolves power-like steepness near the shifted origin.
+    Substituting tau = t + eps, 24 panels are log-spaced on [eps, w + eps],
+    which resolves power-like steepness near the shifted origin; each gets
+    the rule of `gauss_log_segments`.
     """
     w = np.asarray(w, float)
     out = np.zeros_like(w)
     active = w > 0.0
     if not active.any():
         return out
-    xi, wt = np.polynomial.legendre.leggauss(order)
     la = np.log(epsilon)
     lb = np.log(w[active] + epsilon)
-    edges = la + (lb - la)[:, None] * np.linspace(0.0, 1.0, panels + 1)[None, :]
-    half = 0.5 * np.diff(edges, axis=1)                      # (m, panels)
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    pts = mid[:, :, None] + half[:, :, None] * xi[None, None, :]
-    tau = np.exp(pts)
-    xs = np.broadcast_to(np.asarray(x_nodes, float)[active, None, None], tau.shape)
-    try:
-        fv = np.asarray(F(xs, tau), float)
-        if fv.shape != tau.shape:
-            raise TypeError
-    except TypeError:
-        fv = np.vectorize(F)(xs, tau)
-    out[active] = np.sum(fv * tau * half[:, :, None] * wt[None, None, :], axis=(1, 2))
+    knots = np.exp(la + (lb - la)[:, None] * np.linspace(0.0, 1.0, 25))   # (m, 25)
+    x = np.asarray(x_nodes, float)[active, None, None]
+    integrand = lambda tau: call_vectorised(F, np.broadcast_to(x, tau.shape), tau)
+    out[active] = np.sum(gauss_log_segments(integrand, knots), axis=-1)
     return out
 
 
 def _forcing(spec: ProblemSpec, values: np.ndarray, epsilon: float) -> np.ndarray:
     shifted = values + epsilon
     if spec.F_custom is not None:
-        x = spec.mesh.nodes
-        try:
-            fv = np.asarray(spec.F_custom(x, shifted), float)
-            if fv.shape != shifted.shape:
-                raise TypeError
-        except TypeError:
-            fv = np.vectorize(spec.F_custom)(x, shifted)
-        return fv
+        return call_vectorised(spec.F_custom, spec.mesh.nodes, shifted)
     return spec.f.values * shifted ** (-spec.alpha) + spec.k.values * shifted ** spec.beta
 
 
@@ -502,8 +486,7 @@ def discretization_estimate(mesh: Mesh, s: float, scale: float) -> float:
 
 def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
                           u_init: Optional[GridFunction] = None,
-                          tol: float = 1e-9, max_iter: Optional[int] = None,
-                          tol_cmp: Optional[float] = None) -> ComparisonOutcome:
+                          tol: float = 1e-9, max_iter: Optional[int] = None) -> ComparisonOutcome:
     """Solve an ordered pair of problems and look for comparison violations.
 
     Preconditions: f and k ordered nodewise, all other data equal.  The
@@ -522,9 +505,8 @@ def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
     low = solve_singular(spec_low, u_init, tol=tol, max_iter=max_iter)
     high = solve_singular(spec_high, u_init, tol=tol, max_iter=max_iter)
     inconclusive = not (low.converged and high.converged)
-    if tol_cmp is None:
-        scale = max(low.u.sup_norm(), high.u.sup_norm(), 1e-30)
-        tol_cmp = 10.0 * (tol + discretization_estimate(spec_low.mesh, spec_low.s, scale))
+    scale = max(low.u.sup_norm(), high.u.sup_norm(), 1e-30)
+    tol_cmp = 10.0 * (tol + discretization_estimate(spec_low.mesh, spec_low.s, scale))
     violated = np.nonzero(low.u.values > high.u.values + tol_cmp)[0]
     return ComparisonOutcome(low, high, violated, tol_cmp, inconclusive, notes)
 
@@ -587,8 +569,8 @@ class SymmetryOutcome:
         return not self.inconclusive
 
 
-def _is_even(values: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(values - values[::-1])) <= tol * (1.0 + np.max(np.abs(values))))
+def _is_even(values: np.ndarray) -> bool:
+    return bool(np.max(np.abs(values - values[::-1])) <= 1e-12 * (1.0 + np.max(np.abs(values))))
 
 
 def symmetry_experiment(spec: ProblemSpec, u_init: Optional[GridFunction] = None,

@@ -207,6 +207,17 @@ def test_verify_samples_below_one_is_config_error(tmp_path, capsys, samples):
     assert "config error" in err and "[verify] samples" in err
 
 
+def test_verify_infinite_samples_is_config_error(tmp_path, capsys):
+    # int(float("inf")) overflows; that is a parse failure of the key
+    cfg = write(tmp_path, "inf.ini",
+                "[verify]\nsuites = young\nsamples = inf\nfamilies = power3\n")
+    out = tmp_path / "never"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[verify] samples" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s", ["0", "1", "1.5", "-0.2"])
 def test_verify_order_outside_unit_interval_is_config_error(tmp_path, capsys, s):
     cfg = write(tmp_path, "order.ini",
@@ -283,6 +294,17 @@ def test_uniqueness_out_of_hypothesis_warns(tmp_path):
     manifest = (tmp_path / "u2" / "manifest.txt").read_text()
     assert "out-of-hypothesis" in manifest
     assert code == 0  # reported, not asserted
+
+
+@pytest.mark.parametrize("command", ["uniqueness", "symmetry"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_threshold_that_cannot_pass_is_config_error(tmp_path, capsys, command, value):
+    cfg = singular_config(tmp_path, n=16, extra=f"\n[{command}]\nthreshold = {value}\n")
+    out = tmp_path / "never"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[{command}] threshold" in err
+    assert not out.exists()
 
 
 def test_symmetry_pass_and_control(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """N-function calculus: construction, indices, conjugates, compositions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -146,15 +148,47 @@ def test_doubling_constant():
 def test_complementary_power2_self_conjugate():
     conj = complementary(power_nfunction(2.0))
     assert conj(3.0) == pytest.approx(4.5, rel=1e-10)
-    assert conj.exact(3.0) == pytest.approx(4.5, rel=1e-12)
+    assert conj(3.0) == pytest.approx(4.5, rel=1e-12)
 
 
 def test_complementary_power3_analytic():
     # Legendre transform of t^3/3 is (2/3) t^(3/2); at t=1 the maximizer is 1
     conj = complementary(power_nfunction(3.0))
-    assert conj.exact(1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert conj(1.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
     t = np.logspace(-3, 3, 41)
     assert np.allclose(conj(t), (2.0 / 3.0) * t ** 1.5, rtol=1e-8)
+
+
+def test_complementary_reads_its_table_once_per_call(monkeypatch):
+    # the Newton refinement is seeded from the table slope, the one lookup
+    conj = complementary(power_nfunction(3.0))
+    calls = []
+    locate = LogLogTable._locate
+
+    def counted(self, x):
+        calls.append(1)
+        return locate(self, x)
+
+    monkeypatch.setattr(LogLogTable, "_locate", counted)
+    conj(np.array([0.5, 2.0]))
+    assert len(calls) == 1
+
+
+def test_nan_argument_propagates():
+    G = power_nfunction(3.0)
+    conj = complementary(G)
+    for fn in (conj, conj.table, inverse_nfunction(G)):
+        out = fn(np.array([np.nan, 0.0, 1.0]))
+        assert np.isnan(out[0]) and out[1] == 0.0 and np.isfinite(out[2])
+
+
+def test_tabulated_derivative_vanishes_at_origin():
+    t = np.logspace(-3, 3, 200)
+    T = tabulated_nfunction(t, t ** 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert T.deriv(0.0) == 0.0
+        assert inverse_nfunction(T)(np.array([0.0]))[0] == 0.0
 
 
 def test_complementary_powersum_bracket():
@@ -171,7 +205,7 @@ def test_young_inequality_and_equality_case():
         conj = complementary(G)
         a = rng.uniform(0.0, 100.0, 20000)
         b = rng.uniform(0.0, 100.0, 20000)
-        Ga, Gb = G(a), conj.exact(b)
+        Ga, Gb = G(a), conj(b)
         gap = Ga + Gb - a * b
         assert np.all(gap >= -1e-8 * (1.0 + Ga + Gb))
         # equality branch within 1e-6 relative, through the interpolated table
