@@ -202,8 +202,8 @@ def cmd_solve(run: _Run) -> int:
             f"stage eps={stage.epsilon:.6e} iterations={stage.iterations} "
             f"energy={stage.energy:.12e} "
             f"pair_passes={stage.pair_passes} backtracks={stage.backtracks} "
-            f"bb_fallbacks={stage.bb_fallbacks} seconds={stage.seconds:.3f} "
-            f"stop={stage.stop}")
+            f"bb_fallbacks={stage.bb_fallbacks} plain_steps={stage.plain_steps} "
+            f"seconds={stage.seconds:.3f} stop={stage.stop}")
     if _is_torsion_benchmark(spec):
         ref = float(spec.k.values[0]) * torsion_reference(spec.mesh)
         err = (result.u - ref).l2_norm() / ref.l2_norm()

@@ -29,7 +29,7 @@ from .nfunctions import NFunction, BracketExpansionError, solve_increasing
 
 __all__ = [
     "Mesh", "GridFunction", "modular", "seminorm_modular", "luxemburg_norm",
-    "lg_norm", "gagliardo_seminorm", "holder_pairing_check",
+    "lg_norm", "gagliardo_seminorm", "difference_quotients", "holder_pairing_check",
     "poincare_constant_estimate", "random_fourier", "random_positive",
     "ModularNotDecreasingError",
 ]
@@ -152,6 +152,18 @@ def _kernel(mesh: Mesh, s: float):
     view = lambda v: sliding_window_view(np.concatenate([v[::-1], [0.0], v]), mesh.n)[::-1]
     return (view(d ** (-s)), view(1.0 / d), view(d ** (-1.0 - s)),
             (x - mesh.a) ** (-s), (mesh.b - x) ** (-s))
+
+
+def difference_quotients(values: np.ndarray, mesh: Mesh, s: float):
+    """(|u_i - u_j| / d_ij^s over all ordered node pairs, their weights 1 / d_ij).
+
+    The quotients are flattened per row of values (leading batch axes are
+    kept) and the weights flattened alike, diagonal pairs 0 in both, so
+    h^2 sum(w G(q)) is the domain Gagliardo modular of each row.
+    """
+    inv_s, inv_1, _, _, _ = _kernel(mesh, s)
+    q = np.abs(values[..., :, None] - values[..., None, :]) * inv_s
+    return q.reshape(values.shape[:-1] + (-1,)), inv_1.ravel()
 
 
 def _check_order(s: float):

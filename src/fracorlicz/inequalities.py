@@ -24,7 +24,7 @@ from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
 from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
-                   batch_modular, batch_luxemburg, random_fourier)
+                   batch_modular, batch_luxemburg, difference_quotients, random_fourier)
 
 __all__ = [
     "InequalityReport", "FCFunction", "fc_check",
@@ -448,13 +448,10 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
     independent of the claim under test.
     """
     mesh = Mesh(0.0, 1.0, n)
-    from .grid import _kernel
-    inv_s, inv_1, _, _, _ = _kernel(mesh, s)
-
     fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
     fields = fields[np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9]
-    quotients = (np.abs(fields[:, :, None] - fields[:, None, :]) * inv_s).reshape(len(fields), -1)
-    weighted_G = lambda z: G(z) * inv_1.ravel()
+    quotients, weights = difference_quotients(fields, mesh, s)
+    weighted_G = lambda z: G(z) * weights
     return _sandwich_report("seminorm_sandwich", G,
                             batch_modular(quotients, mesh.h ** 2, weighted_G),
                             batch_luxemburg(quotients, mesh.h ** 2, weighted_G), s=s)

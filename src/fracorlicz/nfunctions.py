@@ -287,10 +287,17 @@ class LogLogTable:
         return float(out[0]) if x.ndim == 0 else out
 
     def derivative(self, x):
-        """dv/dx = (v/x) * dlogv/dlogx from one lookup; defined for x > 0."""
+        """dv/dx = (v/x) * dlogv/dlogx from one lookup, and 0 at x = 0.
+
+        0 is the limit at the origin of every table built here: below the
+        knots each is a power law of log-log slope above 1 (an N-function,
+        its conjugate or its Sobolev conjugate).
+        """
         x = _as_array(x)
-        c, s = self._locate(x)
-        return np.exp(self._log_value(c, s)) / x * self._log_slope(c, s)
+        safe = np.where(x == 0.0, 1.0, x)   # v/x is 0/0 at the origin
+        c, s = self._locate(safe)
+        value = np.exp(self._log_value(c, s)) / safe * self._log_slope(c, s)
+        return np.where(x == 0.0, 0.0, value)
 
 
 def log_grid(lo_exp: float, hi_exp: float, n: int,
@@ -578,9 +585,7 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
         raise InvalidNFunctionError("tabulated data is not convex")
 
     def deriv(x):
-        # g(0) = 0; the table's (v / x) * slope form is 0/0 there
-        x = _as_array(x)
-        return np.where(x == 0.0, 0.0, table.derivative(np.where(x == 0.0, 1.0, x)))
+        return table.derivative(_as_array(x))
 
     def deriv2(x):
         x = _as_array(x)

@@ -89,7 +89,9 @@ def test_solve_manifest_reports_stage_telemetry(tmp_path):
         counts.append(fields)
         assert "seconds" not in (tmp_path / run / "solution.txt").read_text()
     assert counts[0] == counts[1]
-    assert int(counts[0]["pair_passes"]) > int(counts[0]["iterations"])
+    # a pg_tol stop: the start pass, one per accepted step, one per rejected trial
+    assert int(counts[0]["pair_passes"]) == (int(counts[0]["iterations"])
+                                             + int(counts[0]["backtracks"]))
 
 
 def test_solve_nonconverged_is_inconclusive(tmp_path):

@@ -12,7 +12,7 @@ from fracorlicz.grid import (
     poincare_constant_estimate, random_fourier, random_positive,
     operator_apply, operator_apply_batch,
     exterior_tail_energy, exterior_tail_gradient,
-    batch_luxemburg,
+    batch_luxemburg, difference_quotients,
 )
 
 P2 = power_nfunction(2.0)
@@ -119,6 +119,18 @@ def test_seminorm_modular_checks_order():
         seminorm_modular(u, P2, 1.5)
     with pytest.raises(ValueError):
         seminorm_modular(u, P2, 0.5, "weird")
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_difference_quotients_weight_to_the_domain_modular(s):
+    mesh = Mesh(-1.0, 2.0, 12)
+    fields = random_fourier(np.random.default_rng(3), mesh, 4)[1]
+    q, w = difference_quotients(fields, mesh, s)
+    assert q.shape == (4, mesh.n ** 2) and w.shape == (mesh.n ** 2,)
+    assert np.all(q[:, ::mesh.n + 1] == 0.0) and np.all(w[::mesh.n + 1] == 0.0)
+    for row, values in zip(q, fields):
+        expected = seminorm_modular(GridFunction(mesh, values), P3, s, "omega")
+        assert mesh.h ** 2 * np.sum(w * P3(row)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_seminorm_self_convergence():

@@ -191,6 +191,18 @@ def test_tabulated_derivative_vanishes_at_origin():
         assert inverse_nfunction(T)(np.array([0.0]))[0] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_table_derivative_vanishes_at_origin():
+    # the (v / x) * slope form was 0/0 there: NaN with a RuntimeWarning
+    G = power_nfunction(3.0)
+    conj = complementary(G)
+    x = np.array([0.0, 1.0, np.nan])
+    for fn in (conj.deriv, sobolev_conjugate(G, 0.25).deriv):
+        out = fn(x)
+        assert out[0] == 0.0 and out[1] > 0.0 and np.isnan(out[2])
+    assert conj.deriv(1.0) == pytest.approx(1.0, rel=1e-6)   # (2/3) t^(3/2) at 1
+
+
 def test_complementary_powersum_bracket():
     # value at g(1) = 2 must sit inside the conjugate sandwich bounds
     G = power_sum_nfunction(3.0, 4.0)

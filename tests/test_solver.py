@@ -1,12 +1,14 @@
 """Energy, residual, minimization, continuation, and the experiments."""
 
+from math import gamma
+
 import numpy as np
 import pytest
 
 import fracorlicz.solver as solver
 from fracorlicz.nfunctions import power_nfunction, power_sum_nfunction, power_log_nfunction
-from fracorlicz.grid import (Mesh, GridFunction, random_fourier, random_positive,
-                             seminorm_modular)
+from fracorlicz.grid import (Mesh, GridFunction, operator_apply, random_fourier,
+                             random_positive, seminorm_modular)
 from fracorlicz.inequalities import diaz_saa_value
 from fracorlicz.solver import (
     ProblemSpec, SolveResult, energy, weak_residual, minimize_energy,
@@ -272,6 +274,82 @@ def test_minimize_one_pair_pass_per_armijo_trial(monkeypatch):
     accepted = len(res.energy_trace) - 1
     assert res.converged and stage.backtracks > 0
     assert len(calls) == stage.pair_passes == 1 + accepted + stage.backtracks
+
+
+# ---------------------------------------------------------------------------
+# the spectral metric
+# ---------------------------------------------------------------------------
+
+def _dense_inverse_metric(mesh, s):
+    """S^T diag(1 / lambda) S with S the orthonormal DST-II matrix of the nodes."""
+    n = mesh.n
+    m = np.arange(1, n + 1)
+    S = np.sin(np.pi * np.outer(m, np.arange(n) + 0.5) / n) * np.sqrt(2.0 / n)
+    S[-1] /= np.sqrt(2.0)
+    c1s = s * 4.0 ** s * gamma(0.5 + s) / (np.sqrt(np.pi) * gamma(1.0 - s))
+    lam = 2.0 / c1s * (np.pi * m / (mesh.b - mesh.a)) ** (2.0 * s)
+    assert np.allclose(S @ S.T, np.eye(n), atol=1e-13)
+    return S.T @ (S / lam[:, None])
+
+
+def _applied_columns(fn, n):
+    return np.column_stack([fn(e) for e in np.eye(n)])
+
+
+@pytest.mark.parametrize("n,s,a,b", [(8, 0.5, 0.0, 1.0), (33, 0.25, -1.0, 1.0),
+                                     (64, 0.75, 0.5, 3.0)])
+def test_spectral_inverse_metric_is_the_dst_form(n, s, a, b):
+    mesh = Mesh(a, b, n)
+    fft_form = _applied_columns(solver.spectral_inverse_metric(mesh, s), n)
+    dense = _dense_inverse_metric(mesh, s)
+    assert np.max(np.abs(fft_form - dense)) < 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(fft_form - fft_form.T)) < 1e-13 * np.max(np.abs(dense))
+    assert np.min(np.linalg.eigvalsh(0.5 * (fft_form + fft_form.T))) > 0.0
+
+
+def test_spectral_metric_is_comparable_to_the_quadratic_operator():
+    # the eigenvalues of M^-1 A, A the p = 2 operator of operator_apply,
+    # stay in one band as the mesh is refined: a condition number bounded
+    # in n is what makes the preconditioned iteration count flat
+    for n in (16, 32, 64, 128):
+        mesh = Mesh(0.0, 1.0, n)
+        A = operator_apply(np.eye(n), P2, mesh, 0.5)
+        ev = np.linalg.eigvals(_applied_columns(solver.spectral_inverse_metric(mesh, 0.5), n) @ A)
+        assert np.max(np.abs(ev.imag)) < 1e-10
+        assert 0.4 < np.min(ev.real) and np.max(ev.real) < 1.0
+
+
+def test_obstacle_that_binds_takes_plain_steps_and_converges():
+    # the constant ceiling 0.25 is active on most of the interval: a clamped
+    # metric step never converges there, the identity-metric steps do
+    mesh = Mesh(0.0, 1.0, 64)
+    spec = _spec(mesh, eps_min=1e-6, obstacle=GridFunction.constant(mesh, 0.25))
+    res = solve_singular(spec, tol=1e-9)
+    assert res.converged
+    assert all(st.stop == "pg_tol" and st.plain_steps > 0 for st in res.stages)
+    assert 0 < np.sum(res.u.values >= 0.25) < mesh.n
+
+
+def test_paper_problem_pair_passes_stay_low():
+    # deterministic count: the spectral metric takes 530 passes here, the
+    # unpreconditioned projected gradient 2358
+    mesh = Mesh(0.0, 1.0, 200)
+    res = solve_singular(_spec(mesh, eps_min=1e-6), tol=1e-9)
+    assert res.converged
+    assert all(st.stop == "pg_tol" and st.plain_steps == 0 for st in res.stages)
+    assert sum(st.pair_passes for st in res.stages) <= 700
+
+
+def test_uphill_trial_is_never_evaluated(monkeypatch):
+    # a metric that reverses the gradient makes every clamped trial point
+    # uphill: none is evaluated, so the stage stalls on its start pass
+    monkeypatch.setattr(solver, "spectral_inverse_metric", lambda mesh, s: lambda g: -g)
+    mesh = Mesh(0.0, 1.0, 16)
+    res = minimize_energy(_spec(mesh), 1e-2, GridFunction.constant(mesh, 0.5))
+    (stage,) = res.stages
+    assert stage.stop == "linesearch_stall"
+    assert stage.pair_passes == 1 and stage.backtracks == 0
+    assert len(res.energy_trace) == 1
 
 
 # ---------------------------------------------------------------------------
