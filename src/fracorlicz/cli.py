@@ -12,8 +12,8 @@ output that is missing writes no manifest).  All randomness
 flows from the single seed, which draws the verify sweeps and the random
 uniqueness start; solve, compare and symmetry do not read it.  Reports and
 solution files contain no wall-clock entropy, so repeated runs with the same
-seed are byte-identical (the manifest records wall time and per-stage
-seconds and is the one exception).
+seed are byte-identical (the manifest records wall time, per-stage
+seconds and per-suite seconds and is the one exception).
 """
 
 from __future__ import annotations
@@ -157,7 +157,12 @@ def cmd_verify(run: _Run) -> int:
         G = STANDARD_FAMILIES[fam]
         for suite in suites:
             kwargs = {"s": s_order} if suite in ("seminorm_sandwich", "diaz_saa") else {}
+            start = time.perf_counter()
             report = run_suite(suite, G, samples, run.settings.seed, **kwargs)
+            seconds = time.perf_counter() - start
+            run.manifest.note(f"suite name={suite} family={fam} samples={report.samples} "
+                              f"seconds={seconds:.3f} "
+                              f"samples_per_s={report.samples / max(seconds, 1e-9):.1f}")
             wname = f"witness_{suite}_{fam}.txt"
             wpath = run.out / wname
             wpath.write_text(report.witness_text(), encoding="utf-8")

@@ -299,8 +299,10 @@ def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], float])
     """inf(lambda > 0 : modular(u / lambda) <= 1) by a bracketed monotone solve.
 
     The scaled modular modular(mu u) is solved for the unit level in mu to
-    relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing), and the
-    norm is 1 / mu.  Returns 0 where the modular vanishes at u, e.g. u = 0.
+    relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing: a walk
+    from mu = 1 to a bracket, then a secant first step, exact when the
+    modular scales like a power), and the norm is 1 / mu.  Returns 0 where
+    the modular vanishes at u, e.g. u = 0.
     """
     if modular_fn(u) == 0.0:
         return 0.0
@@ -331,9 +333,11 @@ def batch_luxemburg(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarra
     """Row-wise Luxemburg norms of a sample matrix, solved as one batch.
 
     Each row's level h * sum(G_eval(mu |row|)) is solved for the unit level
-    in mu like luxemburg_norm; zero rows get norm 0.  The still-unsolved
-    rows are gathered from values at each evaluation, so no second
-    full-size copy of the batch stays alive during the solve.
+    in mu like luxemburg_norm; zero rows get norm 0.  Each evaluation, in
+    the bracket walk and in the root-finder alike, gathers from values only
+    the rows still open, so G_eval sees about 4 entries per batch entry for
+    a pure power, and no second full-size copy of the batch stays alive
+    during the solve.
     """
     out = np.zeros(values.shape[0])
     nonzero = np.flatnonzero(np.any(values, axis=1))

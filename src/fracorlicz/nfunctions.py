@@ -41,7 +41,7 @@ TABLE_LOG10_RANGE = (-12.0, 12.0)
 TABLE_KNOTS = 4096
 
 BISECT_REL_TOL = 1e-12   # relative root tolerance for all monotone solves
-MAX_DOUBLINGS = 200      # bracket expansion budget before giving up
+MAX_WALK_STEPS = 8       # bracket walk budget per element: reaches 2^+-255
 MAX_ROOT_STEPS = 2046    # root-finder cap: the float exponent range in bits
 
 # log 0 and log inf are clipped to +-this before a table lookup, so they land
@@ -55,7 +55,7 @@ class InvalidNFunctionError(ValueError):
 
 
 class BracketExpansionError(RuntimeError):
-    """A monotone solve failed to bracket its target after MAX_DOUBLINGS."""
+    """A monotone solve failed to bracket its target after MAX_WALK_STEPS."""
 
 
 class SobolevConjugateError(ValueError):
@@ -77,75 +77,72 @@ def _as_array(t):
 def solve_increasing(fn, target, args=()):
     """Solve fn(x, *args) = target for a nondecreasing fn, vectorised over target.
 
-    The bracket [1e-12, 1] is expanded geometrically (factor 2, at most
-    MAX_DOUBLINGS times per side); Chandrupatla's bracketed hybrid
-    (`_chandrupatla`) then solves log fn - log target = 0 in log x to
-    BISECT_REL_TOL, i.e. to that relative accuracy in x, starting from the
-    level values the expansion computed at the final bracket ends.
+    Each element with target > 0 starts at x = 1 and walks outward in
+    log x, up while fn is below its target and down while above, by ratios
+    2, 4, 16, 256, ... (the log step doubles), so MAX_WALK_STEPS steps reach
+    2^+-255 without touching 0 or inf.  A step evaluates fn only on the
+    elements still walking, and an element's bracket is the last two points
+    of its walk; one whose level is NaN stops there and gets a NaN root.
+    Chandrupatla's hybrid (`_chandrupatla`) then solves
+    log fn - log target = 0 in log x to BISECT_REL_TOL, i.e. to that
+    relative accuracy in x, from the level values the walk computed.
     target == 0 maps to 0.
 
-    args holds arrays shaped like target, one entry per element.  The
-    root-finder evaluates fn only on the elements still unconverged and
-    passes args cut down to match, so a batched caller passes a row index
+    args holds arrays shaped like target, one entry per element.  Both the
+    walk and the root-finder evaluate fn only on the elements still open
+    and pass args cut down to match, so a batched caller passes a row index
     and gathers its per-row data from it.
     """
     target = _as_array(target)
     scalar = target.ndim == 0
     target = np.atleast_1d(target)
-    lo = np.full(target.shape, 1e-12)
-    hi = np.ones(target.shape)
-    positive = target > 0.0
-
-    for _ in range(MAX_DOUBLINGS):
-        f_hi = fn(hi, *args)
-        short = positive & (f_hi < target)
-        if not short.any():
-            break
-        hi[short] *= 2.0
-    else:
-        raise BracketExpansionError(
-            "upper bracket expansion exhausted (target beyond function range)")
-    for _ in range(MAX_DOUBLINGS):
-        f_lo = fn(lo, *args)
-        over = positive & (f_lo > target)
-        if not over.any():
-            break
-        lo[over] *= 0.5
-    else:
-        raise BracketExpansionError("lower bracket expansion exhausted")
-
     root = np.zeros(target.shape)
-    if positive.any():
-        log_target = np.log(target[positive])
-        with np.errstate(divide="ignore"):
-            f1 = np.log(f_lo[positive]) - log_target
-            f2 = np.log(f_hi[positive]) - log_target
+    pos = np.flatnonzero(target > 0.0)
+    log_t = np.log(target[pos])
+    args = tuple(a[pos] for a in args)
 
-        def log_gap(y, log_t, *a):
+    def log_gap(y, log_t, *a):
+        with np.errstate(divide="ignore"):
             return np.log(fn(np.exp(y), *a)) - log_t
-        y = _chandrupatla(log_gap, np.log(lo[positive]), np.log(hi[positive]), f1, f2,
-                          (log_target, *(a[positive] for a in args)))
-        root[positive] = np.exp(y)
+    y2 = np.zeros(pos.size)
+    f2 = log_gap(y2, log_t, *args)
+    up = np.where(f2 < 0.0, 1.0, -1.0)
+    y1, f1 = y2.copy(), f2.copy()
+    for k in range(MAX_WALK_STEPS + 1):
+        walk = np.flatnonzero(up * f2 < 0.0)   # a NaN level stops
+        if not walk.size:
+            break
+        if k == MAX_WALK_STEPS:
+            raise BracketExpansionError(
+                "upper bracket expansion exhausted (target beyond function range)"
+                if np.any(up[walk] > 0.0) else "lower bracket expansion exhausted")
+        y1[walk], f1[walk] = y2[walk], f2[walk]
+        y2[walk] += up[walk] * np.log(2.0) * 2.0 ** k
+        f2[walk] = log_gap(y2[walk], log_t[walk], *(a[walk] for a in args))
+    f1[np.isnan(f2)] = np.nan
+    root[pos] = np.exp(_chandrupatla(log_gap, y2, y1, f2, f1, (log_t, *args)))
     return float(root[0]) if scalar else root
 
 
 def _chandrupatla(gap, x1, x2, f1, f2, args):
     """Roots of gap(x, *args) = 0 in the brackets [x1, x2], elementwise.
 
-    f1 and f2 are gap at x1 and x2, of opposite signs.  Chandrupatla's
-    hybrid (Adv. Eng. Softw. 28, 1997) steps by inverse quadratic
+    f1 and f2 are gap at x1 and x2, of opposite signs.  The first step is
+    the secant (regula falsi) through the bracket ends, which lands on the
+    root when gap is affine in x, as log level is in log scale for a pure
+    power; it bisects where an end value is infinite.  Later steps follow
+    Chandrupatla's hybrid (Adv. Eng. Softw. 28, 1997): inverse quadratic
     interpolation through the last three points when its xi/phi test
-    passes and bisects otherwise, never closer than half a tolerance to a
-    bracket end.  An element stops when its bracket is narrower than
-    BISECT_REL_TOL or |gap| <= the smallest normal float and returns the
-    end with the smaller |gap|; it returns NaN if its bracket loses the sign
-    change or both ends are NaN.  gap sees only the unconverged elements,
-    with args cut down to match.
+    passes, bisection otherwise.  No step lands closer than half a
+    tolerance to a bracket end.  An element stops when its bracket is
+    narrower than BISECT_REL_TOL or |gap| <= the smallest normal float and
+    returns the end with the smaller |gap|; it returns NaN if its bracket
+    loses the sign change or both ends are NaN.  gap sees only the
+    unconverged elements, with args cut down to match.
     """
     tiny = np.finfo(float).tiny
     root = np.empty_like(x1)
     idx = np.arange(x1.size)
-    t = 0.5
     x3 = f3 = None
     for step in range(MAX_ROOT_STEPS + 1):
         smaller = np.abs(f1) < np.abs(f2)
@@ -160,18 +157,20 @@ def _chandrupatla(gap, x1, x2, f1, f2, args):
             break
         idx, x1, f1, x2, f2, dx = idx[go], x1[go], f1[go], x2[go], f2[go], dx[go]
         args = tuple(a[go] for a in args)
-        if x3 is not None:
-            x3, f3 = x3[go], f3[go]
-            xi = (x1 - x2) / (x3 - x2)
-            alpha = (x3 - x1) / (x2 - x1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if x3 is None:
+                t = np.where(np.isfinite(f1 - f2), f1 / (f1 - f2), 0.5)
+            else:
+                x3, f3 = x3[go], f3[go]
+                xi = (x1 - x2) / (x3 - x2)
+                alpha = (x3 - x1) / (x2 - x1)
                 phi = (f1 - f2) / (f3 - f2)
                 iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
                        - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
                 t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
                              iqi, 0.5)
-            edge = 0.5 * BISECT_REL_TOL / dx
-            t = np.clip(t, edge, 1.0 - edge)
+        edge = 0.5 * BISECT_REL_TOL / dx
+        t = np.clip(t, edge, 1.0 - edge)
         x = x1 + t * (x2 - x1)
         f = gap(x, *args)
         same = np.sign(f) == np.sign(f1)

@@ -294,19 +294,23 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     exactly only under a diagonal metric, so an iteration at which a bound
     binds (u_i = 0 with grad_i > 0, or u_i = obstacle_i with grad_i < 0)
     takes its step, and its BB step, in the identity metric instead
-    (counted in plain_steps).  Armijo backtracking never accepts an energy
-    increase, and a trial whose clamp points uphill is halved without an
-    evaluation.  The loop ends on the infinity norm of the unpreconditioned
-    unit-step projected gradient, so converged means pg_inf < tol whatever
-    the metric.  Each evaluated trial costs one pair pass, which yields its
-    energy and residual together; the accepted trial's residual is the next
-    gradient.  Non-convergence is reported in the result, never raised.
+    (counted in plain_steps).  A node whose obstacle is <= 0 is fixed at
+    0, not a binding bound: its gradient is zeroed before either metric
+    applies, so it moves no other node, and the clamp holds it.  Armijo
+    backtracking never accepts an energy increase, and a trial whose clamp
+    points uphill is halved without an evaluation.  The loop ends on the
+    infinity norm of the unpreconditioned unit-step projected gradient, so
+    converged means pg_inf < tol whatever the metric.  Each evaluated trial
+    costs one pair pass, which yields its energy and residual together; the
+    accepted trial's residual is the next gradient.  Non-convergence is
+    reported in the result, never raised.
     """
     start = time.perf_counter()
     mesh = spec.mesh
     if max_iter is None:
         max_iter = 50 * mesh.n
     upper = None if spec.obstacle is None else spec.obstacle.values
+    pinned = None if upper is None else upper <= 0.0
     inverse_metric = spectral_inverse_metric(mesh, spec.s)
 
     u = _project(u_init.values, upper)
@@ -325,14 +329,16 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
             break
 
         binds = (u <= 0.0) & (grad > 0.0)
+        free_grad = grad
         if upper is not None:
-            binds |= (u >= upper) & (grad < 0.0)
+            binds = (binds | ((u >= upper) & (grad < 0.0))) & ~pinned
+            free_grad = np.where(pinned, 0.0, grad)
         plain = bool(np.any(binds))
         plain_steps += plain
         metric = (lambda g: g) if plain else inverse_metric
         if prev_u is not None:
             du = u - prev_u
-            dg = grad - prev_grad
+            dg = free_grad - prev_grad
             denom = float(np.dot(du, dg))
             if denom > 0.0:
                 eta = denom / float(np.dot(dg, metric(dg)))
@@ -340,7 +346,7 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
                 eta *= 2.0
                 bb_fallbacks += 1
         eta = float(np.clip(eta, 1e-14, 1e14))
-        step = metric(grad)
+        step = metric(free_grad)
 
         accepted = False
         for _ in range(60):
@@ -362,7 +368,7 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
             stop = "linesearch_stall"
             break
 
-        prev_u, prev_grad = u, grad
+        prev_u, prev_grad = u, free_grad
         u, grad, E = trial, grad_trial, E_trial
         trace.append((it, E))
 

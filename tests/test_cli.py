@@ -193,6 +193,29 @@ seed = 11
     assert len(rows) == 1 + 2 * 2  # two suites, two families
 
 
+def test_verify_manifest_reports_suite_timing(tmp_path):
+    # one manifest line per suite and family with its seconds and rate;
+    # the report and the witnesses carry no timing
+    cfg = write(tmp_path, "verify.ini",
+                "[verify]\nsuites = young, holder\nsamples = 500\nfamilies = power3, powerlog3\n")
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    timing = [line for line in lines if line.startswith("suite ")]
+    seen = set()
+    for line in timing:
+        fields = dict(item.split("=") for item in line.split()[1:])
+        assert set(fields) == {"name", "family", "samples", "seconds", "samples_per_s"}
+        assert int(fields["samples"]) == 500
+        assert float(fields["seconds"]) >= 0.0 and float(fields["samples_per_s"]) > 0.0
+        seen.add((fields["name"], fields["family"]))
+    assert seen == {(s, f) for s in ("young", "holder") for f in ("power3", "powerlog3")}
+    assert len(timing) == 4
+    assert [line for line in lines if line.startswith("verdict=")] == ["verdict=PASS"]
+    for path in [out / "verify_report.csv", *out.glob("witness_*.txt")]:
+        assert "second" not in path.read_text()
+
+
 def test_verify_empty_suites_is_config_error(tmp_path, capsys):
     cfg = write(tmp_path, "empty.ini", "[verify]\nsuites =\n")
     code = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -326,6 +326,48 @@ def test_batch_luxemburg_reuses_bracket_level_values():
     assert len(calls) <= 7
 
 
+@pytest.mark.parametrize("name, conjugate, bound", [
+    ("power3", False, 4.0), ("power3", True, 4.0),
+    ("powersum34", False, 7.0), ("powerlog3", False, 7.0)])
+def test_batch_luxemburg_row_evaluations(name, conjugate, bound):
+    # the bracket walk evaluates only the rows not yet bracketed, and the
+    # secant first step lands on a pure power's root: row evaluations per
+    # row, i.e. entries passed to G_eval over the batch size
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    G = complementary(FAMILIES[name]) if conjugate else FAMILIES[name]
+    entries = []
+
+    def counted(t):
+        entries.append(t.size)
+        return G(t)
+
+    batch_luxemburg(rows, mesh.h, counted)
+    assert sum(entries) / rows.size <= bound
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_batch_luxemburg_matches_reference_norms(name):
+    # powers against the closed form (h sum G(|u|))^(1/p), the others
+    # against scipy's find_root on the same log-log equation
+    from scipy.optimize.elementwise import find_root
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    G = FAMILIES[name]
+    batch = batch_luxemburg(rows, mesh.h, G)
+    if G.family == "power":
+        ref = (mesh.h * np.sum(G(np.abs(rows)), axis=1)) ** (1.0 / G.params[0])
+    else:
+        res = find_root(
+            lambda y, i: np.log(mesh.h * np.sum(G(np.abs(rows[i]) * np.exp(y)[:, None]), axis=1)),
+            (-30.0, 30.0), args=(np.arange(len(rows)),),
+            tolerances={"xatol": 1e-14, "xrtol": 0.0})
+        ref = np.exp(-res.x)
+    assert np.allclose(batch, ref, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # pairing and Poincare
 # ---------------------------------------------------------------------------

@@ -277,6 +277,49 @@ def test_bracket_expansion_failure():
         solve_increasing(np.tanh, 2.0)
 
 
+def _recording(fn, seen):
+    def wrapped(x, *args):
+        seen.append(np.array(x, copy=True))
+        return fn(x, *args)
+    return wrapped
+
+
+def test_bracket_walk_gives_up_without_reaching_zero_or_inf():
+    # the walk raises after its budget in either direction, and every
+    # point it evaluates is a positive finite float
+    for fn, target, side in ((np.tanh, 2.0, "upper"), (lambda x: 1.0 + x, 0.5, "lower")):
+        seen = []
+        with pytest.raises(BracketExpansionError, match=side):
+            solve_increasing(_recording(fn, seen), target)
+        x = np.concatenate(seen)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+
+
+def test_bracket_walk_reaches_far_roots():
+    # the range the walk covers includes [1e-12 * 2^-200, 2^200]
+    G = FAMILIES["power3"]
+    roots = np.array([1e-70, 1e-3, 1.0, 1e4, 1e59])
+    seen = []
+    assert np.allclose(solve_increasing(_recording(G, seen), G(roots)), roots,
+                       rtol=1e-11, atol=0.0)
+    x = np.concatenate(seen)
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+
+
+def test_nan_level_stops_the_walk_with_a_nan_root():
+    # an element whose level is NaN, at the start or further out, stops
+    # walking and gets a NaN root; the other elements are unaffected
+    def cube_or_nan(x, nan_above):
+        return np.where(x > nan_above, np.nan, x ** 3)
+    nan_above = np.array([np.inf, 0.0, 100.0, np.inf])
+    calls = []
+    root = solve_increasing(_recording(cube_or_nan, calls), np.array([8.0, 8.0, 1e15, 1e-6]),
+                            args=(nan_above,))
+    assert np.isnan(root[1]) and np.isnan(root[2])
+    assert np.allclose(root[[0, 3]], [2.0, 1e-2], rtol=1e-12, atol=0.0)
+    assert len(calls) < 20
+
+
 # ---------------------------------------------------------------------------
 # inverse
 # ---------------------------------------------------------------------------

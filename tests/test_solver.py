@@ -330,6 +330,25 @@ def test_obstacle_that_binds_takes_plain_steps_and_converges():
     assert 0 < np.sum(res.u.values >= 0.25) < mesh.n
 
 
+def test_zero_obstacle_node_is_fixed_not_binding():
+    # an obstacle that is 0 at one node pins that node; it must not send
+    # every iteration back to the identity metric (1546 passes and 1397
+    # plain steps when it did, against 452 passes without the 0 node)
+    mesh = Mesh(0.0, 1.0, 100)
+    passes = []
+    for zero in (False, True):
+        ceiling = np.full(mesh.n, 10.0)
+        ceiling[0] = 0.0 if zero else 10.0
+        res = solve_singular(_spec(mesh, eps_min=1e-6, obstacle=GridFunction(mesh, ceiling)),
+                             tol=1e-9)
+        assert res.converged
+        assert all(st.plain_steps == 0 for st in res.stages)
+        passes.append(sum(st.pair_passes for st in res.stages))
+    assert res.u.values[0] == 0.0
+    # pinning a node changes the problem: 564 passes against 452
+    assert passes[1] <= 1.3 * passes[0]
+
+
 def test_paper_problem_pair_passes_stay_low():
     # deterministic count: the spectral metric takes 530 passes here, the
     # unpreconditioned projected gradient 2358
