@@ -204,7 +204,8 @@ def cmd_solve(run: _Run) -> int:
     run.manifest.note(f"iterations={result.iterations}")
     for stage in result.stages:
         run.manifest.note(
-            f"stage eps={stage.epsilon:.6e} iterations={stage.iterations} "
+            f"stage eps={stage.epsilon:.6e} cells={stage.cells} "
+            f"iterations={stage.iterations} "
             f"energy={stage.energy:.12e} "
             f"pair_passes={stage.pair_passes} backtracks={stage.backtracks} "
             f"bb_fallbacks={stage.bb_fallbacks} plain_steps={stage.plain_steps} "

@@ -20,6 +20,19 @@ bound binds steps in the identity metric instead (Bertsekas 1982).  The
 regularization is then driven down a geometric schedule, warm-starting each
 stage, and the stagewise Cauchy increments are recorded.
 
+The schedule runs on a coarse mesh and the fine meshes only polish its
+answer (nested iteration in the full-multigrid sense, Brandt 1977).  The
+levels halve the problem's mesh while its cell count is even and the half
+keeps at least COARSEST_CELLS cells.  Data moves down by pairs of cells: f,
+k and the start are averaged, which keeps reflection symmetry, and the
+obstacle takes the cell minimum, so a node pinned at 0 stays pinned.  The
+whole schedule runs on the coarsest level; each finer level starts from
+the coarser solution, interpolated linearly with zero values at a and b,
+and runs one stage at epsilon_min.  A mesh that does not halve is the
+one-level case of the same loop.  A solve has converged when every stage
+of every level stopped at pg_tol and the coarse Cauchy increments
+decrease over the last three epsilon stages.
+
 Everything is deterministic and takes no seed: each stage's first trial is
 the unit step, and no wall-clock entropy enters the iterates (the per-stage
 seconds in StageStats are telemetry only).
@@ -30,7 +43,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +57,7 @@ from .inequalities import call_vectorised, f2_monotonicity_check
 
 logger = logging.getLogger(__name__)
 
+COARSEST_CELLS = 32   # the nested solve halves the mesh down to no fewer cells
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 ENERGY_DESCENT_SLACK = 1e-12
@@ -122,19 +136,21 @@ class ProblemSpec:
 class StageStats:
     """Record of one epsilon stage of minimize_energy.
 
-    iterations and energy are the stage's loop count and final energy;
-    increment is the sup distance from the stage's start to its end, the
-    continuation's Cauchy increment.  pair_passes counts the O(n^2) kernel
-    sweeps: one at the start and one per evaluated Armijo trial.
-    backtracks counts rejected trials, bb_fallbacks the Barzilai-Borwein
-    proposals discarded for nonpositive curvature, and plain_steps the
-    iterations that stepped in the identity metric because a bound was
-    binding.  stop is "pg_tol" (converged), "linesearch_stall" or
-    "max_iter".  seconds is wall-clock time, so it never enters
-    SolveResult.serialize or the solution files.
+    cells is the stage's mesh size.  iterations and energy are the stage's
+    loop count and final energy; increment is the sup distance from the
+    stage's start to its end, the continuation's Cauchy increment (on a
+    finer mesh level, the distance from the interpolated coarse solution).
+    pair_passes counts the O(n^2) kernel sweeps: one at the start and one
+    per evaluated Armijo trial.  backtracks counts rejected trials,
+    bb_fallbacks the Barzilai-Borwein proposals discarded for nonpositive
+    curvature, and plain_steps the iterations that stepped in the identity
+    metric because a bound was binding.  stop is "pg_tol" (converged),
+    "linesearch_stall" or "max_iter".  seconds is wall-clock time, so it
+    never enters SolveResult.serialize or the solution files.
     """
 
     epsilon: float
+    cells: int
     iterations: int
     energy: float
     increment: float
@@ -164,8 +180,8 @@ class SolveResult:
             f"residual_inf={self.residual_inf!r}",
         ]
         for st in self.stages:
-            lines.append(f"stage eps={st.epsilon!r} iterations={st.iterations} "
-                         f"energy={st.energy!r}")
+            lines.append(f"stage eps={st.epsilon!r} cells={st.cells} "
+                         f"iterations={st.iterations} energy={st.energy!r}")
         for st in self.stages:
             lines.append(f"stage_diff={st.increment!r}")
         for note in self.notes:
@@ -303,10 +319,12 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     converged means pg_inf < tol whatever the metric.  Each evaluated trial
     costs one pair pass, which yields its energy and residual together; the
     accepted trial's residual is the next gradient.  Non-convergence is
-    reported in the result, never raised.
+    reported in the result, never raised; a start on another mesh is a
+    ValueError.
     """
     start = time.perf_counter()
     mesh = spec.mesh
+    _check_start_mesh(spec, u_init)
     if max_iter is None:
         max_iter = 50 * mesh.n
     upper = None if spec.obstacle is None else spec.obstacle.values
@@ -376,7 +394,7 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     converged = pg_inf < tol
     if converged:
         stop = "pg_tol"
-    stats = StageStats(epsilon=epsilon, iterations=it, energy=E,
+    stats = StageStats(epsilon=epsilon, cells=mesh.n, iterations=it, energy=E,
                        increment=float(np.max(np.abs(u - u_init.values))),
                        pair_passes=passes, backtracks=backtracks,
                        bb_fallbacks=bb_fallbacks, plain_steps=plain_steps,
@@ -405,27 +423,84 @@ def _epsilon_schedule(spec: ProblemSpec) -> List[float]:
     return schedule
 
 
+def _check_start_mesh(spec: ProblemSpec, u_init: GridFunction) -> None:
+    if u_init.mesh != spec.mesh:
+        raise ValueError(f"u_init lives on {u_init.mesh}, the problem on {spec.mesh}")
+
+
+def _pair_mean(values: np.ndarray) -> np.ndarray:
+    """Means of cell pairs: restriction to the mesh of half the cells."""
+    return 0.5 * (values[0::2] + values[1::2])
+
+
+def _coarsened(spec: ProblemSpec) -> ProblemSpec:
+    """spec on the mesh of half its cells (the cell count must be even).
+
+    f and k take cell-pair means and the obstacle the pair minimum, so a
+    node pinned at 0 stays pinned.  F_custom reads spec.mesh.nodes, so it
+    needs nothing.
+    """
+    mesh = Mesh(spec.mesh.a, spec.mesh.b, spec.mesh.n // 2)
+    restrict = lambda gf, values: GridFunction(mesh, values, gf.label)
+    obstacle = spec.obstacle
+    if obstacle is not None:
+        obstacle = restrict(obstacle, np.minimum(obstacle.values[0::2], obstacle.values[1::2]))
+    return replace(spec, f=restrict(spec.f, _pair_mean(spec.f.values)),
+                   k=restrict(spec.k, _pair_mean(spec.k.values)), obstacle=obstacle)
+
+
+def _interpolate(u: GridFunction, mesh: Mesh) -> GridFunction:
+    """u linearly interpolated onto mesh, with zero values at a and b."""
+    coarse = u.mesh
+    values = np.interp(mesh.nodes, np.concatenate([[coarse.a], coarse.nodes, [coarse.b]]),
+                       np.concatenate([[0.0], u.values, [0.0]]))
+    return GridFunction(mesh, values, u.label)
+
+
 def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
                    tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
-    """Continuation solve: halve the regularization, warm-starting each stage.
+    """Continuation solve, nested over mesh levels.
+
+    The levels halve spec's mesh while its cell count is even and the half
+    keeps at least COARSEST_CELLS cells; otherwise there is one level.  The
+    start (zero by default) is restricted to the coarsest level by cell-pair
+    means, and the whole epsilon schedule runs there, each stage
+    warm-starting the next.  Each finer level starts from the coarser
+    solution, interpolated linearly with zero values at a and b, and runs
+    one stage at epsilon_min.  Every stage is one minimize_energy call with
+    tol and max_iter (default 50 times that level's cells), recorded in
+    stages in the order run.
 
     The continuation itself is a numerical device (the analysis sends the
-    regularization to zero abstractly); the stagewise sup-norm increments
-    are recorded and convergence requires them to decrease over the last
-    three stages.
+    regularization to zero abstractly).  converged requires every stage to
+    stop at pg_tol and the stagewise sup-norm increments of the coarsest
+    level to decrease over its last three stages; residual_inf is the
+    finest level's.  A u_init on another mesh is a ValueError.
     """
     notes = tuple(spec.hypothesis_warnings())
     if u_init is None:
         u_init = GridFunction.zeros(spec.mesh)
+    _check_start_mesh(spec, u_init)
+    levels = [spec]
+    while levels[-1].mesh.n % 2 == 0 and levels[-1].mesh.n // 2 >= COARSEST_CELLS:
+        levels.append(_coarsened(levels[-1]))
+    levels.reverse()
+    start = u_init.values
+    for _ in levels[1:]:
+        start = _pair_mean(start)
+    u = GridFunction(levels[0].mesh, start, u_init.label)
+
     schedule = _epsilon_schedule(spec)
-    u = u_init
+    plan = ([(levels[0], eps) for eps in schedule]
+            + [(level, spec.epsilon_min) for level in levels[1:]])
     stages: List[StageStats] = []
     trace: List[Tuple[int, float]] = []
     all_converged = True
     total_iters = 0
-    result = None
-    for eps in schedule:
-        result = minimize_energy(spec, eps, u, tol=tol, max_iter=max_iter)
+    for level, eps in plan:
+        if u.mesh != level.mesh:
+            u = _interpolate(u, level.mesh)
+        result = minimize_energy(level, eps, u, tol=tol, max_iter=max_iter)
         u = result.u
         stages.extend(result.stages)
         offset = total_iters
@@ -433,12 +508,12 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
         total_iters += result.iterations
         all_converged = all_converged and result.converged
         if not result.converged:
-            logger.warning("stage eps=%g did not converge (pg_inf=%.3e)",
-                           eps, result.residual_inf)
+            logger.warning("stage eps=%g cells=%d did not converge (pg_inf=%.3e)",
+                           eps, level.mesh.n, result.residual_inf)
 
     cauchy_ok = True
-    if len(stages) >= 4:
-        last = [st.increment for st in stages[-3:]]
+    if len(schedule) >= 4:
+        last = [st.increment for st in stages[len(schedule) - 3:len(schedule)]]
         cauchy_ok = all(last[i + 1] <= last[i] * (1.0 + 1e-6) + 1e-14
                         for i in range(len(last) - 1))
         if not cauchy_ok:
@@ -446,7 +521,7 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     return SolveResult(
         u=u,
         energy_trace=trace,
-        residual_inf=result.residual_inf if result else float("nan"),
+        residual_inf=result.residual_inf,
         converged=all_converged and cauchy_ok,
         iterations=total_iters,
         notes=notes,

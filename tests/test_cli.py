@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fracorlicz
+import fracorlicz.solver as solver
 from fracorlicz.cli import main
 from fracorlicz.config import load_config, config_digest
 from fracorlicz.grid import Mesh, GridFunction, ModularNotDecreasingError
@@ -92,6 +93,41 @@ def test_solve_manifest_reports_stage_telemetry(tmp_path):
     # a pg_tol stop: the start pass, one per accepted step, one per rejected trial
     assert int(counts[0]["pair_passes"]) == (int(counts[0]["iterations"])
                                              + int(counts[0]["backtracks"]))
+
+
+def test_solve_manifest_reports_mesh_levels(tmp_path):
+    text = BASE.format(a=0.0, b=1.0, n=64, family="power", p=3, alpha=0.5, beta=0.5,
+                       f="1", k="1", eps0="1e-2", epsmin="1e-6")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write(tmp_path, "paper.ini", text),
+                 "--out", str(out), "--quiet"]) == 0
+    stages = [line for line in (out / "manifest.txt").read_text().splitlines()
+              if line.startswith("stage ")]
+    cells = [dict(item.split("=") for item in line.split()[1:])["cells"] for line in stages]
+    assert cells == ["32"] * 15 + ["64"]
+
+
+def test_solve_with_capped_coarse_stage_is_inconclusive(tmp_path, monkeypatch):
+    minimize = solver.minimize_energy
+
+    def capped(spec, epsilon, u_init, tol=1e-9, max_iter=None):
+        if spec.mesh.n == 32 and epsilon == spec.epsilon0:
+            max_iter = 5
+        return minimize(spec, epsilon, u_init, tol=tol, max_iter=max_iter)
+
+    # only the first coarse stage is capped; every later stage converges
+    monkeypatch.setattr(solver, "minimize_energy", capped)
+    cfg = singular_config(tmp_path, n=64)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    lines = (out / "manifest.txt").read_text().splitlines()
+    stops = [(fields["cells"], fields["stop"]) for fields in
+             (dict(item.split("=") for item in line.split()[1:])
+              for line in lines if line.startswith("stage "))]
+    assert stops == [("32", "max_iter")] + [("32", "pg_tol")] * 7 + [("64", "pg_tol")]
+    assert "converged=False" in lines
+    assert float(next(line for line in lines if line.startswith("residual_inf="))
+                 .split("=")[1]) < 1e-9
 
 
 def test_solve_nonconverged_is_inconclusive(tmp_path):
