@@ -21,20 +21,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from . import __version__
-from .nfunctions import NFunction, BracketExpansionError
+from .nfunctions import BracketExpansionError
 from .grid import (GridFunction, ModularNotDecreasingError, modular, seminorm_modular,
                    luxemburg_norm)
 from .solver import (solve_singular, comparison_experiment, uniqueness_experiment,
-                     symmetry_experiment, torsion_reference, membership_report)
+                     symmetry_experiment, torsion_reference)
 from .inequalities import SUITES, STANDARD_FAMILIES, run_suite
-from .config import (ConfigError, SolverSettings, load_config, config_digest,
+from .config import (ConfigError, load_config, config_digest,
                      build_mesh, build_nfunction, build_problem,
                      build_solver_settings, coefficient_field, parse_list, get_setting,
                      positive_setting)
@@ -232,7 +232,6 @@ def cmd_compare(run: _Run) -> int:
               if f_high_raw else low.f)
     k_high = (coefficient_field(k_high_raw, mesh, "k_high", run.base_dir)
               if k_high_raw else low.k)
-    from dataclasses import replace
     high = replace(low, f=f_high, k=k_high)
     st = run.settings
     outcome = comparison_experiment(low, high, tol=st.tol, max_iter=st.max_iter)

@@ -1,26 +1,36 @@
-"""Tiny arithmetic grammar for coefficient expressions in config files.
+"""Coefficient expressions in config files, read by a whitelist over Python's ``ast``.
 
-Supported: numeric literals, the variable x, the binary operators + - * /,
-unary minus, pow(expr, const), exp(expr), and bump(center, width) which is
-the Gaussian exp(-((x - center)/width)^2).  Deliberately small: configs stay
-reproducible without a scripting dependency.
+The grammar: numeric literals, x, + - * /, unary minus, exp(expr), pow(expr,
+const) and the Gaussian bump(center, width) = exp(-((x - center)/width)^2),
+where a const is a literal with at most one leading minus.  Any other syntax
+Python parses (``**``, unary plus, comments, hex, underscored or complex
+literals, integers with leading zeros, keyword arguments), and nesting too
+deep to parse, is an ExpressionError carrying the 1-based column.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from typing import Union
 
 import numpy as np
 
 __all__ = ["ExpressionError", "parse_expression", "evaluate_expression"]
 
-_TOKEN_RE = re.compile(r"""
-    (?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[()+\-*/,])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_SIGNED = rf"\s*(-?\s*{_NUMBER.pattern})\s*"
+_BAD_CHAR = re.compile(r"[^0-9A-Za-z_ .()+\-*/,]")  # ast drops "#..." and counts bytes
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+# the source patterns see what the tree drops: a parenthesised const, a trailing comma
+_CALLS = {
+    "exp": ("exp(expr)", 1, re.compile(r"exp\s*\(.*[^,\s]\s*\)")),
+    "pow": ("pow(expr, const)", 2, re.compile(rf"pow\s*\(.*,{_SIGNED}\)")),
+    "bump": ("bump(const, const)", 2, re.compile(rf"bump\s*\({_SIGNED},{_SIGNED}\)")),
+}
 
 
 class ExpressionError(ValueError):
@@ -31,142 +41,70 @@ class ExpressionError(ValueError):
         self.column = column
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r}", pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+def _check(node: ast.expr, text: str, lead: int) -> None:
+    """Reject every node outside the grammar; literals become floats."""
+    source = text[node.col_offset:node.end_col_offset]
+    column = lead + node.col_offset + 1
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(source):
+        node.value = float(source)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        _check(node.operand, text, lead)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        _check(node.left, text, lead)
+        _check(node.right, text, lead)
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _CALLS:
+        usage, arity, pattern = _CALLS[node.func.id]
+        if len(node.args) != arity or node.keywords or not pattern.fullmatch(source):
+            raise ExpressionError(f"expected {usage}", column)
+        for arg in node.args:
+            _check(arg, text, lead)
+    elif not (isinstance(node, ast.Name) and node.id == "x"):
+        raise ExpressionError(f"{source!r} is outside the grammar "
+                              "(numbers, x, + - * /, exp, pow, bump)", column)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, value=None):
-        tk, tv, col = self.tokens[self.i]
-        if (kind is not None and tk != kind) or (value is not None and tv != value):
-            want = value or kind
-            raise ExpressionError(f"expected {want!r}, found {tv or 'end of input'!r}", col)
-        self.i += 1
-        return tv, col
-
-    def parse(self):
-        node = self.expr()
-        tk, tv, col = self.peek()
-        if tk != "end":
-            raise ExpressionError(f"trailing input {tv!r}", col)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op, _ = self.take("op")
-            node = (("add" if op == "+" else "sub"), node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op, _ = self.take("op")
-            node = (("mul" if op == "*" else "div"), node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.take("op")
-            return ("neg", self.unary())
-        return self.atom()
-
-    def signed_number(self) -> float:
-        sign = 1.0
-        if self.peek()[1] == "-":
-            self.take("op")
-            sign = -1.0
-        value, _ = self.take("number")
-        return sign * float(value)
-
-    def atom(self):
-        tk, tv, col = self.peek()
-        if tk == "number":
-            self.take()
-            return ("num", float(tv))
-        if tk == "name":
-            self.take()
-            if tv == "x":
-                return ("x",)
-            if tv == "exp":
-                self.take("op", "(")
-                inner = self.expr()
-                self.take("op", ")")
-                return ("exp", inner)
-            if tv == "pow":
-                self.take("op", "(")
-                base = self.expr()
-                self.take("op", ",")
-                exponent = self.signed_number()
-                self.take("op", ")")
-                return ("pow", base, exponent)
-            if tv == "bump":
-                self.take("op", "(")
-                center = self.signed_number()
-                self.take("op", ",")
-                width = self.signed_number()
-                self.take("op", ")")
-                return ("bump", center, width)
-            raise ExpressionError(f"unknown name {tv!r} (allowed: x, exp, pow, bump)", col)
-        if tv == "(":
-            self.take("op", "(")
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
-        raise ExpressionError(f"expected a value, found {tv or 'end of input'!r}", col)
-
-
-def parse_expression(text: str):
-    if not text.strip():
+def parse_expression(text: str) -> ast.expr:
+    """Check text against the grammar; the result is reusable by evaluate_expression."""
+    text = re.sub(r"\s", " ", text)  # configparser continuation lines carry newlines
+    body = text.lstrip()  # ast.parse rejects leading blanks: columns add them back
+    lead = len(text) - len(body)
+    if not body:
         raise ExpressionError("empty expression", 1)
-    return _Parser(text).parse()
+    if bad := _BAD_CHAR.search(body):
+        raise ExpressionError(f"unexpected character {bad.group()!r}", lead + bad.start() + 1)
+    try:
+        with warnings.catch_warnings():  # "1if" warns; make that the SyntaxError
+            warnings.simplefilter("error")
+            tree = ast.parse(body, mode="eval").body
+        _check(tree, body, lead)
+    except SyntaxError as err:  # "too many nested parentheses" included
+        raise ExpressionError(err.msg, lead + (err.offset or len(body) + 1)) from None
+    except (RecursionError, MemoryError):  # the parser's and the walk's stack limits
+        raise ExpressionError("expression nested too deeply", lead + 1) from None
+    return tree
 
 
-def _eval(node, x):
-    kind = node[0]
-    if kind == "num":
-        return np.full_like(x, node[1], dtype=float)
-    if kind == "x":
+def _const(node: ast.expr) -> float:
+    return -node.operand.value if isinstance(node, ast.UnaryOp) else node.value
+
+
+def _eval(node: ast.expr, x: np.ndarray) -> np.ndarray:
+    if isinstance(node, ast.Constant):
+        return np.full_like(x, node.value, dtype=float)
+    if isinstance(node, ast.Name):
         return np.array(x, dtype=float)
-    if kind == "neg":
-        return -_eval(node[1], x)
-    if kind == "add":
-        return _eval(node[1], x) + _eval(node[2], x)
-    if kind == "sub":
-        return _eval(node[1], x) - _eval(node[2], x)
-    if kind == "mul":
-        return _eval(node[1], x) * _eval(node[2], x)
-    if kind == "div":
-        return _eval(node[1], x) / _eval(node[2], x)
-    if kind == "exp":
-        return np.exp(_eval(node[1], x))
-    if kind == "pow":
-        return _eval(node[1], x) ** node[2]
-    if kind == "bump":
-        center, width = node[1], node[2]
-        return np.exp(-(((np.asarray(x, float) - center) / width) ** 2))
-    raise ExpressionError(f"unknown node kind {kind!r}", 1)
+    if isinstance(node, ast.UnaryOp):
+        return -_eval(node.operand, x)
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_eval(node.left, x), _eval(node.right, x))
+    if node.func.id == "exp":
+        return np.exp(_eval(node.args[0], x))
+    if node.func.id == "pow":
+        return _eval(node.args[0], x) ** _const(node.args[1])
+    return np.exp(-(((x - _const(node.args[0])) / _const(node.args[1])) ** 2))
 
 
-def evaluate_expression(expr: Union[str, tuple], x) -> np.ndarray:
+def evaluate_expression(expr: Union[str, ast.expr], x) -> np.ndarray:
     """Evaluate an expression (source text or parsed form) at abscissae x."""
     node = parse_expression(expr) if isinstance(expr, str) else expr
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _eval(node, x)
+    return _eval(node, np.atleast_1d(np.asarray(x, dtype=float)))

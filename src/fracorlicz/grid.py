@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .nfunctions import NFunction, BracketExpansionError, solve_increasing
+from .nfunctions import NFunction, BracketExpansionError, complementary, solve_increasing
 
 __all__ = [
     "Mesh", "GridFunction", "modular", "seminorm_modular", "luxemburg_norm",
@@ -357,13 +357,11 @@ def holder_pairing_check(u: GridFunction, v: GridFunction, G: NFunction,
 
     Returns (lhs, rhs, ok) with ok true when lhs <= rhs + 1e-8 (1 + rhs).
     """
-    from .nfunctions import complementary as build_conjugate
     if conjugate is None:
-        conjugate = build_conjugate(G)
+        conjugate = complementary(G)
     u._check_mesh(v)
     lhs = float(u.mesh.h * np.sum(u.values * v.values))
-    rhs = 2.0 * lg_norm(u, G) * luxemburg_norm(v, lambda w: float(
-        w.mesh.h * np.sum(conjugate(np.abs(w.values)))))
+    rhs = 2.0 * lg_norm(u, G) * lg_norm(v, conjugate)
     return lhs, rhs, lhs <= rhs + 1e-8 * (1.0 + rhs)
 
 

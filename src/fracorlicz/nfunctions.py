@@ -468,8 +468,7 @@ def power_nfunction(p: float) -> NFunction:
         family="power", params=(p,),
         fn=lambda t: t ** p / p,
         deriv_fn=lambda t: t ** (p - 1.0),
-        deriv2_fn=lambda t: (p - 1.0) * t ** (p - 2.0) if p != 2.0
-        else np.ones_like(_as_array(t)),
+        deriv2_fn=lambda t: (p - 1.0) * t ** (p - 2.0),
         p_minus=p, p_plus=p,
         inverse_fn=lambda tau: (p * tau) ** (1.0 / p),
         tail_primitive_fn=lambda x: x ** p / p ** 2,
@@ -483,17 +482,11 @@ def power_sum_nfunction(p: float, q: float) -> NFunction:
     if not (2.0 <= p <= q):
         raise InvalidNFunctionError(f"power-sum family needs 2 <= p <= q, got ({p}, {q})")
 
-    def d2(t):
-        t = _as_array(t)
-        first = (p - 1.0) * t ** (p - 2.0) if p != 2.0 else np.ones_like(t)
-        second = (q - 1.0) * t ** (q - 2.0) if q != 2.0 else np.ones_like(t)
-        return first + second
-
     return NFunction(
         family="powersum", params=(p, q),
         fn=lambda t: t ** p / p + t ** q / q,
         deriv_fn=lambda t: t ** (p - 1.0) + t ** (q - 1.0),
-        deriv2_fn=d2,
+        deriv2_fn=lambda t: (p - 1.0) * t ** (p - 2.0) + (q - 1.0) * t ** (q - 2.0),
         p_minus=p, p_plus=q,
         tail_primitive_fn=lambda x: x ** p / p ** 2 + x ** q / q ** 2,
         label=f"powersum(p={p:g},q={q:g})",

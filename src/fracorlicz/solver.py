@@ -52,7 +52,7 @@ from .nfunctions import (NFunction, complementary, sobolev_conjugate,
                          reaction_weight_nfunction, singular_weight_nfunction,
                          SobolevConjugateError, gauss_log_segments)
 from .grid import (GridFunction, Mesh, modular, seminorm_modular, operator_apply,
-                   modular_and_operator, luxemburg_norm, random_positive, lg_norm)
+                   modular_and_operator, luxemburg_norm, random_positive)
 from .inequalities import call_vectorised, f2_monotonicity_check
 
 logger = logging.getLogger(__name__)

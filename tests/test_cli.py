@@ -368,6 +368,26 @@ def test_threshold_that_cannot_pass_is_config_error(tmp_path, capsys, command, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("compare", "\n[compare]\nf_high = 2\n"), ("uniqueness", ""), ("symmetry", "")])
+def test_capped_experiment_is_inconclusive(tmp_path, command, extra):
+    text = open(singular_config(tmp_path, n=16, extra=extra)).read()
+    cfg = write(tmp_path, "capped.ini", text.replace("tol = 1e-9", "tol = 1e-9\nmax_iter = 1"))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "verdict=INCONCLUSIVE" in (out / "manifest.txt").read_text()
+
+
+def test_uniqueness_fail(tmp_path, capsys):
+    cfg = singular_config(tmp_path, n=32, extra="\n[uniqueness]\nthreshold = 1e-300\n")
+    out = tmp_path / "u"
+    assert main(["uniqueness", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL")
+    manifest = (out / "manifest.txt").read_text()
+    assert "verdict=FAIL" in manifest
+    assert float(manifest.split("max_pairwise=")[1].split()[0]) > 0.0
+
+
 def test_symmetry_pass_and_control(tmp_path, capsys):
     sym = BASE.format(a=-1.0, b=1.0, n=32, family="power", p=3,
                       alpha=0.5, beta=0.5, f="bump(0, 0.5)", k="1",
@@ -509,6 +529,20 @@ def test_bad_expression_exit_2(tmp_path, capsys):
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["-" * 1200 + "1", "(" * 300 + "1" + ")" * 300],
+                         ids=["1200-minus-signs", "300-parentheses"])
+def test_deeply_nested_expression_is_config_error(tmp_path, capsys, expr):
+    text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3,
+                       alpha=0.5, beta=0.5, f=expr, k="1",
+                       eps0="1e-2", epsmin="1e-3")
+    cfg = write(tmp_path, "deep.ini", text)
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: coefficient f: column ")
+    assert not out.exists()
 
 
 def test_nonfinite_coefficient_is_named_config_error(tmp_path, capsys, recwarn):

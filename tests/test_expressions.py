@@ -71,3 +71,28 @@ def test_parsed_form_reusable():
     node = parse_expression("pow(x, 2) + 1")
     x = np.array([3.0])
     assert evaluate_expression(node, x)[0] == 10.0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("x ** 2", None), ("+2", None), ("0x10", None), ("1_0", None), ("True", None),
+    ("1e3j", None), ('"a"', None), ("x#c", None), ("pow(x, 2, 3)", None),
+    ("exp(x=1)", None), ("x if 1 else 2", None), ("pow(x, --2)", None),
+    ("pow(x, (2))", None), ("bump((1), 2)", None), ("exp(x,)", None), ("1if x else 2", None),
+    ("  1 + x", 3.0), ("1 +\n x", 3.0), ("2.", 2.0), (".5", 0.5), ("1.e-3", 1e-3),
+    ("--2", 2.0),
+])
+def test_grammar_is_exactly_the_documented_one(text, value):
+    if value is None:
+        with pytest.raises(ExpressionError):
+            parse_expression(text)
+    else:
+        assert ev(text, [2.0])[0] == value
+
+
+@pytest.mark.parametrize("text, column", [
+    ("  1 + $", 7), ("\n 1 + $", 7), ("  1 + )", 7), ("  1 + ", 7), ("  x ** 2", 3),
+])
+def test_columns_count_leading_blanks(text, column):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert err.value.column == column
