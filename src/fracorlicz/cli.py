@@ -138,15 +138,22 @@ def cmd_verify(run: _Run) -> int:
     if unknown:
         print(f"unknown suites: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG
-    samples = get_setting(parser, "verify", "samples", lambda v: int(float(v)), default=10000)
+    samples = get_setting(parser, "verify", "samples", float, default=10000.0)
+    if not samples.is_integer():   # nor are inf and nan
+        raise ConfigError(f"[verify] samples must be a whole number, got {samples:g}")
     if samples < 1:
-        raise ConfigError(f"[verify] samples must be at least 1, got {samples}")
+        raise ConfigError(f"[verify] samples must be at least 1, got {samples:g}")
+    samples = int(samples)
     fam_names = parse_list(get_setting(parser, "verify", "families", str,
                                        default=",".join(STANDARD_FAMILIES)))
     bad = [f for f in fam_names if f not in STANDARD_FAMILIES]
     if bad:
         print(f"unknown families: {', '.join(bad)}", file=sys.stderr)
         return EXIT_CONFIG
+    for key, names in (("suites", suites), ("families", fam_names)):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"[verify] {key} lists {', '.join(repeated)} more than once")
     s_order = get_setting(parser, "verify", "s", float, default=0.5)
     if not 0.0 < s_order < 1.0:
         raise ConfigError(f"[verify] s must lie in (0, 1), got {s_order}")

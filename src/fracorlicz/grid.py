@@ -139,6 +139,7 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 PAIR_BLOCK = 64  # rows per slab of the pair pass: cache-sized, few Python steps
+LUXEMBURG_CHUNK = 4096  # rows per batched Luxemburg solve: bounds its temporaries
 
 
 @functools.lru_cache(maxsize=8)
@@ -330,20 +331,23 @@ def batch_modular(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarray:
 
 
 def batch_luxemburg(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarray:
-    """Row-wise Luxemburg norms of a sample matrix, solved as one batch.
+    """Row-wise Luxemburg norms of a sample matrix, solved in row chunks.
 
     Each row's level h * sum(G_eval(mu |row|)) is solved for the unit level
-    in mu like luxemburg_norm; zero rows get norm 0.  Each evaluation, in
-    the bracket walk and in the root-finder alike, gathers from values only
-    the rows still open, so G_eval sees about 4 entries per batch entry for
-    a pure power, and no second full-size copy of the batch stays alive
-    during the solve.
+    in mu like luxemburg_norm; zero rows get norm 0.  The nonzero rows are
+    solved LUXEMBURG_CHUNK at a time, which bounds the temporaries of one
+    level evaluation; rows are solved independently, so the norms do not
+    depend on the chunking.  Each evaluation, in the bracket walk and in
+    the root-finder alike, gathers from values only the rows still open, so
+    G_eval sees about 4 entries per batch entry for a pure power, and no
+    second full-size copy of the batch stays alive during the solve.
     """
     out = np.zeros(values.shape[0])
     nonzero = np.flatnonzero(np.any(values, axis=1))
-    out[nonzero] = _unit_level_gauge(
-        lambda mu, rows: h * np.sum(G_eval(np.abs(values[rows]) * mu[:, None]), axis=1),
-        nonzero)
+    level = lambda mu, rows: h * np.sum(G_eval(np.abs(values[rows]) * mu[:, None]), axis=1)
+    for lo in range(0, nonzero.size, LUXEMBURG_CHUNK):
+        rows = nonzero[lo:lo + LUXEMBURG_CHUNK]
+        out[rows] = _unit_level_gauge(level, rows)
     return out
 
 

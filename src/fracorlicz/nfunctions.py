@@ -49,6 +49,8 @@ MAX_ROOT_STEPS = 2046    # root-finder cap: the float exponent range in bits
 # to the values 0 and inf
 _LOG_HUGE = 1e300
 
+BUCKETS_PER_KNOT = 8   # table lookup buckets, uniform in log x, per knot
+
 
 class InvalidNFunctionError(ValueError):
     """Input does not define a usable N-function."""
@@ -209,11 +211,12 @@ class LogLogTable:
     [knot i - 1, knot i], and segments 0 and N are the power laws that
     extend the table below and above its knots with the boundary log-log
     slopes (so monotonicity survives extrapolation, which cubic extension
-    would not guarantee).  One binary search and one Horner pass give the
-    value or the slope.  Evaluation at 0 returns 0, and NaN stays NaN.  split_at
-    lists abscissae where the tabulated function has a derivative kink:
-    knot slopes are computed per piece between them, so the C1 smoothing of
-    a single PCHIP cannot smear error across the kink.
+    would not guarantee).  A lookup finds the segment through a bucket
+    index (`_segment`), gathers its coefficient row and runs one Horner
+    pass for the value or the slope.  Evaluation at 0 returns 0, and NaN
+    stays NaN.  split_at lists abscissae where the tabulated function has a
+    derivative kink: knot slopes are computed per piece between them, so
+    the C1 smoothing of a single PCHIP cannot smear error across the kink.
     """
 
     def __init__(self, abscissa: np.ndarray, values: np.ndarray,
@@ -244,29 +247,66 @@ class LogLogTable:
             d = _pchip_slopes(h[lo:hi], m[lo:hi])
             d_left[lo:hi], d_right[lo:hi] = d[:-1], d[1:]
         # Hermite cubic of each segment in powers of (log x - its left end),
-        # highest power first, one column per segment
+        # highest power first, one row per segment
         curv = (d_left + d_right - 2.0 * m) / h
-        self._coef = np.zeros((4, abscissa.size + 1))
-        self._coef[:, 1:-1] = curv / h, (m - d_left) / h - curv, d_left, ly[:-1]
-        self._coef[2:, 0] = d_left[0], ly[0]
-        self._coef[2:, -1] = d_right[-1], ly[-1]
+        self._coef = np.zeros((abscissa.size + 1, 4))
+        self._coef[1:-1] = np.column_stack(
+            [curv / h, (m - d_left) / h - curv, d_left, ly[:-1]])
+        self._coef[0, 2:] = d_left[0], ly[0]
+        self._coef[-1, 2:] = d_right[-1], ly[-1]
         self._origin = np.concatenate([lx[:1], lx])
         self._lx = lx
+        # bucket index over B equal widths of [lx[0], lx[-1]]: bucket k,
+        # 1 <= k <= B, starts at lx[0] + (k - 1) * width, and _bucket_row[k]
+        # is the segment of that start; bucket 0 takes everything below
+        # lx[0], bucket B + 1 everything from lx[-1] on and NaN
+        buckets = BUCKETS_PER_KNOT * lx.size
+        self._bucket_scale = buckets / (lx[-1] - lx[0])
+        edges = lx[0] + np.arange(buckets) * ((lx[-1] - lx[0]) / buckets)
+        self._bucket_row = np.concatenate(
+            [[0], np.searchsorted(lx, edges, side="right"), [lx.size]])
+        self._lower = np.concatenate([[-np.inf], lx])   # segment i is [lower[i], upper[i])
+        self._upper = np.concatenate([lx, [np.inf]])
+
+    def _segment(self, x):
+        """(row, log x clipped to +-_LOG_HUGE): row is the segment holding x.
+
+        row equals np.searchsorted(self._lx, log x, side="right"), and NaN
+        gets the last segment.  The bucket of log x gives a first guess;
+        each correction moves a row one segment towards the one whose
+        bounds hold log x, and only rows that moved are looked at again, so
+        the loop ends after at most N + 1 steps.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
+            bucket = (lx - self._lx[0]) * self._bucket_scale + 1.0
+        # fmin sends NaN to the last bucket; on [0, B + 1] truncation is floor
+        bucket = np.fmax(np.fmin(bucket, self._bucket_row.size - 1), 0.0)
+        flat = np.ravel(lx)
+        row = self._bucket_row.take(np.ravel(bucket).astype(np.intp))
+        todo, l, r = None, flat, row
+        while True:
+            step = ((l >= self._upper.take(r)).view(np.int8)
+                    - (l < self._lower.take(r)).view(np.int8))
+            moved = np.flatnonzero(step)
+            if not moved.size:
+                return row.reshape(np.shape(lx)), lx
+            todo = moved if todo is None else todo[moved]
+            row[todo] += step[moved]
+            l, r = flat[todo], row[todo]
 
     def _locate(self, x):
-        """Coefficients (4, m) and offsets s of log x in the segments holding x."""
-        with np.errstate(divide="ignore"):
-            lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
-        row = np.searchsorted(self._lx, lx, side="right")
-        return self._coef[:, row], lx - self._origin[row]
+        """Coefficient rows (..., 4) and offsets s of log x in the segments holding x."""
+        row, lx = self._segment(x)
+        return self._coef.take(row, axis=0), lx - self._origin.take(row)
 
     @staticmethod
     def _log_value(c, s):
-        return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+        return ((c[..., 0] * s + c[..., 1]) * s + c[..., 2]) * s + c[..., 3]
 
     @staticmethod
     def _log_slope(c, s):
-        return (3.0 * c[0] * s + 2.0 * c[1]) * s + c[2]
+        return (3.0 * c[..., 0] * s + 2.0 * c[..., 1]) * s + c[..., 2]
 
     def __call__(self, x):
         x = _as_array(x)
@@ -296,7 +336,8 @@ class LogLogTable:
         safe = np.where(x == 0.0, 1.0, x)   # v/x is 0/0 at the origin
         c, s = self._locate(safe)
         value = np.exp(self._log_value(c, s)) / safe * self._log_slope(c, s)
-        return np.where(x == 0.0, 0.0, value)
+        out = np.where(x == 0.0, 0.0, value)
+        return float(out) if x.ndim == 0 else out
 
 
 def log_grid(lo_exp: float, hi_exp: float, n: int,

@@ -279,6 +279,42 @@ def test_verify_infinite_samples_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["2.5", "1e-3", "nan"])
+def test_verify_fractional_samples_is_config_error(tmp_path, capsys, samples):
+    cfg = write(tmp_path, "frac.ini",
+                f"[verify]\nsuites = young\nsamples = {samples}\nfamilies = power3\n")
+    out = tmp_path / "never"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[verify] samples" in err
+    assert f"got {float(samples):g}" in err
+    assert not out.exists()
+
+
+def test_verify_samples_in_exponent_notation(tmp_path):
+    cfg = write(tmp_path, "exp.ini",
+                "[verify]\nsuites = young\nsamples = 2e4\nfamilies = power3\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    with open(tmp_path / "o" / "verify_report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][1] == "20000"
+
+
+@pytest.mark.parametrize("key, listed, repeated", [
+    ("suites", "young, holder, young", "young"),
+    ("families", "power3, power4, power3", "power3")])
+def test_verify_duplicate_names_are_config_errors(tmp_path, capsys, key, listed, repeated):
+    settings = {"suites": "young", "families": "power3", key: listed}
+    cfg = write(tmp_path, "dup.ini",
+                f"[verify]\nsuites = {settings['suites']}\nsamples = 10\n"
+                f"families = {settings['families']}\n")
+    out = tmp_path / "never"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"[verify] {key}" in err and repeated in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("s", ["0", "1", "1.5", "-0.2"])
 def test_verify_order_outside_unit_interval_is_config_error(tmp_path, capsys, s):
     cfg = write(tmp_path, "order.ini",

@@ -12,7 +12,7 @@ from fracorlicz.grid import (
     poincare_constant_estimate, random_fourier, random_positive,
     operator_apply, operator_apply_batch,
     exterior_tail_energy, exterior_tail_gradient,
-    batch_luxemburg, difference_quotients,
+    batch_luxemburg, difference_quotients, LUXEMBURG_CHUNK,
 )
 
 P2 = power_nfunction(2.0)
@@ -345,6 +345,25 @@ def test_batch_luxemburg_row_evaluations(name, conjugate, bound):
 
     batch_luxemburg(rows, mesh.h, counted)
     assert sum(entries) / rows.size <= bound
+
+
+@pytest.mark.parametrize("nonzero", [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK,
+                                     LUXEMBURG_CHUNK + 1, 2 * LUXEMBURG_CHUNK + 3])
+def test_batch_luxemburg_chunking_changes_no_bit(monkeypatch, nonzero):
+    # rows are solved independently: the chunked norms equal one unchunked
+    # solve bit for bit; two zero rows sit where the first chunk ends
+    rng = np.random.default_rng(12)
+    mesh = Mesh(0.0, 1.0, 8)
+    _, fields = random_fourier(rng, mesh, nonzero)
+    rows = np.insert(fields, [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK - 1], 0.0, axis=0)
+    zero = [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK]
+    for G_eval in (P3, complementary(P3).table):
+        chunked = batch_luxemburg(rows, mesh.h, G_eval)
+        with monkeypatch.context() as m:
+            m.setattr("fracorlicz.grid.LUXEMBURG_CHUNK", len(rows))
+            whole = batch_luxemburg(rows, mesh.h, G_eval)
+        assert np.array_equal(chunked, whole)
+        assert np.all(chunked[zero] == 0.0) and np.all(np.delete(chunked, zero) > 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -13,7 +13,7 @@ from fracorlicz.nfunctions import (
     power_sum_nfunction, tabulated_nfunction, construct_nfunction,
     estimate_indices, complementary, inverse_nfunction, sobolev_conjugate,
     compose_power, reaction_weight_nfunction, singular_weight_nfunction,
-    essentially_faster, solve_increasing, LogLogTable, INDEX_GRID,
+    essentially_faster, solve_increasing, LogLogTable, INDEX_GRID, _LOG_HUGE,
 )
 
 FAMILIES = {
@@ -201,6 +201,14 @@ def test_table_derivative_vanishes_at_origin():
         out = fn(x)
         assert out[0] == 0.0 and out[1] > 0.0 and np.isnan(out[2])
     assert conj.deriv(1.0) == pytest.approx(1.0, rel=1e-6)   # (2/3) t^(3/2) at 1
+
+
+def test_table_derivative_of_a_scalar_is_a_float():
+    conj = complementary(power_nfunction(3.0))
+    for t in (0.0, 1.0, 2.5):
+        assert type(conj.deriv(t)) is float
+        assert type(conj.table.derivative(np.float64(t))) is float
+    assert conj.deriv(np.array([1.0])).shape == (1,)
 
 
 def test_complementary_powersum_bracket():
@@ -521,3 +529,86 @@ def test_loglog_table_matches_scipy_pchip(name, kind):
     assert np.allclose(table.slope(x), want_slope, rtol=1e-12, atol=0.0)
     assert np.allclose(table.derivative(x), want_value / x * want_slope, rtol=1e-12, atol=0.0)
 
+
+
+# ---------------------------------------------------------------------------
+# the bucket-indexed segment lookup against a binary search
+# ---------------------------------------------------------------------------
+
+def _clustered_tabulated():
+    """A tabulated N-function with irregular knots and three tight clusters,
+    so that one lookup bucket holds dozens of knots."""
+    rng = np.random.default_rng(17)
+    spread = np.exp(np.sort(rng.uniform(np.log(1e-3), np.log(1e3), 120)))
+    clusters = [c * np.exp(1e-4 * np.arange(40)) for c in (0.05, 1.0, 7.0)]
+    t = np.unique(np.concatenate([spread, *clusters]))
+    return tabulated_nfunction(t, t ** 3 + t ** 2)
+
+
+LOOKUP_TABLES = [f"conjugate-{name}" for name in FAMILIES] + [
+    "inverse-powerlog3", "tabulated-clustered"]
+
+
+def _lookup_table(name):
+    kind, family = name.split("-")
+    if kind == "conjugate":
+        return complementary(FAMILIES[family]).table
+    if kind == "inverse":
+        return inverse_nfunction(FAMILIES[family]).table
+    return _clustered_tabulated().fn
+
+
+def _searchsorted_row(table, x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
+    return np.searchsorted(table._lx, lx, side="right")
+
+
+SPECIAL_PROBES = np.array([0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 5e-324])
+
+
+def _segment_probes(table):
+    """Knots, their float neighbours, the special values and random points
+    from below the knots to above them."""
+    knots = table.abscissa
+    lx0, lx1 = table._lx[0], table._lx[-1]
+    return np.concatenate([
+        knots, np.nextafter(knots, 0.0), np.nextafter(knots, np.inf), SPECIAL_PROBES,
+        np.exp(np.random.default_rng(3).uniform(lx0 - 5.0, lx1 + 5.0, 20000)),
+    ])
+
+
+@pytest.mark.parametrize("name", LOOKUP_TABLES)
+def test_table_segment_matches_binary_search(name):
+    table = _lookup_table(name)
+    knots = table.abscissa
+    x = _segment_probes(table)
+    want = _searchsorted_row(table, x)
+    with np.errstate(divide="ignore", invalid="ignore"):   # log of 0 and of negatives
+        row, _ = table._segment(x)
+        assert np.array_equal(row, want)
+        grid = table._segment(x[: x.size // 2 * 2].reshape(2, -1))[0]
+        assert grid.shape == (2, x.size // 2)
+        assert np.array_equal(grid.ravel(), want[: x.size // 2 * 2])
+        for v in [*SPECIAL_PROBES, knots[0], knots[-1], np.nextafter(knots[7], 0.0)]:
+            one = table._segment(np.array(v))[0]
+            assert one.shape == () and one == _searchsorted_row(table, np.array(v))
+        # the lookup gathers exactly the rows the binary search names
+        c, s = table._locate(x)
+        lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
+    assert np.array_equal(c, table._coef[want])
+    assert np.array_equal(s, lx - table._origin[want], equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["conjugate-powerlog3", "tabulated-clustered"])
+@pytest.mark.parametrize("guess", ["first", "last"])
+def test_table_segment_corrects_any_first_guess(name, guess):
+    # a bucket index that names the first (or last) segment for every
+    # finite argument leaves all the work to the corrections, which must
+    # walk up (or down) to the binary-search row and stop there
+    table = _lookup_table(name)
+    table._bucket_row[:-1] = 0 if guess == "first" else table._lx.size
+    x = _segment_probes(table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row, _ = table._segment(x)
+    assert np.array_equal(row, _searchsorted_row(table, x))
