@@ -132,12 +132,10 @@ def cmd_verify(run: _Run) -> int:
     raw_suites = get_setting(parser, "verify", "suites", str, default="")
     suites = parse_list(raw_suites)
     if not suites:
-        print("no suites selected", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("[verify] no suites selected")
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
-        print(f"unknown suites: {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"[verify] unknown suites: {', '.join(unknown)}")
     samples = get_setting(parser, "verify", "samples", float, default=10000.0)
     if not samples.is_integer():   # nor are inf and nan
         raise ConfigError(f"[verify] samples must be a whole number, got {samples:g}")
@@ -148,8 +146,7 @@ def cmd_verify(run: _Run) -> int:
                                        default=",".join(STANDARD_FAMILIES)))
     bad = [f for f in fam_names if f not in STANDARD_FAMILIES]
     if bad:
-        print(f"unknown families: {', '.join(bad)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"[verify] unknown families: {', '.join(bad)}")
     for key, names in (("suites", suites), ("families", fam_names)):
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:

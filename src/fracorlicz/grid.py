@@ -13,12 +13,18 @@ NFunction.integral_over_t), so no truncation radius enters the value.
 
 The kernel powers depend only on |i - j|, so they are cached as O(n) data
 behind (n, n) Toeplitz views, and one row-blocked pair pass yields the
-double sum of G (the modular), of g (the operator), or both at once.
+double sum of G (the modular), of g (the operator), or both at once.  The
+pass takes G and g from NFunction.pair_terms (one power for the power
+family) and writes its slabs with out= into buffers that unbatched passes
+keep from one call to the next, so a solver iteration allocates no
+slab-sized array.  Those buffers make pair passes from several threads at
+once unsafe; the package runs them from one thread.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -139,6 +145,7 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 PAIR_BLOCK = 64  # rows per slab of the pair pass: cache-sized, few Python steps
+PAIR_SLABS = 4   # slab buffers of the pair pass: difference, quotient, G and g terms
 LUXEMBURG_CHUNK = 4096  # rows per batched Luxemburg solve: bounds its temporaries
 
 
@@ -181,6 +188,12 @@ def modular(u: GridFunction, G: NFunction) -> float:
     return float(u.mesh.h * np.sum(G(np.abs(u.values))))
 
 
+@functools.lru_cache(maxsize=1)
+def _slab_workspace(floats: int) -> np.ndarray:
+    """The slab buffers of unbatched pair passes, kept while the mesh size stays."""
+    return np.empty(floats)
+
+
 def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
                energy: bool, gradient: bool):
     """(h^2 sum_ij G(q_ij) / d_ij, 2h sum_j g(q_ij) sign(u_i - u_j) / d_ij^(1+s)).
@@ -189,20 +202,34 @@ def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
     and values may carry batch axes.  A block of rows meets the columns from
     its first row on, so pairs across blocks are evaluated once: G terms are
     symmetric, g terms antisymmetric (later columns take negated sums).
+    Every block takes G and g from G.pair_terms and writes its difference,
+    quotient and term slabs with out= into PAIR_SLABS flat buffers: those of
+    _slab_workspace for one field, fresh ones per call for a batch (a kept
+    batch workspace would hold its peak memory for the rest of the process).
+    The returned arrays are fresh and share no memory with the buffers.
     """
     inv_s, inv_1, inv_1s, _, _ = _kernel(mesh, s)
+    slab = values.size * min(PAIR_BLOCK, mesh.n)
+    work = (_slab_workspace(PAIR_SLABS * slab) if values.ndim == 1
+            else np.empty(PAIR_SLABS * slab))
     total = 0.0
     grad = np.zeros(values.shape) if gradient else None
     for lo in range(0, mesh.n, PAIR_BLOCK):
         b = min(PAIR_BLOCK, mesh.n - lo)
-        diff = values[..., lo:lo + b, None] - values[..., None, lo:]
-        q = np.abs(diff) * inv_s[lo:lo + b, lo:]
+        shape = values.shape[:-1] + (b, mesh.n - lo)
+        diff, q, G_slab, g_slab = (work[k * slab:k * slab + math.prod(shape)].reshape(shape)
+                                   for k in range(PAIR_SLABS))
+        np.subtract(values[..., lo:lo + b, None], values[..., None, lo:], out=diff)
+        np.abs(diff, out=q)
+        q *= inv_s[lo:lo + b, lo:]
+        e, g = G.pair_terms(q, energy, gradient, out=(G_slab, g_slab))
         if energy:
-            e, w = G(q), inv_1[lo:lo + b, lo:]
+            w = inv_1[lo:lo + b, lo:]
             total = total + (2.0 * np.einsum("...ij,ij->...", e, w)
                              - np.einsum("...ij,ij->...", e[..., :b], w[:, :b]))
         if gradient:
-            t = np.copysign(G.deriv(q), diff) * inv_1s[lo:lo + b, lo:]
+            t = np.copysign(g, diff, out=g_slab)
+            t *= inv_1s[lo:lo + b, lo:]
             grad[..., lo:lo + b] += t.sum(axis=-1)
             grad[..., lo + b:] -= t[..., b:].sum(axis=-2)
     return (mesh.h ** 2 * total if energy else None,

@@ -342,6 +342,28 @@ def test_verify_unknown_suite_is_config_error(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, listed, bad", [
+    ("suites", "young, nosuch", "nosuch"),
+    ("families", "power3, power9", "power9")])
+@pytest.mark.parametrize("out_exists", [False, True])
+def test_verify_unknown_name_is_config_error_without_output(tmp_path, capsys, key,
+                                                            listed, bad, out_exists):
+    # one "config error:" line that names the input; no --out directory is
+    # left behind, and no manifest.txt without a verdict in one that was there
+    settings = {"suites": "young", "families": "power3", key: listed}
+    cfg = write(tmp_path, "unknown.ini",
+                f"[verify]\nsuites = {settings['suites']}\nsamples = 10\n"
+                f"families = {settings['families']}\n")
+    out = tmp_path / "o"
+    if out_exists:
+        out.mkdir()
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: [verify] unknown {key}: {bad}"]
+    assert out.exists() == out_exists
+    assert not (out / "manifest.txt").exists()
+
+
 def test_seed_override_changes_witness(tmp_path):
     cfg = write(tmp_path, "verify.ini",
                 "[verify]\nsuites = young\nsamples = 2000\nfamilies = power3\n"

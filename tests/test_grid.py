@@ -501,6 +501,47 @@ def test_pair_pass_matches_dense_double_sum(G, n):
         assert np.array_equal(fused, op)
 
 
+def test_warm_pair_pass_allocates_less_than_two_slabs():
+    # the slab buffers outlive the pass: a warm n = 400 pass allocates only
+    # O(n) results and per-block row sums, not its 64 x 400 slabs
+    import tracemalloc
+    from fracorlicz.grid import modular_and_operator, PAIR_BLOCK
+    mesh = Mesh(0.0, 1.0, 400)
+    values = np.sqrt(mesh.nodes * (1.0 - mesh.nodes))
+    modular_and_operator(values, P3, mesh, 0.5)
+    tracemalloc.start()
+    try:
+        modular_and_operator(values, P3, mesh, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * PAIR_BLOCK * mesh.n * 8
+
+
+def test_pair_pass_results_do_not_alias_the_slab_buffers():
+    from fracorlicz.grid import modular_and_operator, _slab_workspace, PAIR_BLOCK, PAIR_SLABS
+    rng = np.random.default_rng(21)
+    mesh = Mesh(0.0, 1.0, 130)
+    s = 0.4
+    a, b = random_fourier(rng, mesh, 2)[1]
+    energy_a, op_a = modular_and_operator(a, P3, mesh, s)
+    kept = op_a.copy()
+    energy_b, op_b = modular_and_operator(b, P3, mesh, s)
+    hits = _slab_workspace.cache_info().hits
+    work = _slab_workspace(PAIR_SLABS * PAIR_BLOCK * mesh.n)
+    assert _slab_workspace.cache_info().hits == hits + 1   # the buffer the passes used
+    assert not np.shares_memory(op_a, op_b)
+    assert not np.shares_memory(op_a, work) and not np.shares_memory(op_b, work)
+    assert np.array_equal(op_a, kept)
+    # a batched pass on another mesh between two 1-D passes changes nothing
+    first = operator_apply(a, P3, mesh, s)
+    operator_apply(rng.uniform(-1.0, 1.0, (512, 12)), P3, Mesh(0.0, 1.0, 12), s)
+    again = operator_apply(a, P3, mesh, s)
+    assert np.array_equal(first, again) and np.array_equal(op_a, kept)
+    assert (energy_a, energy_b) == (modular_and_operator(a, P3, mesh, s)[0],
+                                    modular_and_operator(b, P3, mesh, s)[0])
+
+
 def _owning_array(arr):
     """The array whose buffer a (possibly strided) view reads."""
     owner = arr

@@ -182,6 +182,42 @@ def test_nan_argument_propagates():
         assert np.isnan(out[0]) and out[1] == 0.0 and np.isfinite(out[2])
 
 
+def _pair_families():
+    from fracorlicz.inequalities import STANDARD_FAMILIES
+    return {"power2": power_nfunction(2.0), **STANDARD_FAMILIES}
+
+
+@pytest.mark.parametrize("name", list(_pair_families()))
+def test_pair_terms_match_fn_and_deriv(name):
+    # g bit for bit as deriv, G within 4 ulp of fn (exact where infinite or
+    # 0); the energy-only and gradient-only calls give the same bits
+    G = _pair_families()[name]
+    t = np.concatenate([[0.0, 1e-300, 1e-3, 1.0, 7.5, 1e300, np.inf],
+                        np.logspace(-6.0, 6.0, 97)])
+    with np.errstate(over="ignore"):
+        e, g = G.pair_terms(t, True, True, out=(np.empty_like(t), np.empty_like(t)))
+        ref = G(t)
+        assert np.array_equal(g, G.deriv(t))
+        only_e, none_g = G.pair_terms(t, True, False, out=(np.empty_like(t), np.empty_like(t)))
+        none_e, only_g = G.pair_terms(t, False, True, out=(np.empty_like(t), np.empty_like(t)))
+    assert none_g is None and none_e is None
+    assert np.array_equal(only_e, e) and np.array_equal(only_g, g)
+    finite = np.isfinite(ref) & (ref > 0.0)
+    assert np.array_equal(e[~finite], ref[~finite])
+    assert np.all(np.abs(e[finite] - ref[finite]) <= 4.0 * np.spacing(ref[finite]))
+    if G.family == "power" and G.params[0] == 2.0:
+        assert np.array_equal(e, ref)
+
+
+@pytest.mark.parametrize("name", list(_pair_families()))
+def test_pair_terms_keep_nan(name):
+    G = _pair_families()[name]
+    t = np.array([np.nan, 0.0, 1.0])
+    e, g = G.pair_terms(t, True, True, out=(np.empty(3), np.empty(3)))
+    for part in (e, g, G(t), G.deriv(t)):
+        assert np.isnan(part[0]) and part[1] == 0.0 and part[2] > 0.0
+
+
 def test_tabulated_derivative_vanishes_at_origin():
     t = np.logspace(-3, 3, 200)
     T = tabulated_nfunction(t, t ** 3)
