@@ -4,11 +4,17 @@ Subcommands: verify (inequality sweeps), solve, compare, uniqueness,
 symmetry (solver experiments), norm (single-function norms).  Global flags:
 --config PATH, --seed INT (overrides the config seed), --out DIR, --quiet.
 
-Exit codes are a stable contract: 0 success/PASS, 1 verdict FAIL, 2 usage or
-config error, 3 inconclusive (a solve that did not converge is never
-reported as PASS; a numeric failure, such as a modular whose unit level
-cannot be bracketed, writes verdict=ERROR to the manifest, and a listed
-output that is missing writes no manifest).  All randomness
+Exit codes are a stable contract: 0 success, 1 verdict FAIL, 2 usage or
+config error, 3 inconclusive.  VERDICT_EXIT holds the code of each verdict:
+PASS, REPORTED (an out-of-hypothesis uniqueness run) and CONTROL (a symmetry
+run on asymmetric data) exit 0, FAIL 1, INCONCLUSIVE (a solve that did not
+converge; never reported as PASS) and ERROR (a numeric failure, such as a
+modular whose unit level cannot be bracketed) 3.  _Run.conclude writes
+verdict=... to the manifest and, for compare, uniqueness and symmetry,
+prints the verdict line.  A solve that did not converge exits 3.  Every
+config problem is a ConfigError: one "config error:" line, no manifest, and
+no --out directory left behind that the run made.  A listed output that is
+missing writes no manifest and exits 3.  All randomness
 flows from the single seed, which draws the verify sweeps and the random
 uniqueness start; solve, compare and symmetry do not read it.  Reports and
 solution files contain no wall-clock entropy, so repeated runs with the same
@@ -23,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,13 +42,16 @@ from .solver import (solve_singular, comparison_experiment, uniqueness_experimen
 from .inequalities import SUITES, STANDARD_FAMILIES, run_suite
 from .config import (ConfigError, load_config, config_digest,
                      build_mesh, build_nfunction, build_problem,
-                     build_solver_settings, coefficient_field, parse_list, get_setting,
-                     positive_setting)
+                     build_solver_settings, coefficient_field, fraction_setting,
+                     get_setting, name_list, positive_setting)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
+VERDICT_EXIT = {"PASS": EXIT_OK, "REPORTED": EXIT_OK, "CONTROL": EXIT_OK,
+                "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE,
+                "ERROR": EXIT_INCONCLUSIVE}
 
 
 @dataclass
@@ -97,8 +106,15 @@ class _Run:
         if not self.quiet:
             print(text)
 
-    def verdict(self, text: str):
-        print(text)
+    def conclude(self, verdict: str, shown: Optional[str] = None, detail: str = "") -> int:
+        """Write verdict=<verdict><detail> to the manifest and return its exit code.
+
+        With shown, first print the verdict line <verdict><shown>, even when quiet.
+        """
+        if shown is not None:
+            print(verdict + shown)
+        self.manifest.note(f"verdict={verdict}{detail}")
+        return VERDICT_EXIT[verdict]
 
     def write_grid(self, name: str, gf: GridFunction) -> Path:
         path = self.out / name
@@ -129,31 +145,16 @@ def _problem_context(run: _Run):
 
 def cmd_verify(run: _Run) -> int:
     parser = run.parser
-    raw_suites = get_setting(parser, "verify", "suites", str, default="")
-    suites = parse_list(raw_suites)
-    if not suites:
-        raise ConfigError("[verify] no suites selected")
-    unknown = [s for s in suites if s not in SUITES]
-    if unknown:
-        raise ConfigError(f"[verify] unknown suites: {', '.join(unknown)}")
+    suites = name_list(parser, "verify", "suites", SUITES)
     samples = get_setting(parser, "verify", "samples", float, default=10000.0)
     if not samples.is_integer():   # nor are inf and nan
         raise ConfigError(f"[verify] samples must be a whole number, got {samples:g}")
     if samples < 1:
         raise ConfigError(f"[verify] samples must be at least 1, got {samples:g}")
     samples = int(samples)
-    fam_names = parse_list(get_setting(parser, "verify", "families", str,
-                                       default=",".join(STANDARD_FAMILIES)))
-    bad = [f for f in fam_names if f not in STANDARD_FAMILIES]
-    if bad:
-        raise ConfigError(f"[verify] unknown families: {', '.join(bad)}")
-    for key, names in (("suites", suites), ("families", fam_names)):
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ConfigError(f"[verify] {key} lists {', '.join(repeated)} more than once")
-    s_order = get_setting(parser, "verify", "s", float, default=0.5)
-    if not 0.0 < s_order < 1.0:
-        raise ConfigError(f"[verify] s must lie in (0, 1), got {s_order}")
+    fam_names = name_list(parser, "verify", "families", STANDARD_FAMILIES,
+                          default=",".join(STANDARD_FAMILIES))
+    s_order = fraction_setting(parser, "verify", "s", 0.5)
 
     rows = ["name,samples,violations,min_gap,witness"]
     failing = []
@@ -182,10 +183,8 @@ def cmd_verify(run: _Run) -> int:
     if failing:
         for name in failing:
             print(f"suite failed: {name}", file=sys.stderr)
-        run.manifest.note(f"verdict=FAIL failing={';'.join(failing)}")
-        return EXIT_FAIL
-    run.manifest.note("verdict=PASS")
-    return EXIT_OK
+        return run.conclude("FAIL", detail=f" failing={';'.join(failing)}")
+    return run.conclude("PASS")
 
 
 def _is_torsion_benchmark(spec) -> bool:
@@ -217,21 +216,19 @@ def cmd_solve(run: _Run) -> int:
     if _is_torsion_benchmark(spec):
         ref = float(spec.k.values[0]) * torsion_reference(spec.mesh)
         err = (result.u - ref).l2_norm() / ref.l2_norm()
-        run.verdict(f"torsion reference relative L2 error: {err:.6e}")
+        print(f"torsion reference relative L2 error: {err:.6e}")
         run.manifest.note(f"torsion_l2_error={err:.6e}")
-    run.verdict(f"solve {'converged' if result.converged else 'DID NOT CONVERGE'} "
-                f"(residual_inf={result.residual_inf:.3e})")
+    print(f"solve {'converged' if result.converged else 'DID NOT CONVERGE'} "
+          f"(residual_inf={result.residual_inf:.3e})")
     return EXIT_OK if result.converged else EXIT_INCONCLUSIVE
 
 
 def cmd_compare(run: _Run) -> int:
+    f_high_raw = get_setting(run.parser, "compare", "f_high", str)
+    k_high_raw = get_setting(run.parser, "compare", "k_high", str)
+    if not (f_high_raw or k_high_raw):
+        raise ConfigError("[compare] needs f_high and/or k_high")
     mesh, G, low = _problem_context(run)
-    parser = run.parser
-    f_high_raw = get_setting(parser, "compare", "f_high", str)
-    k_high_raw = get_setting(parser, "compare", "k_high", str)
-    if f_high_raw is None and k_high_raw is None:
-        print("[compare] needs f_high and/or k_high", file=sys.stderr)
-        return EXIT_CONFIG
     f_high = (coefficient_field(f_high_raw, mesh, "f_high", run.base_dir)
               if f_high_raw else low.f)
     k_high = (coefficient_field(k_high_raw, mesh, "k_high", run.base_dir)
@@ -244,14 +241,11 @@ def cmd_compare(run: _Run) -> int:
     for note in outcome.notes:
         run.manifest.note(f"membership={note}")
     if outcome.inconclusive:
-        run.verdict("INCONCLUSIVE: a solve did not converge")
-        run.manifest.note("verdict=INCONCLUSIVE")
-        return EXIT_INCONCLUSIVE
+        return run.conclude("INCONCLUSIVE", ": a solve did not converge")
     n_viol = int(outcome.violated_nodes.size)
-    verdict = "PASS" if n_viol == 0 else "FAIL"
-    run.verdict(f"{verdict} violations={n_viol} tol_cmp={outcome.tol_cmp:.3e}")
-    run.manifest.note(f"verdict={verdict} violations={n_viol} tol_cmp={outcome.tol_cmp:.6e}")
-    return EXIT_OK if n_viol == 0 else EXIT_FAIL
+    return run.conclude("PASS" if outcome.ok else "FAIL",
+                        f" violations={n_viol} tol_cmp={outcome.tol_cmp:.3e}",
+                        f" violations={n_viol} tol_cmp={outcome.tol_cmp:.6e}")
 
 
 def cmd_uniqueness(run: _Run) -> int:
@@ -271,18 +265,11 @@ def cmd_uniqueness(run: _Run) -> int:
                           "outcome reported, not asserted")
     run.manifest.note(f"max_pairwise={outcome.max_pairwise:.6e}")
     if outcome.inconclusive:
-        run.verdict("INCONCLUSIVE: a solve did not converge")
-        run.manifest.note("verdict=INCONCLUSIVE")
-        return EXIT_INCONCLUSIVE
+        return run.conclude("INCONCLUSIVE", ": a solve did not converge")
+    measured = f" max_pairwise={outcome.max_pairwise:.3e} threshold={threshold:.1e}"
     if outcome.out_of_hypothesis:
-        run.verdict(f"REPORTED max_pairwise={outcome.max_pairwise:.3e} "
-                    f"threshold={threshold:.1e} (out-of-hypothesis)")
-        run.manifest.note("verdict=REPORTED")
-        return EXIT_OK
-    verdict = "PASS" if outcome.max_pairwise < threshold else "FAIL"
-    run.verdict(f"{verdict} max_pairwise={outcome.max_pairwise:.3e} threshold={threshold:.1e}")
-    run.manifest.note(f"verdict={verdict}")
-    return EXIT_OK if verdict == "PASS" else EXIT_FAIL
+        return run.conclude("REPORTED", measured + " (out-of-hypothesis)")
+    return run.conclude("PASS" if outcome.ok else "FAIL", measured)
 
 
 def cmd_symmetry(run: _Run) -> int:
@@ -296,17 +283,12 @@ def cmd_symmetry(run: _Run) -> int:
     run.write_grid("solution.txt", outcome.result.u)
     run.manifest.note(f"asymmetry={outcome.asymmetry:.6e}")
     if outcome.inconclusive:
-        run.verdict("INCONCLUSIVE: solve did not converge")
-        run.manifest.note("verdict=INCONCLUSIVE")
-        return EXIT_INCONCLUSIVE
+        return run.conclude("INCONCLUSIVE", ": solve did not converge")
     if not outcome.symmetric_data:
-        run.verdict(f"CONTROL asymmetry={outcome.asymmetry:.3e} (data not symmetric)")
-        run.manifest.note("verdict=CONTROL")
-        return EXIT_OK
-    verdict = "PASS" if outcome.asymmetry < threshold else "FAIL"
-    run.verdict(f"{verdict} asymmetry={outcome.asymmetry:.3e} threshold={threshold:.1e}")
-    run.manifest.note(f"verdict={verdict}")
-    return EXIT_OK if verdict == "PASS" else EXIT_FAIL
+        return run.conclude("CONTROL", f" asymmetry={outcome.asymmetry:.3e} "
+                                       "(data not symmetric)")
+    return run.conclude("PASS" if outcome.asymmetry < threshold else "FAIL",
+                        f" asymmetry={outcome.asymmetry:.3e} threshold={threshold:.1e}")
 
 
 def cmd_norm(run: _Run) -> int:
@@ -319,17 +301,17 @@ def cmd_norm(run: _Run) -> int:
     if kind == "LG":
         modular_fn = lambda w: modular(w, G)
     elif kind in ("seminorm_omega", "seminorm_full"):
-        s = get_setting(parser, "norm", "s", float,
-                        default=get_setting(parser, "problem", "s", float, default=0.5))
+        # the order is [norm] s, else [problem] s, else 1/2
+        s = fraction_setting(parser, "norm" if parser.has_option("norm", "s") else "problem",
+                             "s", 0.5)
         domain = "omega" if kind == "seminorm_omega" else "full"
         modular_fn = lambda w: seminorm_modular(w, G, s, domain)
     else:
-        print(f"unknown norm kind {kind!r} (LG, seminorm_omega, seminorm_full)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"[norm] kind must be LG, seminorm_omega or seminorm_full, "
+                          f"got {kind!r}")
     value = luxemburg_norm(u, modular_fn)
     residual = abs(modular_fn(u / value) - 1.0) if value > 0.0 else 0.0
-    run.verdict(f"norm={value:.10g} bisection_residual={residual:.3e}")
+    print(f"norm={value:.10g} bisection_residual={residual:.3e}")
     run.manifest.note(f"norm={value!r} residual={residual!r} kind={kind}")
     return EXIT_OK
 
@@ -373,18 +355,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         code = COMMANDS[args.command](run)
-    except ConfigError as err:
+    except ValueError as err:   # a ConfigError, or an experiment's precondition on the data
         print(f"config error: {err}", file=sys.stderr)
-        run.discard()
-        return EXIT_CONFIG
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
         run.discard()
         return EXIT_CONFIG
     except (ModularNotDecreasingError, BracketExpansionError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
-        run.manifest.note("verdict=ERROR")
-        code = EXIT_INCONCLUSIVE
+        code = run.conclude("ERROR")
     try:
         run.finish()
     except RuntimeError as err:  # an output the manifest lists is missing

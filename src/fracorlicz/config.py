@@ -5,7 +5,8 @@ two-column table file); [problem] s, alpha, beta, f, k (expression or
 file:PATH), epsilon0, epsilon_min, optional obstacle; [solver] tol
 (finite, > 0), max_iter (>= 1), seed (>= 0); plus per-command sections
 ([verify], [compare], [uniqueness], [symmetry], [norm]); the [uniqueness]
-and [symmetry] thresholds must be finite and > 0 as well.
+and [symmetry] thresholds must be finite and > 0 as well, and the [verify]
+and [norm] orders s must lie in (0, 1).
 
 The config digest is the SHA-256 of the canonicalized bytes (sorted
 sections and keys, normalized whitespace), so reordering a file does not
@@ -79,6 +80,33 @@ def positive_setting(parser, section, key, default: float) -> float:
     if not (np.isfinite(value) and value > 0.0):
         raise ConfigError(f"[{section}] {key} must be finite and positive, got {value}")
     return value
+
+
+def fraction_setting(parser, section, key, default: float) -> float:
+    """A float setting in the open interval (0, 1), else a ConfigError naming it."""
+    value = get_setting(parser, section, key, float, default=default)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"[{section}] {key} must lie in (0, 1), got {value}")
+    return value
+
+
+def name_list(parser, section, key, known, default: str = "") -> list:
+    """A comma-separated list of names from known, each at most once.
+
+    An empty list, an unknown name or a repeated one is a ConfigError
+    naming the key.
+    """
+    raw = get_setting(parser, section, key, str, default=default)
+    names = [item.strip() for item in raw.split(",") if item.strip()]
+    if not names:
+        raise ConfigError(f"[{section}] no {key} selected")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ConfigError(f"[{section}] unknown {key}: {', '.join(unknown)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"[{section}] {key} lists {', '.join(repeated)} more than once")
+    return names
 
 
 def build_mesh(parser) -> Mesh:
@@ -162,7 +190,3 @@ def build_solver_settings(parser, seed_override: Optional[int] = None) -> Solver
     if seed < 0:
         raise ConfigError(f"[solver] seed (or --seed) must be nonnegative, got {seed}")
     return SolverSettings(tol=tol, max_iter=max_iter, seed=seed)
-
-
-def parse_list(raw: str) -> list:
-    return [item.strip() for item in raw.split(",") if item.strip()]

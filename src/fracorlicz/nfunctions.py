@@ -730,7 +730,6 @@ class DerivedNFunction:
     seeded from the table), the table (PCHIP in log-log) otherwise.
     """
 
-    base: NFunction
     table: LogLogTable
     label: str
     inverse_table: Optional[LogLogTable] = None
@@ -808,9 +807,7 @@ def complementary(nf) -> DerivedNFunction:
         val = np.where(t1 == 0.0, 0.0, val)   # a NaN argument stays NaN
         return val if np.ndim(t) else float(val[0])
 
-    return DerivedNFunction(
-        base=nf if isinstance(nf, NFunction) else nf.base, table=table,
-        label=f"conjugate[{nf.name}]", evaluate=evaluate)
+    return DerivedNFunction(table=table, label=f"conjugate[{nf.name}]", evaluate=evaluate)
 
 
 def inverse_nfunction(nf: NFunction) -> DerivedNFunction:
@@ -823,8 +820,7 @@ def inverse_nfunction(nf: NFunction) -> DerivedNFunction:
         t = _newton_refine(nf, nf.deriv, table(tau1), tau1)
         return t if np.ndim(tau) else float(t[0])
 
-    return DerivedNFunction(base=nf, table=table, label=f"inverse[{nf.name}]",
-                            evaluate=evaluate)
+    return DerivedNFunction(table=table, label=f"inverse[{nf.name}]", evaluate=evaluate)
 
 
 def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction:
@@ -867,7 +863,7 @@ def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction
     inverse_side = LogLogTable(knots, cumulative)   # this is (G_*)^{-1}
     forward = LogLogTable(cumulative, knots)        # G_* itself
     return DerivedNFunction(
-        base=nf, table=forward, inverse_table=inverse_side,
+        table=forward, inverse_table=inverse_side,
         label=f"sobolev_conjugate[{nf.name}; s={s:g}, N={dim}]",
     )
 
@@ -885,7 +881,7 @@ def compose_power(gstar: DerivedNFunction, exponent: float) -> DerivedNFunction:
     values = gstar(grid ** exponent)
     keep = values > 0.0
     return DerivedNFunction(
-        base=gstar.base, table=LogLogTable(grid[keep], values[keep]),
+        table=LogLogTable(grid[keep], values[keep]),
         label=f"compose[{gstar.name}; e={exponent:g}]",
     )
 

@@ -93,8 +93,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError("fractional order s must lie in (0, 1)")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be nonnegative")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.f.mesh != self.k.mesh:
             raise ValueError("coefficients f and k live on different meshes")
         if np.any(self.f.values < 0.0) or np.any(self.k.values < 0.0):
@@ -107,6 +108,16 @@ class ProblemSpec:
                              "singularity is never evaluated")
         if self.epsilon0 < self.epsilon_min:
             raise ValueError("epsilon0 must be >= epsilon_min")
+        # the reaction primitive takes epsilon**(1 - alpha) and epsilon**(1 + beta)
+        # as Python floats, which raise OverflowError past the largest float;
+        # over the schedule the largest powers sit at its two ends
+        log_ends = np.log([self.epsilon_min, self.epsilon0])
+        for name, value, e in (("alpha", self.alpha, 1.0 - self.alpha),
+                               ("beta", self.beta, 1.0 + self.beta)):
+            if np.max(e * log_ends) > np.log(np.finfo(float).max):
+                raise ValueError(f"{name}={value:g} is too large for epsilon in "
+                                 f"[{self.epsilon_min:g}, {self.epsilon0:g}]: "
+                                 f"epsilon**{e:g} overflows a float")
         if self.obstacle is not None:
             if self.obstacle.mesh != self.mesh:
                 raise ValueError("obstacle mesh mismatch")
@@ -146,7 +157,7 @@ class StageStats:
     curvature, and plain_steps the iterations that stepped in the identity
     metric because a bound was binding.  stop is "pg_tol" (converged),
     "linesearch_stall" or "max_iter".  seconds is wall-clock time, so it
-    never enters SolveResult.serialize or the solution files.
+    never enters the solution files.
     """
 
     epsilon: float
@@ -169,25 +180,7 @@ class SolveResult:
     residual_inf: float
     converged: bool
     iterations: int = 0
-    notes: Tuple[str, ...] = ()
     stages: List[StageStats] = field(default_factory=list)
-
-    def serialize(self) -> str:
-        """Deterministic text form (bit-identical for identical runs)."""
-        lines = [
-            f"converged={self.converged}",
-            f"iterations={self.iterations}",
-            f"residual_inf={self.residual_inf!r}",
-        ]
-        for st in self.stages:
-            lines.append(f"stage eps={st.epsilon!r} cells={st.cells} "
-                         f"iterations={st.iterations} energy={st.energy!r}")
-        for st in self.stages:
-            lines.append(f"stage_diff={st.increment!r}")
-        for note in self.notes:
-            lines.append(f"note={note}")
-        lines.append("values=" + ",".join(repr(v) for v in self.u.values))
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +470,6 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     level to decrease over its last three stages; residual_inf is the
     finest level's.  A u_init on another mesh is a ValueError.
     """
-    notes = tuple(spec.hypothesis_warnings())
     if u_init is None:
         u_init = GridFunction.zeros(spec.mesh)
     _check_start_mesh(spec, u_init)
@@ -524,7 +516,6 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
         residual_inf=result.residual_inf,
         converged=all_converged and cauchy_ok,
         iterations=total_iters,
-        notes=notes,
         stages=stages,
     )
 

@@ -193,6 +193,29 @@ def test_nonfinite_epsilon_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha, beta, eps0, named", [
+    ("60", "0.5", "1e-2", "alpha=60"), ("200", "0.5", "1e-2", "alpha=200"),
+    ("1e3", "0.5", "1e-2", "alpha=1000"), ("0.5", "40", "1e10", "beta=40"),
+    ("inf", "0.5", "1e-2", "alpha must be finite and nonnegative, got inf"),
+    ("nan", "0.5", "1e-2", "alpha must be finite and nonnegative, got nan"),
+    ("0.5", "nan", "1e-2", "beta must be finite and nonnegative, got nan"),
+    ("0.5", "inf", "1e-2", "beta must be finite and nonnegative, got inf"),
+], ids=["alpha-60", "alpha-200", "alpha-1e3", "beta-40-eps0-1e10", "alpha-inf",
+        "alpha-nan", "beta-nan", "beta-inf"])
+def test_degenerate_exponent_is_config_error(tmp_path, capsys, alpha, beta, eps0, named):
+    # epsilon_min**(1 - alpha) overflows a float once alpha > 52.4 at epsilon_min = 1e-6,
+    # and epsilon0**(1 + beta) once beta > 29.8 at epsilon0 = 1e10
+    text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3, alpha=alpha, beta=beta,
+                       f="1", k="1", eps0=eps0, epsmin="1e-6")
+    out = tmp_path / "never"
+    assert main(["solve", "--config", write(tmp_path, "exp.ini", text),
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: [problem]: ")
+    assert named in lines[0]
+    assert not out.exists()
+
+
 def test_solve_emits_hypothesis_warnings(tmp_path):
     cfg = torsion_config(tmp_path)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
@@ -395,6 +418,23 @@ def test_compare_requires_high_side(tmp_path):
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
 
 
+@pytest.mark.parametrize("command, extra, named", [
+    ("compare", "", "[compare] needs f_high and/or k_high"),
+    ("norm", "\n[norm]\nu = 1\nkind = bogus\n", "[norm] kind"),
+    ("norm", "\n[norm]\nu = 1\nkind = seminorm_full\ns = 1.5\n",
+     "[norm] s must lie in (0, 1), got 1.5"),
+    ("verify", "\n[verify]\nsuites = young\nsamples = 10\nfamilies =\n",
+     "[verify] no families selected"),
+], ids=["compare-no-high-side", "norm-kind-bogus", "norm-s-1.5", "verify-no-families"])
+def test_command_config_problem_is_one_config_error(tmp_path, capsys, command, extra, named):
+    cfg = singular_config(tmp_path, n=16, extra=extra)
+    out = tmp_path / "never"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and named in lines[0]
+    assert not out.exists()
+
+
 def test_uniqueness_pass(tmp_path, capsys):
     cfg = singular_config(tmp_path, n=32)
     code = main(["uniqueness", "--config", cfg, "--out", str(tmp_path / "u"), "--quiet"])
@@ -413,6 +453,18 @@ def test_uniqueness_out_of_hypothesis_warns(tmp_path):
     manifest = (tmp_path / "u2" / "manifest.txt").read_text()
     assert "out-of-hypothesis" in manifest
     assert code == 0  # reported, not asserted
+
+
+def test_uniqueness_out_of_hypothesis_is_reported(tmp_path, capsys):
+    # beta = 2.5 >= p_minus - 1 = 2: the spread is reported, not judged
+    text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3,
+                       alpha=0.5, beta=2.5, f="1", k="1",
+                       eps0="1e-2", epsmin="1e-3")
+    out = tmp_path / "u"
+    assert main(["uniqueness", "--config", write(tmp_path, "rep.ini", text),
+                 "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out.startswith("REPORTED")
+    assert "verdict=REPORTED" in (out / "manifest.txt").read_text().splitlines()
 
 
 @pytest.mark.parametrize("command", ["uniqueness", "symmetry"])
