@@ -17,8 +17,13 @@ to the quadratic operator, so the iteration count barely grows with n
 (preconditioned Barzilai-Borwein, Molina & Raydan 1996).  A box clamp is an
 exact projection only under a diagonal metric, so an iteration at which a
 bound binds steps in the identity metric instead (Bertsekas 1982).  The
-regularization is then driven down a geometric schedule, warm-starting each
-stage, and the stagewise Cauchy increments are recorded.
+regularization is then driven down a geometric schedule, and the stagewise
+Cauchy increments (the sup distances between consecutive stage solutions)
+are recorded.  The schedule is a predictor-corrector continuation (Allgower
+& Georg 1990): each stage after the first starts from the Lagrange
+extrapolation in epsilon, at its own epsilon, through the last three stage
+solutions (as many as there are, at the second and third stages), clamped
+onto the box, and the descent corrects it.
 
 The schedule runs on a coarse mesh and the fine meshes only polish its
 answer (nested iteration in the full-multigrid sense, Brandt 1977).  The
@@ -58,6 +63,7 @@ from .inequalities import call_vectorised, f2_monotonicity_check
 logger = logging.getLogger(__name__)
 
 COARSEST_CELLS = 32   # the nested solve halves the mesh down to no fewer cells
+PREDICTOR_POINTS = 3  # coarse stage starts extrapolate the last three solutions
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 ENERGY_DESCENT_SLACK = 1e-12
@@ -109,10 +115,12 @@ class ProblemSpec:
         if self.epsilon0 < self.epsilon_min:
             raise ValueError("epsilon0 must be >= epsilon_min")
         # the reaction primitive takes epsilon**(1 - alpha) and epsilon**(1 + beta)
-        # as Python floats, which raise OverflowError past the largest float;
-        # over the schedule the largest powers sit at its two ends
+        # as Python floats, which raise OverflowError past the largest float,
+        # and the forcing's (u + epsilon)**-alpha is largest at u = 0; over
+        # the schedule the largest powers sit at its two ends
         log_ends = np.log([self.epsilon_min, self.epsilon0])
         for name, value, e in (("alpha", self.alpha, 1.0 - self.alpha),
+                               ("alpha", self.alpha, -self.alpha),
                                ("beta", self.beta, 1.0 + self.beta)):
             if np.max(e * log_ends) > np.log(np.finfo(float).max):
                 raise ValueError(f"{name}={value:g} is too large for epsilon in "
@@ -148,9 +156,11 @@ class StageStats:
     """Record of one epsilon stage of minimize_energy.
 
     cells is the stage's mesh size.  iterations and energy are the stage's
-    loop count and final energy; increment is the sup distance from the
-    stage's start to its end, the continuation's Cauchy increment (on a
-    finer mesh level, the distance from the interpolated coarse solution).
+    loop count and final energy; increment is the continuation's Cauchy
+    increment, a sup distance to the stage's end: from the previous stage's
+    solution for a coarse stage after the first under solve_singular (not
+    from its predicted start), else from the stage's start (on a finer mesh
+    level, the interpolated coarse solution).
     pair_passes counts the O(n^2) kernel sweeps: one at the start and one
     per evaluated Armijo trial.  backtracks counts rejected trials,
     bb_fallbacks the Barzilai-Borwein proposals discarded for nonpositive
@@ -450,6 +460,18 @@ def _interpolate(u: GridFunction, mesh: Mesh) -> GridFunction:
     return GridFunction(mesh, values, u.label)
 
 
+def _predicted_start(history: Sequence[Tuple[float, np.ndarray]], epsilon: float,
+                     upper: Optional[np.ndarray]) -> np.ndarray:
+    """Lagrange extrapolation at epsilon through the (epsilon, solution)
+    pairs of history, clamped onto the box [0, upper]."""
+    values = np.zeros_like(history[0][1])
+    for i, (e_i, u_i) in enumerate(history):
+        weight = math.prod((epsilon - e_j) / (e_i - e_j)
+                           for j, (e_j, _) in enumerate(history) if j != i)
+        values += weight * u_i
+    return _project(values, upper)
+
+
 def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
                    tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
     """Continuation solve, nested over mesh levels.
@@ -457,18 +479,24 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     The levels halve spec's mesh while its cell count is even and the half
     keeps at least COARSEST_CELLS cells; otherwise there is one level.  The
     start (zero by default) is restricted to the coarsest level by cell-pair
-    means, and the whole epsilon schedule runs there, each stage
-    warm-starting the next.  Each finer level starts from the coarser
-    solution, interpolated linearly with zero values at a and b, and runs
-    one stage at epsilon_min.  Every stage is one minimize_energy call with
-    tol and max_iter (default 50 times that level's cells), recorded in
-    stages in the order run.
+    means, and the whole epsilon schedule runs there.  The first stage
+    starts from the restricted start; each later stage from the Lagrange
+    extrapolation in epsilon, at the stage's epsilon, through the last
+    PREDICTOR_POINTS stage solutions (fewer while fewer exist), clamped onto
+    the box.  The weights use the actual epsilon values, so the last step
+    to epsilon_min, which is not a halving, is predicted as well as the
+    others.  Each finer level starts from the coarser solution,
+    interpolated linearly with zero values at a and b, and runs one stage
+    at epsilon_min.  Every stage is one minimize_energy call with tol and
+    max_iter (default 50 times that level's cells), recorded in stages in
+    the order run.
 
     The continuation itself is a numerical device (the analysis sends the
     regularization to zero abstractly).  converged requires every stage to
     stop at pg_tol and the stagewise sup-norm increments of the coarsest
-    level to decrease over its last three stages; residual_inf is the
-    finest level's.  A u_init on another mesh is a ValueError.
+    level, the distances between consecutive stage solutions, to decrease
+    over its last three stages; residual_inf is the finest level's.  A
+    u_init on another mesh is a ValueError.
     """
     if u_init is None:
         u_init = GridFunction.zeros(spec.mesh)
@@ -489,11 +517,20 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     trace: List[Tuple[int, float]] = []
     all_converged = True
     total_iters = 0
+    history: List[Tuple[float, np.ndarray]] = []   # the coarse stage solutions
     for level, eps in plan:
         if u.mesh != level.mesh:
             u = _interpolate(u, level.mesh)
+        elif history:
+            upper = None if level.obstacle is None else level.obstacle.values
+            u = u.with_values(_predicted_start(history[-PREDICTOR_POINTS:], eps, upper))
         result = minimize_energy(level, eps, u, tol=tol, max_iter=max_iter)
         u = result.u
+        if level is levels[0]:
+            if history:   # the Cauchy increment, not the distance from the prediction
+                increment = float(np.max(np.abs(u.values - history[-1][1])))
+                result.stages[0] = replace(result.stages[0], increment=increment)
+            history.append((eps, u.values))
         stages.extend(result.stages)
         offset = total_iters
         trace.extend([(offset + i, e) for i, e in result.energy_trace])

@@ -194,17 +194,18 @@ def test_nonfinite_epsilon_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("alpha, beta, eps0, named", [
+    ("52", "0.5", "1e-2", "alpha=52"),
     ("60", "0.5", "1e-2", "alpha=60"), ("200", "0.5", "1e-2", "alpha=200"),
     ("1e3", "0.5", "1e-2", "alpha=1000"), ("0.5", "40", "1e10", "beta=40"),
     ("inf", "0.5", "1e-2", "alpha must be finite and nonnegative, got inf"),
     ("nan", "0.5", "1e-2", "alpha must be finite and nonnegative, got nan"),
     ("0.5", "nan", "1e-2", "beta must be finite and nonnegative, got nan"),
     ("0.5", "inf", "1e-2", "beta must be finite and nonnegative, got inf"),
-], ids=["alpha-60", "alpha-200", "alpha-1e3", "beta-40-eps0-1e10", "alpha-inf",
+], ids=["alpha-52", "alpha-60", "alpha-200", "alpha-1e3", "beta-40-eps0-1e10", "alpha-inf",
         "alpha-nan", "beta-nan", "beta-inf"])
 def test_degenerate_exponent_is_config_error(tmp_path, capsys, alpha, beta, eps0, named):
-    # epsilon_min**(1 - alpha) overflows a float once alpha > 52.4 at epsilon_min = 1e-6,
-    # and epsilon0**(1 + beta) once beta > 29.8 at epsilon0 = 1e10
+    # the forcing's epsilon_min**-alpha overflows a float once alpha > 51.4 at
+    # epsilon_min = 1e-6, and epsilon0**(1 + beta) once beta > 29.8 at epsilon0 = 1e10
     text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3, alpha=alpha, beta=beta,
                        f="1", k="1", eps0=eps0, epsmin="1e-6")
     out = tmp_path / "never"
