@@ -14,11 +14,13 @@ NFunction.integral_over_t), so no truncation radius enters the value.
 The kernel powers depend only on |i - j|, so they are cached as O(n) data
 behind (n, n) Toeplitz views, and one row-blocked pair pass yields the
 double sum of G (the modular), of g (the operator), or both at once.  The
-pass takes G and g from NFunction.pair_terms (one power for the power
-family) and writes its slabs with out= into buffers that unbatched passes
-keep from one call to the next, so a solver iteration allocates no
-slab-sized array.  Those buffers make pair passes from several threads at
-once unsafe; the package runs them from one thread.
+pass takes G and g together from the N-function's pair_terms, the one
+evaluator each family supplies, and writes its slabs with out= into
+buffers that unbatched passes keep from one call to the next; pair_terms
+may write its terms into the G and g slabs too, so a solver iteration on
+a power family allocates no slab-sized array.  Those buffers make pair
+passes from several threads at once unsafe; the package runs them from one
+thread.
 """
 
 from __future__ import annotations

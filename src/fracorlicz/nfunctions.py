@@ -8,16 +8,23 @@ and tabulates the derived objects: the complementary (convex-conjugate)
 function, the inverse, the fractional Sobolev conjugate, and power
 compositions of it.
 
-All evaluators are vectorised over numpy arrays.  Derived functions are
-stored as strictly monotone tables interpolated with a monotonicity
-preserving cubic (PCHIP, Fritsch & Carlson) in log-log coordinates, with
-power-law extension beyond the tabulated range; this preserves the
-monotonicity/convexity invariants that the test suite asserts.  Each derived
-function evaluates in one way: its table, or one Newton refinement seeded
-from the table (the complementary function's maximizer, the inverse).
-Monotone equations without a table (closed-form-free inverses of the
-families, Luxemburg norms) go through one bracketed root-finder,
-Chandrupatla's hybrid.  Both algorithms live in this module on numpy alone.
+All evaluators are vectorised over numpy arrays.  A family's G and its
+derivative g have one evaluator, the `pair_terms` field of NFunction, which
+gives both from shared powers and logarithms and writes into buffers its
+caller hands it; calling G or G.deriv asks it for one part.  A user-built
+family supplies its own pair_terms under the contract in the NFunction
+docstring.
+
+Derived functions are stored as strictly monotone tables interpolated with
+a monotonicity preserving cubic (PCHIP, Fritsch & Carlson) in log-log
+coordinates, with power-law extension beyond the tabulated range; this
+preserves the monotonicity/convexity invariants that the test suite
+asserts.  Each derived function evaluates in one way: its table, or one
+Newton refinement seeded from the table (the complementary function's
+maximizer, the inverse).  Monotone equations without a table
+(closed-form-free inverses of the families, Luxemburg norms) go through
+one bracketed root-finder, Chandrupatla's hybrid.  Both algorithms live in
+this module on numpy alone.
 """
 
 from __future__ import annotations
@@ -407,15 +414,21 @@ class NFunction:
     ``eval_domain`` is the abscissa interval on which numeric evaluation is
     trusted.  ``warnings`` records documented relaxations (for instance a
     lower index at or below 2, which the solver tolerates but flags).
-    ``pair_terms`` gives G and g together for the pair pass of ``grid``:
-    from one power for the power family, from ``fn`` and ``deriv_fn``
-    otherwise.
+
+    ``pair_terms(t, energy, gradient, out)`` is the one evaluator of G and
+    g = G' that a family supplies: for an array t it returns (G(t), g(t)),
+    a part not asked for None.  out = (G buffer, g buffer) holds arrays
+    shaped like t that t does not overlap, or None where the family is to
+    allocate; a family may write into them (as scratch too, even for a
+    part not asked for) or ignore them.  The pair pass of ``grid`` passes
+    its slab buffers, and calling G or G.deriv is the energy-only or
+    gradient-only call with out = (None, None), so a family writes its G
+    and g formulas once.
     """
 
     family: str
     params: tuple
-    fn: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Callable[[np.ndarray], np.ndarray]
+    pair_terms: Callable[[np.ndarray, bool, bool, tuple], tuple]
     deriv2_fn: Callable[[np.ndarray], np.ndarray]
     p_minus: float
     p_plus: float
@@ -427,42 +440,22 @@ class NFunction:
     label: str = ""
 
     def __call__(self, t):
-        return self.fn(_as_array(t))
+        return self.pair_terms(_as_array(t), True, False, (None, None))[0]
 
     def deriv(self, t):
-        return self.deriv_fn(_as_array(t))
+        return self.pair_terms(_as_array(t), False, True, (None, None))[1]
 
     def deriv2(self, t):
         return self.deriv2_fn(_as_array(t))
-
-    def pair_terms(self, t: np.ndarray, energy: bool, gradient: bool, out: tuple) -> tuple:
-        """(G(t), g(t)) for an array t, a part not asked for None.
-
-        For the power family both come from one power: g = t**(p - 1) equals
-        deriv bit for bit, and G = t g / p lies within a few ulp of fn (the
-        same bits at p = 2); they are written into out = (G buffer, g buffer),
-        arrays shaped like t that t does not overlap.  Other families call
-        fn and deriv_fn for just the parts asked for, and ignore out.
-        """
-        if self.family != "power":
-            return (self.fn(t) if energy else None, self.deriv_fn(t) if gradient else None)
-        p = self.params[0]
-        G, g = out
-        np.power(t, p - 1.0, out=g)
-        if not energy:
-            return None, g
-        np.multiply(t, g, out=G)
-        G /= p
-        return G, (g if gradient else None)
 
     def inverse(self, tau):
         """Inverse of the function itself, closed-form where available."""
         if self.inverse_fn is not None:
             return self.inverse_fn(_as_array(tau))
-        return solve_increasing(self.fn, tau)
+        return solve_increasing(self, tau)
 
     def integral_over_t(self, x):
-        """Cumulative integral of fn(r)/r from 0 to x.
+        """Cumulative integral of G(r)/r from 0 to x.
 
         This is the primitive behind the exact exterior-tail formulas of the
         nonlocal modulars: the tail of the kernel integral beyond distance d
@@ -528,10 +521,25 @@ def power_nfunction(p: float) -> NFunction:
     p = float(p)
     if p < 2.0:
         raise InvalidNFunctionError(f"power family needs p >= 2, got {p}")
+
+    def pair_terms(t, energy, gradient, out):
+        # G = t g / p from the one power g = t**(p - 1): within a few ulp of
+        # t**p / p, and the same bits at p = 2
+        G, g = out
+        g = np.power(t, p - 1.0, out=g)
+        if not energy:
+            return None, g
+        if gradient:
+            G = np.multiply(t, g, out=G)
+        else:   # G takes the place of g
+            G = g
+            G *= t
+        G /= p
+        return G, (g if gradient else None)
+
     return NFunction(
         family="power", params=(p,),
-        fn=lambda t: t ** p / p,
-        deriv_fn=lambda t: t ** (p - 1.0),
+        pair_terms=pair_terms,
         deriv2_fn=lambda t: (p - 1.0) * t ** (p - 2.0),
         p_minus=p, p_plus=p,
         inverse_fn=lambda tau: (p * tau) ** (1.0 / p),
@@ -546,10 +554,25 @@ def power_sum_nfunction(p: float, q: float) -> NFunction:
     if not (2.0 <= p <= q):
         raise InvalidNFunctionError(f"power-sum family needs 2 <= p <= q, got ({p}, {q})")
 
+    def pair_terms(t, energy, gradient, out):
+        # a = t**(p - 1), b = t**(q - 1): g = a + b and G = t a / p + t b / q
+        G, g = out
+        a = np.power(t, p - 1.0, out=G)
+        b = np.power(t, q - 1.0)
+        if gradient:
+            g = np.add(a, b, out=g)
+        if not energy:
+            return None, g
+        a *= t
+        a /= p
+        b *= t
+        b /= q
+        a += b
+        return a, (g if gradient else None)
+
     return NFunction(
         family="powersum", params=(p, q),
-        fn=lambda t: t ** p / p + t ** q / q,
-        deriv_fn=lambda t: t ** (p - 1.0) + t ** (q - 1.0),
+        pair_terms=pair_terms,
         deriv2_fn=lambda t: (p - 1.0) * t ** (p - 2.0) + (q - 1.0) * t ** (q - 2.0),
         p_minus=p, p_plus=q,
         tail_primitive_fn=lambda x: x ** p / p ** 2 + x ** q / q ** 2,
@@ -575,18 +598,28 @@ def power_log_nfunction(p: float) -> NFunction:
     c_lo = 1.0 - 1.0 / p
     c_hi = 1.0 + 1.0 / p
 
-    def G(t):
-        t = _as_array(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = t ** p * (np.abs(np.log(np.where(t <= 0, 1.0, t))) + 1.0) / p
-        return np.where(t <= 0, 0.0, out)
-
-    def g(t):
-        t = _as_array(t)
-        safe = np.where(t <= 0, 1.0, t)
-        lo = safe ** (p - 1.0) * (c_lo - np.log(safe))
-        hi = safe ** (p - 1.0) * (np.log(safe) + c_hi)
-        return np.where(t <= 0, 0.0, np.where(t < 1.0, lo, hi))
+    def pair_terms(t, energy, gradient, out):
+        # one log and one power a = t**(p - 1): G = t a (|ln t| + 1) / p and
+        # g = a (|ln t| + c), c = c_lo below t = 1 and c_hi from it on
+        off = t <= 0.0
+        G, a = (np.empty(t.shape) if buf is None else buf for buf in out)
+        np.log(t, out=G, where=~off)
+        np.copyto(G, 0.0, where=off)
+        np.abs(G, out=G)
+        with np.errstate(invalid="ignore"):   # a negative t, zeroed below
+            np.power(t, p - 1.0, out=a)
+        if gradient:
+            g = np.where(t < 1.0, c_lo, c_hi)
+            g += G
+            g *= a
+            np.copyto(g, 0.0, where=off)
+        if energy:
+            a *= t
+            G += 1.0
+            G *= a
+            G /= p
+            np.copyto(G, 0.0, where=off)
+        return (G if energy else None), (g if gradient else None)
 
     def gprime(t):
         t = _as_array(t)
@@ -615,7 +648,7 @@ def power_log_nfunction(p: float) -> NFunction:
         notes.append("derivative decreases on (exp(-1/2), 1): not convex there")
     return NFunction(
         family="powerlog", params=(p,),
-        fn=G, deriv_fn=g, deriv2_fn=gprime,
+        pair_terms=pair_terms, deriv2_fn=gprime,
         p_minus=p_minus, p_plus=p + 1.0,
         breakpoints=(1.0,),
         warnings=tuple(notes),
@@ -641,8 +674,8 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
     if not convex_samples(t, table.values):
         raise InvalidNFunctionError("tabulated data is not convex")
 
-    def deriv(x):
-        return table.derivative(_as_array(x))
+    def pair_terms(t, energy, gradient, out):
+        return (table(t) if energy else None), (table.derivative(t) if gradient else None)
 
     def deriv2(x):
         x = _as_array(x)
@@ -663,7 +696,7 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
     p_plus = float(max(slope.max(), 1.0 + curve.max()))
     return NFunction(
         family="tabulated", params=(),
-        fn=table, deriv_fn=deriv, deriv2_fn=deriv2,
+        pair_terms=pair_terms, deriv2_fn=deriv2,
         p_minus=p_minus, p_plus=p_plus,
         eval_domain=(float(t[0]), float(t[-1])),
         tail_primitive_fn=tail_table,

@@ -67,6 +67,9 @@ PREDICTOR_POINTS = 3  # coarse stage starts extrapolate the last three solutions
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 ENERGY_DESCENT_SLACK = 1e-12
+# a stage's first trial moves no node by more than this: the unit step on a
+# forcing near eps**-alpha would overshoot past what 60 halvings can recover
+FIRST_STEP_CAP = 100.0
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,8 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
 
     Projected gradient descent in the spectral metric M of
     spectral_inverse_metric: each trial is the clamp of u - eta M^-1 grad,
-    with the unit step first and then the Barzilai-Borwein step
+    with the unit step first, shortened so that it moves no node by more
+    than FIRST_STEP_CAP, and then the Barzilai-Borwein step
     (du.dg) / (dg.M^-1 dg), doubled when du.dg <= 0.  A clamp projects
     exactly only under a diagonal metric, so an iteration at which a bound
     binds (u_i = 0 with grad_i > 0, or u_i = obstacle_i with grad_i < 0)
@@ -368,6 +372,10 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
                 bb_fallbacks += 1
         eta = float(np.clip(eta, 1e-14, 1e14))
         step = metric(free_grad)
+        if prev_u is None:
+            reach = float(np.max(np.abs(step)))
+            if eta * reach > FIRST_STEP_CAP:
+                eta = FIRST_STEP_CAP / reach
 
         accepted = False
         for _ in range(60):

@@ -119,8 +119,9 @@ def test_indices_grid_span_enforced():
 
 def test_indices_reject_vanishing_derivative():
     broken = power_nfunction(3.0)
-    bad = NFunction(family="broken", params=(), fn=broken.fn,
-                    deriv_fn=lambda t: np.zeros_like(np.asarray(t, float)),
+    vanishing = lambda t, energy, gradient, out: (
+        broken(t) if energy else None, np.zeros_like(t) if gradient else None)
+    bad = NFunction(family="broken", params=(), pair_terms=vanishing,
                     deriv2_fn=broken.deriv2_fn, p_minus=3.0, p_plus=3.0)
     with pytest.raises(InvalidNFunctionError):
         estimate_indices(bad)
@@ -187,26 +188,45 @@ def _pair_families():
     return {"power2": power_nfunction(2.0), **STANDARD_FAMILIES}
 
 
+def _closed_forms(G, t):
+    """(G(t), g(t)) of a built-in family, written out as printed."""
+    p, *q = G.params
+    if G.family == "power":
+        return t ** p / p, t ** (p - 1.0)
+    if G.family == "powersum":
+        q = q[0]
+        return t ** p / p + t ** q / q, t ** (p - 1.0) + t ** (q - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log(t)
+        value = np.where(t == 0.0, 0.0, t ** p * (np.abs(log) + 1.0) / p)
+        slope = np.where(t == 0.0, 0.0, t ** (p - 1.0)
+                         * np.where(t < 1.0, 1.0 - 1.0 / p - log, log + 1.0 + 1.0 / p))
+    return value, slope
+
+
 @pytest.mark.parametrize("name", list(_pair_families()))
 def test_pair_terms_match_fn_and_deriv(name):
-    # g bit for bit as deriv, G within 4 ulp of fn (exact where infinite or
-    # 0); the energy-only and gradient-only calls give the same bits
+    # G and g within 4 ulp of the closed forms (exact where infinite or 0),
+    # G and G.deriv the same bits as pair_terms, and the energy-only and
+    # gradient-only calls the same bits as the call for both
     G = _pair_families()[name]
     t = np.concatenate([[0.0, 1e-300, 1e-3, 1.0, 7.5, 1e300, np.inf],
-                        np.logspace(-6.0, 6.0, 97)])
+                        np.logspace(-6.0, 6.0, 97),
+                        np.exp(np.random.default_rng(5).uniform(-14.0, 14.0, 20000))])
     with np.errstate(over="ignore"):
         e, g = G.pair_terms(t, True, True, out=(np.empty_like(t), np.empty_like(t)))
-        ref = G(t)
-        assert np.array_equal(g, G.deriv(t))
         only_e, none_g = G.pair_terms(t, True, False, out=(np.empty_like(t), np.empty_like(t)))
         none_e, only_g = G.pair_terms(t, False, True, out=(np.empty_like(t), np.empty_like(t)))
+        assert np.array_equal(G(t), e) and np.array_equal(G.deriv(t), g)
+        refs = _closed_forms(G, t)
     assert none_g is None and none_e is None
     assert np.array_equal(only_e, e) and np.array_equal(only_g, g)
-    finite = np.isfinite(ref) & (ref > 0.0)
-    assert np.array_equal(e[~finite], ref[~finite])
-    assert np.all(np.abs(e[finite] - ref[finite]) <= 4.0 * np.spacing(ref[finite]))
+    for got, ref in zip((e, g), refs):
+        finite = np.isfinite(ref) & (ref > 0.0)
+        assert np.array_equal(got[~finite], ref[~finite])
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 4.0 * np.spacing(ref[finite]))
     if G.family == "power" and G.params[0] == 2.0:
-        assert np.array_equal(e, ref)
+        assert np.array_equal(e, refs[0])
 
 
 @pytest.mark.parametrize("name", list(_pair_families()))
@@ -571,14 +591,14 @@ def test_loglog_table_matches_scipy_pchip(name, kind):
 # the bucket-indexed segment lookup against a binary search
 # ---------------------------------------------------------------------------
 
-def _clustered_tabulated():
-    """A tabulated N-function with irregular knots and three tight clusters,
-    so that one lookup bucket holds dozens of knots."""
+def _clustered_table():
+    """The table of a tabulated N-function with irregular knots and three
+    tight clusters, so that one lookup bucket holds dozens of knots."""
     rng = np.random.default_rng(17)
     spread = np.exp(np.sort(rng.uniform(np.log(1e-3), np.log(1e3), 120)))
     clusters = [c * np.exp(1e-4 * np.arange(40)) for c in (0.05, 1.0, 7.0)]
     t = np.unique(np.concatenate([spread, *clusters]))
-    return tabulated_nfunction(t, t ** 3 + t ** 2)
+    return LogLogTable(t, t ** 3 + t ** 2)
 
 
 LOOKUP_TABLES = [f"conjugate-{name}" for name in FAMILIES] + [
@@ -591,7 +611,7 @@ def _lookup_table(name):
         return complementary(FAMILIES[family]).table
     if kind == "inverse":
         return inverse_nfunction(FAMILIES[family]).table
-    return _clustered_tabulated().fn
+    return _clustered_table()
 
 
 def _searchsorted_row(table, x):

@@ -334,8 +334,9 @@ def test_obstacle_that_binds_takes_plain_steps_and_converges():
 
 def test_zero_obstacle_node_is_fixed_not_binding():
     # an obstacle that is 0 at one node pins that node; it must not send
-    # every iteration back to the identity metric (1546 passes and 1397
-    # plain steps when it did, against 452 passes without the 0 node)
+    # every iteration back to the identity metric (when it did, before the
+    # coarse stages started from predicted solutions, the pinned solve took
+    # 1546 passes and 1397 plain steps against 452 passes unpinned)
     mesh = Mesh(0.0, 1.0, 100)
     passes = []
     for zero in (False, True):
@@ -347,7 +348,7 @@ def test_zero_obstacle_node_is_fixed_not_binding():
         assert all(st.plain_steps == 0 for st in res.stages)
         passes.append(sum(st.pair_passes for st in res.stages))
     assert res.u.values[0] == 0.0
-    # pinning a node changes the problem: 564 passes against 452
+    # pinning a node changes the problem: 247 passes against 202
     assert passes[1] <= 1.3 * passes[0]
 
 
@@ -373,6 +374,19 @@ def test_uphill_trial_is_never_evaluated(monkeypatch):
     assert stage.stop == "linesearch_stall"
     assert stage.pair_passes == 1 and stage.backtracks == 0
     assert len(res.energy_trace) == 1
+
+
+def test_huge_forcing_stage_converges():
+    # at alpha = 15 the forcing at u = 0 is eps**-15 >= 1e30: an uncapped
+    # unit first trial overshoots beyond what 60 halvings recover, and every
+    # stage ends in linesearch_stall with pg_inf up to 1e90
+    mesh = Mesh(0.0, 1.0, 16)
+    spec = _spec(mesh, alpha=15.0, eps_min=1e-6)
+    first = minimize_energy(spec, 1e-2, GridFunction.zeros(mesh), max_iter=1)
+    assert 0.0 < np.max(first.u.values) <= solver.FIRST_STEP_CAP
+    res = solve_singular(spec, tol=1e-9)
+    assert res.converged
+    assert all(st.stop == "pg_tol" for st in res.stages)
 
 
 # ---------------------------------------------------------------------------
