@@ -97,6 +97,13 @@ def solve_increasing(fn, target, args=()):
     relative accuracy in x, from the level values the walk computed.
     target == 0 maps to 0.
 
+    fn must have log-log slope d log fn / d log x >= 1 wherever it is
+    positive, as every N-function, modular and Luxemburg level has (G(x)/x
+    is nondecreasing for a convex G with G(0) = 0, and so for sums of
+    them).  The root-finder's early stop relies on it: a log gap of at most
+    BISECT_REL_TOL / 2 then puts x within BISECT_REL_TOL / 2 of the root
+    in log x.  A slope sigma < 1 widens that to BISECT_REL_TOL / (2 sigma).
+
     args holds arrays shaped like target, one entry per element.  Both the
     walk and the root-finder evaluate fn only on the elements still open
     and pass args cut down to match, so a batched caller passes a row index
@@ -144,19 +151,21 @@ def _chandrupatla(gap, x1, x2, f1, f2, args):
     interpolation through the last three points when its xi/phi test
     passes, bisection otherwise.  No step lands closer than half a
     tolerance to a bracket end.  An element stops when its bracket is
-    narrower than BISECT_REL_TOL or |gap| <= the smallest normal float and
-    returns the end with the smaller |gap|; it returns NaN if its bracket
-    loses the sign change or both ends are NaN.  gap sees only the
-    unconverged elements, with args cut down to match.
+    narrower than BISECT_REL_TOL or the smaller |gap| of its ends is at
+    most BISECT_REL_TOL / 2, and returns the end with the smaller |gap|; it
+    returns NaN if its bracket loses the sign change or both ends are NaN.
+    The gap test is certified when gap has slope >= 1 in x (the condition
+    in `solve_increasing`): that end is then within BISECT_REL_TOL / 2 of
+    the root.  gap sees only the unconverged elements, with args cut down
+    to match.
     """
-    tiny = np.finfo(float).tiny
     root = np.empty_like(x1)
     idx = np.arange(x1.size)
     x3 = f3 = None
     for step in range(MAX_ROOT_STEPS + 1):
         smaller = np.abs(f1) < np.abs(f2)
         xmin = np.where(smaller, x1, x2)
-        done = np.abs(np.where(smaller, f1, f2)) <= tiny
+        done = np.abs(np.where(smaller, f1, f2)) <= 0.5 * BISECT_REL_TOL
         failed = ~done & ((np.sign(f1) == np.sign(f2)) | (np.isnan(f1) & np.isnan(f2)))
         dx = np.abs(x2 - x1)
         stop = done | failed | (dx < BISECT_REL_TOL) | (step == MAX_ROOT_STEPS)
@@ -516,8 +525,33 @@ class NFunction:
 # Built-in families
 # ---------------------------------------------------------------------------
 
+def _power(x, k: float, out):
+    """x**k into out (None: a fresh array), by products for k = 2 and 3.
+
+    x * x has the bits of numpy's square; x * x * x is within 1 ulp of the
+    cube and about three times cheaper than the general power.  out may be
+    x itself (a cube in place takes the general power).
+    """
+    if k not in (2.0, 3.0) or (k == 3.0 and out is x):
+        return np.power(x, k, out=out)
+    out = np.multiply(x, x, out=out)
+    if k == 3.0:
+        out *= x
+    return out
+
+
+def _buffers(t, out):
+    """The pair_terms buffers: those of out, fresh arrays for a None."""
+    return [np.empty(t.shape) if buf is None else buf for buf in out]
+
+
 def power_nfunction(p: float) -> NFunction:
-    """G(t) = t**p / p for p >= 2 (the fractional p-Laplacian case)."""
+    """G(t) = t**p / p for p >= 2 (the fractional p-Laplacian case).
+
+    pair_terms takes t >= 0 and keeps NaN; it does not clamp a negative t
+    (every caller passes |u| or a difference quotient), as a clamp would
+    cost one more pass over each pair-pass slab.
+    """
     p = float(p)
     if p < 2.0:
         raise InvalidNFunctionError(f"power family needs p >= 2, got {p}")
@@ -526,7 +560,7 @@ def power_nfunction(p: float) -> NFunction:
         # G = t g / p from the one power g = t**(p - 1): within a few ulp of
         # t**p / p, and the same bits at p = 2
         G, g = out
-        g = np.power(t, p - 1.0, out=g)
+        g = _power(t, p - 1.0, g)
         if not energy:
             return None, g
         if gradient:
@@ -549,26 +583,30 @@ def power_nfunction(p: float) -> NFunction:
 
 
 def power_sum_nfunction(p: float, q: float) -> NFunction:
-    """G(t) = t**p / p + t**q / q with 2 <= p <= q (the (p,q) operator)."""
+    """G(t) = t**p / p + t**q / q with 2 <= p <= q (the (p,q) operator).
+
+    G and g are +0 at finite t <= 0 and NaN at NaN.
+    """
     p, q = float(p), float(q)
     if not (2.0 <= p <= q):
         raise InvalidNFunctionError(f"power-sum family needs 2 <= p <= q, got ({p}, {q})")
+    weight = q / p - 1.0
 
     def pair_terms(t, energy, gradient, out):
-        # a = t**(p - 1), b = t**(q - 1): g = a + b and G = t a / p + t b / q
-        G, g = out
-        a = np.power(t, p - 1.0, out=G)
-        b = np.power(t, q - 1.0)
-        if gradient:
-            g = np.add(a, b, out=g)
-        if not energy:
-            return None, g
-        a *= t
-        a /= p
-        b *= t
-        b /= q
-        a += b
-        return a, (g if gradient else None)
+        # c = max(t, 0), a = c**(p - 1), b = c**(q - 1): g = a + b and
+        # G = t ((q/p - 1) a + g) / q = t a / p + t b / q, clamped at +0
+        a, b = _buffers(t, out)
+        np.maximum(t, 0.0, out=a)
+        _power(a, q - 1.0, b)
+        _power(a, p - 1.0, a)
+        g = np.add(b, a, out=b)
+        if energy:
+            a *= weight
+            a += g
+            a *= t
+            a /= q
+            np.maximum(a, 0.0, out=a)
+        return (a if energy else None), (g if gradient else None)
 
     return NFunction(
         family="powersum", params=(p, q),
@@ -590,36 +628,39 @@ def power_log_nfunction(p: float) -> NFunction:
     left of the kink while t g(t)/G(t) climbs to p + 1 just right of it.
     The recorded indices are the closed-form envelope of both ratios, which
     is what the scaling and conjugate-sandwich inequalities actually need.
-    G, its derivatives and its tail primitive are 0 at t <= 0 and NaN at NaN.
+    G, its derivatives and its tail primitive are +0 at finite t <= 0 (for
+    p = 2, g is its value at the smallest normal float, below 2e-305) and
+    NaN at NaN.
     """
     p = float(p)
     if p < 2.0:
         raise InvalidNFunctionError(f"power-log family needs p >= 2, got {p}")
     c_lo = 1.0 - 1.0 / p
     c_hi = 1.0 + 1.0 / p
+    tiny = np.finfo(float).tiny
 
     def pair_terms(t, energy, gradient, out):
-        # one log and one power a = t**(p - 1): G = t a (|ln t| + 1) / p and
-        # g = a (|ln t| + c), c = c_lo below t = 1 and c_hi from it on
-        off = t <= 0.0
-        G, a = (np.empty(t.shape) if buf is None else buf for buf in out)
-        np.log(t, out=G, where=~off)
-        np.copyto(G, 0.0, where=off)
-        np.abs(G, out=G)
-        with np.errstate(invalid="ignore"):   # a negative t, zeroed below
-            np.power(t, p - 1.0, out=a)
+        # c = max(t, tiny), L = ln c, a = c**(p - 1) and w = (|L| + 1) a:
+        # G = w t / p clamped at +0, g = w + copysign(a, L) / p (so t = 1,
+        # where L = +0, takes c_hi); the sign of L rides on a
+        G, a = _buffers(t, out)
+        np.maximum(t, tiny, out=G)
+        _power(G, p - 1.0, a)
+        L = np.log(G, out=G)
         if gradient:
-            g = np.where(t < 1.0, c_lo, c_hi)
-            g += G
-            g *= a
-            np.copyto(g, 0.0, where=off)
+            np.copysign(a, L, out=a)
+        w = np.abs(L, out=G)
+        w += 1.0
+        w *= a
+        if gradient:
+            np.abs(w, out=w)
+            a /= p
+            a += w
         if energy:
-            a *= t
-            G += 1.0
-            G *= a
-            G /= p
-            np.copyto(G, 0.0, where=off)
-        return (G if energy else None), (g if gradient else None)
+            w *= t
+            w /= p
+            np.maximum(w, 0.0, out=w)
+        return (w if energy else None), (a if gradient else None)
 
     def gprime(t):
         t = _as_array(t)
@@ -844,16 +885,23 @@ def complementary(nf) -> DerivedNFunction:
 
 
 def inverse_nfunction(nf: NFunction) -> DerivedNFunction:
-    """Inverse of nf: the swapped value table, refined by Newton on nf(t) = tau."""
+    """Inverse of nf: the swapped value table, refined by Newton on nf(t) = tau.
+
+    Its own inverse is the forward table of nf on the same grid, so the
+    concave inverse table (log-log slope <= 1) never goes to the
+    root-finder.
+    """
     grid = log_grid(*TABLE_LOG10_RANGE, TABLE_KNOTS, nf.breakpoints)
-    table = LogLogTable(nf(grid), grid, split_at=[float(nf(b)) for b in nf.breakpoints])
+    values = nf(grid)
+    table = LogLogTable(values, grid, split_at=[float(nf(b)) for b in nf.breakpoints])
 
     def evaluate(tau):
         tau1 = np.atleast_1d(tau)
         t = _newton_refine(nf, nf.deriv, table(tau1), tau1)
         return t if np.ndim(tau) else float(t[0])
 
-    return DerivedNFunction(table=table, label=f"inverse[{nf.name}]", evaluate=evaluate)
+    return DerivedNFunction(table=table, label=f"inverse[{nf.name}]", evaluate=evaluate,
+                            inverse_table=LogLogTable(grid, values, split_at=nf.breakpoints))
 
 
 def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction:

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from fracorlicz.nfunctions import (power_nfunction, power_sum_nfunction,
-                                   power_log_nfunction, complementary)
+                                   power_log_nfunction, complementary, BISECT_REL_TOL)
+from fracorlicz.inequalities import STANDARD_FAMILIES
 from fracorlicz.grid import (
     Mesh, GridFunction, ModularNotDecreasingError, modular, seminorm_modular,
     luxemburg_norm, lg_norm, gagliardo_seminorm, holder_pairing_check,
@@ -347,6 +348,33 @@ def test_batch_luxemburg_row_evaluations(name, conjugate, bound):
     assert sum(entries) / rows.size <= bound
 
 
+@pytest.mark.parametrize("name, conjugate, bound", [
+    ("power3", False, 3.1), ("power3", True, 3.1), ("power4", False, 3.1),
+    ("powersum34", False, 6.2), ("powerlog3", False, 6.2)])
+def test_batch_luxemburg_row_evaluations_with_early_stop(name, conjugate, bound):
+    # the root-finder stops once a bracket end's log gap is within
+    # BISECT_REL_TOL / 2: a pure power's secant step lands there, so the
+    # walk's evaluations and that one step make about 3 per row (5.8 and
+    # 5.9 for powersum34 and powerlog3 on this data); the power norms stay
+    # within 2 BISECT_REL_TOL of the closed form
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    G = complementary(FAMILIES[name]) if conjugate else FAMILIES[name]
+    entries = []
+
+    def counted(t):
+        entries.append(t.size)
+        return G(t)
+
+    norms = batch_luxemburg(rows, mesh.h, counted)
+    assert sum(entries) / rows.size <= bound
+    if G.name.startswith("power(p="):
+        p = G.params[0]
+        exact = (mesh.h * np.sum(np.abs(rows) ** p / p, axis=1)) ** (1.0 / p)
+        assert np.max(np.abs(norms / exact - 1.0)) <= 2.0 * BISECT_REL_TOL
+
+
 @pytest.mark.parametrize("nonzero", [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK,
                                      LUXEMBURG_CHUNK + 1, 2 * LUXEMBURG_CHUNK + 3])
 def test_batch_luxemburg_chunking_changes_no_bit(monkeypatch, nonzero):
@@ -512,6 +540,25 @@ def test_warm_pair_pass_allocates_less_than_two_slabs():
     tracemalloc.start()
     try:
         modular_and_operator(values, P3, mesh, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * PAIR_BLOCK * mesh.n * 8
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+def test_warm_pair_pass_allocates_less_than_two_slabs_every_family(name):
+    # each family's pair_terms writes only into the slab buffers, so a warm
+    # n = 400 energy-and-gradient pass stays under the power3 bound
+    import tracemalloc
+    from fracorlicz.grid import modular_and_operator, PAIR_BLOCK
+    G = STANDARD_FAMILIES[name]
+    mesh = Mesh(0.0, 1.0, 400)
+    values = np.sqrt(mesh.nodes * (1.0 - mesh.nodes))
+    modular_and_operator(values, G, mesh, 0.5)
+    tracemalloc.start()
+    try:
+        modular_and_operator(values, G, mesh, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

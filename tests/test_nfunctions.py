@@ -238,6 +238,30 @@ def test_pair_terms_keep_nan(name):
         assert np.isnan(part[0]) and part[1] == 0.0 and part[2] > 0.0
 
 
+@pytest.mark.parametrize("name", list(_pair_families()))
+def test_pair_terms_at_edge_arguments(name):
+    # +0.0 (never -0.0) at t <= 0, NaN at NaN, and the one-part calls the
+    # same bits as the fused call, with and without buffers; the power
+    # family's domain is t >= 0 (it does not clamp), so its negative
+    # arguments check the bits only
+    G = _pair_families()[name]
+    t = np.array([-1e300, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf, np.nan])
+    with np.errstate(over="ignore"):
+        e, g = G.pair_terms(t, True, True, out=(np.empty_like(t), np.empty_like(t)))
+        parts = [G(t), G.pair_terms(t, True, False, out=(np.empty_like(t), None))[0],
+                 G.deriv(t), G.pair_terms(t, False, True, out=(None, np.empty_like(t)))[1]]
+    for part, fused in zip(parts, (e, e, g, g)):
+        assert np.array_equal(part[:-1].view(np.int64), fused[:-1].view(np.int64))
+        assert np.isnan(part[-1])
+    zero = slice(3 if G.family == "power" else 0, 4)
+    for part in (e, g):
+        assert np.all(part[zero] == 0.0) and not np.any(np.signbit(part[zero]))
+        assert part[4] >= 0.0 and not np.signbit(part[4])
+        assert 0.0 < part[5] < np.inf and part[6] >= 1e300 and part[7] == np.inf
+        assert np.isnan(part[8])
+    assert e[5] == G(1.0) and g[5] == G.deriv(1.0)
+
+
 def test_tabulated_derivative_vanishes_at_origin():
     t = np.logspace(-3, 3, 200)
     T = tabulated_nfunction(t, t ** 3)
@@ -393,6 +417,35 @@ def test_inverse_roundtrip():
         inv = inverse_nfunction(G)
         tau = np.logspace(-6, 6, 200)
         assert np.allclose(G(inv(tau)), tau, rtol=1e-8)
+
+
+@pytest.mark.parametrize("name, rtol", [("power3", 1e-13), ("power4", 1e-13),
+                                        ("powersum34", 1e-8), ("powerlog3", 1e-5)])
+def test_inverse_of_the_inverse_is_the_forward_table(monkeypatch, name, rtol):
+    # the inverse table is concave, so its own inverse is the forward
+    # table on the same grid, not a root solve; rtol is that table's
+    # interpolation error (log-log lines are exact for a pure power)
+    G = FAMILIES[name]
+    inv = inverse_nfunction(G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_increasing called")
+
+    monkeypatch.setattr("fracorlicz.nfunctions.solve_increasing", refuse)
+    t = np.concatenate([np.logspace(-11.9, 11.9, 4001), [0.5, 1.0, 2.0]])
+    assert np.max(np.abs(inv.inverse(t) / G(t) - 1.0)) < rtol
+    assert inv.inverse(0.0) == 0.0 and np.isnan(inv.inverse(np.array([np.nan]))[0])
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_conjugate_table_log_log_slope_at_least_one(name):
+    # the Hoelder sweep solves Luxemburg levels of conj.table, and the
+    # root-finder's early stop needs log-log slope >= 1 in its argument
+    table = complementary(FAMILIES[name]).table
+    knots = table.abscissa
+    x = np.concatenate([np.geomspace(knots[0], knots[-1], 200001), knots,
+                        [knots[0] * 1e-3, knots[-1] * 1e3]])
+    assert np.min(table.slope(x)) >= 1.0
 
 
 def test_inverse_closed_form_power():
