@@ -279,7 +279,8 @@ def cmd_symmetry(run: _Run) -> int:
     u_init = (coefficient_field(init_raw, mesh, "init", run.base_dir)
               if init_raw else None)
     st = run.settings
-    outcome = symmetry_experiment(spec, u_init=u_init, tol=st.tol, max_iter=st.max_iter)
+    outcome = symmetry_experiment(spec, u_init=u_init, tol=st.tol, max_iter=st.max_iter,
+                                  threshold=threshold)
     run.write_grid("solution.txt", outcome.result.u)
     run.manifest.note(f"asymmetry={outcome.asymmetry:.6e}")
     if outcome.inconclusive:
@@ -287,7 +288,7 @@ def cmd_symmetry(run: _Run) -> int:
     if not outcome.symmetric_data:
         return run.conclude("CONTROL", f" asymmetry={outcome.asymmetry:.3e} "
                                        "(data not symmetric)")
-    return run.conclude("PASS" if outcome.asymmetry < threshold else "FAIL",
+    return run.conclude("PASS" if outcome.ok else "FAIL",
                         f" asymmetry={outcome.asymmetry:.3e} threshold={threshold:.1e}")
 
 

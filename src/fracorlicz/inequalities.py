@@ -163,7 +163,7 @@ def picone_constant(G: NFunction, q: float):
     such in reports), not a sharp constant.
     """
     pm, pp = G.p_minus, G.p_plus
-    g1 = float(G(1.0))
+    g1 = G(1.0)
     exps = (
         1.0 + pm / pp,
         1.0 + pp / pm,
@@ -192,7 +192,7 @@ def picone_gap(G: NFunction, q: float, ux, uy, vx, vy):
     du = ux - uy
     lhs = G.deriv(np.abs(du)) * np.sign(du) * (vx ** q / ux ** (q - 1.0)
                                                - vy ** q / uy ** (q - 1.0))
-    g1 = float(G(1.0))
+    g1 = G(1.0)
     ru = G(np.abs(du)) / g1
     rv = G(np.abs(vx - vy)) / g1
     pm, pp = G.p_minus, G.p_plus

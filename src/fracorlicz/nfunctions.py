@@ -8,18 +8,18 @@ and tabulates the derived objects: the complementary (convex-conjugate)
 function, the inverse, the fractional Sobolev conjugate, and power
 compositions of it.
 
-All evaluators are vectorised over numpy arrays.  A family's G and its
-derivative g have one evaluator, the `pair_terms` field of NFunction, which
-gives both from shared powers and logarithms and writes into buffers its
-caller hands it; calling G or G.deriv asks it for one part.  A user-built
-family supplies its own pair_terms under the contract in the NFunction
-docstring.
+All evaluators are vectorised over numpy arrays; a 0-d argument gives a
+Python float (`_float_if_0d`).  A family's G and its derivative g have one
+evaluator, the `pair_terms` field of NFunction, which gives both from
+shared powers and logarithms and writes into buffers its caller hands it;
+calling G or G.deriv asks it for one part.  A user-built family supplies
+its own pair_terms under the contract in the NFunction docstring.
 
 Derived functions are stored as strictly monotone tables interpolated with
 a monotonicity preserving cubic (PCHIP, Fritsch & Carlson) in log-log
-coordinates, with power-law extension beyond the tabulated range; this
-preserves the monotonicity/convexity invariants that the test suite
-asserts.  Each derived function evaluates in one way: its table, or one
+coordinates, with power-law extensions of positive slope beyond the
+tabulated range: a table maps 0 to 0, inf to inf and NaN to NaN, and its
+derivative there is the extension's limit.  Each derived function evaluates in one way: its table, or one
 Newton refinement seeded from the table (the complementary function's
 maximizer, the inverse).  Monotone equations without a table
 (closed-form-free inverses of the families, Luxemburg norms) go through
@@ -52,8 +52,8 @@ MAX_WALK_STEPS = 8       # bracket walk budget per element: reaches 2^+-255
 MAX_ROOT_STEPS = 2046    # root-finder cap: the float exponent range in bits
 
 # log 0 and log inf are clipped to +-this before a table lookup, so they land
-# on the power-law extensions (where 0 * inf would give NaN) and still map
-# to the values 0 and inf
+# on the power-law extensions (where 0 * inf would give NaN): exp of the
+# extension there is 0 or inf, for the value and for value / x alike
 _LOG_HUGE = 1e300
 
 BUCKETS_PER_KNOT = 8   # table lookup buckets, uniform in log x, per knot
@@ -83,6 +83,11 @@ def _as_array(t):
     return np.asarray(t, dtype=float)
 
 
+def _float_if_0d(value):
+    """The scalar rule of every evaluator: a 0-d result as a Python float."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def solve_increasing(fn, target, args=()):
     """Solve fn(x, *args) = target for a nondecreasing fn, vectorised over target.
 
@@ -110,12 +115,11 @@ def solve_increasing(fn, target, args=()):
     and gathers its per-row data from it.
     """
     target = _as_array(target)
-    scalar = target.ndim == 0
-    target = np.atleast_1d(target)
-    root = np.zeros(target.shape)
-    pos = np.flatnonzero(target > 0.0)
-    log_t = np.log(target[pos])
-    args = tuple(a[pos] for a in args)
+    flat = target.ravel()
+    root = np.zeros(flat.shape)
+    pos = np.flatnonzero(flat > 0.0)
+    log_t = np.log(flat[pos])
+    args = tuple(np.ravel(a)[pos] for a in args)
 
     def log_gap(y, log_t, *a):
         with np.errstate(divide="ignore"):
@@ -137,7 +141,7 @@ def solve_increasing(fn, target, args=()):
         f2[walk] = log_gap(y2[walk], log_t[walk], *(a[walk] for a in args))
     f1[np.isnan(f2)] = np.nan
     root[pos] = np.exp(_chandrupatla(log_gap, y2, y1, f2, f1, (log_t, *args)))
-    return float(root[0]) if scalar else root
+    return _float_if_0d(root.reshape(target.shape))
 
 
 def _chandrupatla(gap, x1, x2, f1, f2, args):
@@ -226,13 +230,17 @@ class LogLogTable:
     over N knots, held as N + 1 cubic segments: segment i, 0 < i < N, spans
     [knot i - 1, knot i], and segments 0 and N are the power laws that
     extend the table below and above its knots with the boundary log-log
-    slopes (so monotonicity survives extrapolation, which cubic extension
-    would not guarantee).  A lookup finds the segment through a bucket
-    index (`_segment`), gathers its coefficient row and runs one Horner
-    pass for the value or the slope.  Evaluation at 0 returns 0, and NaN
-    stays NaN.  split_at lists abscissae where the tabulated function has a
-    derivative kink: knot slopes are computed per piece between them, so
-    the C1 smoothing of a single PCHIP cannot smear error across the kink.
+    slopes, or the end secant where PCHIP clamps an end slope to 0 (so
+    monotonicity survives extrapolation, which cubic extension would not
+    guarantee, and both extensions increase strictly).  A lookup finds the
+    segment through a bucket index (`_segment`), gathers its coefficient
+    row and runs one Horner pass for the log value or the log slope; the
+    value and the derivative are exponentials of it, so 0 maps to 0, inf
+    to inf and NaN to NaN with no mask, and a negative argument is a
+    ValueError.  Results follow the scalar rule (`_float_if_0d`).
+    split_at lists abscissae where the tabulated function has a derivative
+    kink: knot slopes are computed per piece between them, so the C1
+    smoothing of a single PCHIP cannot smear error across the kink.
     """
 
     def __init__(self, abscissa: np.ndarray, values: np.ndarray,
@@ -268,8 +276,8 @@ class LogLogTable:
         self._coef = np.zeros((abscissa.size + 1, 4))
         self._coef[1:-1] = np.column_stack(
             [curv / h, (m - d_left) / h - curv, d_left, ly[:-1]])
-        self._coef[0, 2:] = d_left[0], ly[0]
-        self._coef[-1, 2:] = d_right[-1], ly[-1]
+        self._coef[0, 2:] = d_left[0] if d_left[0] > 0.0 else m[0], ly[0]
+        self._coef[-1, 2:] = d_right[-1] if d_right[-1] > 0.0 else m[-1], ly[-1]
         self._origin = np.concatenate([lx[:1], lx])
         self._lx = lx
         # bucket index over B equal widths of [lx[0], lx[-1]]: bucket k,
@@ -312,9 +320,9 @@ class LogLogTable:
             l, r = flat[todo], row[todo]
 
     def _locate(self, x):
-        """Coefficient rows (..., 4) and offsets s of log x in the segments holding x."""
+        """(coefficient rows (..., 4), offsets s in them, log x) of x's segments."""
         row, lx = self._segment(x)
-        return self._coef.take(row, axis=0), lx - self._origin.take(row)
+        return self._coef.take(row, axis=0), lx - self._origin.take(row), lx
 
     @staticmethod
     def _log_value(c, s):
@@ -326,34 +334,27 @@ class LogLogTable:
 
     def __call__(self, x):
         x = _as_array(x)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x).astype(float)
         if np.any(x < 0.0):
             raise ValueError("table argument must be nonnegative")
-        out = np.zeros_like(x)
-        nonzero = x != 0.0   # a NaN argument stays NaN
-        out[nonzero] = np.exp(self._log_value(*self._locate(x[nonzero])))
-        return float(out[0]) if scalar else out
+        c, s, _ = self._locate(x)
+        with np.errstate(over="ignore"):
+            return _float_if_0d(np.exp(self._log_value(c, s)))
 
     def slope(self, x):
         """d(log value)/d(log abscissa), constant beyond the knots."""
-        x = _as_array(x)
-        out = self._log_slope(*self._locate(np.atleast_1d(x)))
-        return float(out[0]) if x.ndim == 0 else out
+        c, s, _ = self._locate(x)
+        return _float_if_0d(self._log_slope(c, s))
 
     def derivative(self, x):
-        """dv/dx = (v/x) * dlogv/dlogx from one lookup, and 0 at x = 0.
+        """dv/dx = exp(log v - log x) * dlogv/dlogx from one lookup.
 
-        0 is the limit at the origin of every table built here: below the
-        knots each is a power law of log-log slope above 1 (an N-function,
-        its conjugate or its Sobolev conjugate).
+        At 0 (inf) this is the extension's limit: 0 (inf) for a slope d > 1,
+        as an N-function, its conjugate and its Sobolev conjugate have, and
+        inf (0) for d < 1, as an inverse has; d exactly 1 gives 1 there.
         """
-        x = _as_array(x)
-        safe = np.where(x == 0.0, 1.0, x)   # v/x is 0/0 at the origin
-        c, s = self._locate(safe)
-        value = np.exp(self._log_value(c, s)) / safe * self._log_slope(c, s)
-        out = np.where(x == 0.0, 0.0, value)
-        return float(out) if x.ndim == 0 else out
+        c, s, lx = self._locate(x)
+        with np.errstate(over="ignore"):
+            return _float_if_0d(np.exp(self._log_value(c, s) - lx) * self._log_slope(c, s))
 
 
 def log_grid(lo_exp: float, hi_exp: float, n: int,
@@ -449,18 +450,18 @@ class NFunction:
     label: str = ""
 
     def __call__(self, t):
-        return self.pair_terms(_as_array(t), True, False, (None, None))[0]
+        return _float_if_0d(self.pair_terms(_as_array(t), True, False, (None, None))[0])
 
     def deriv(self, t):
-        return self.pair_terms(_as_array(t), False, True, (None, None))[1]
+        return _float_if_0d(self.pair_terms(_as_array(t), False, True, (None, None))[1])
 
     def deriv2(self, t):
-        return self.deriv2_fn(_as_array(t))
+        return _float_if_0d(self.deriv2_fn(_as_array(t)))
 
     def inverse(self, tau):
         """Inverse of the function itself, closed-form where available."""
         if self.inverse_fn is not None:
-            return self.inverse_fn(_as_array(tau))
+            return _float_if_0d(self.inverse_fn(_as_array(tau)))
         return solve_increasing(self, tau)
 
     def integral_over_t(self, x):
@@ -471,7 +472,7 @@ class NFunction:
         collapses to integral_over_t(c * d**-s) / s for a field of height c.
         """
         if self.tail_primitive_fn is not None:
-            return self.tail_primitive_fn(_as_array(x))
+            return _float_if_0d(self.tail_primitive_fn(_as_array(x)))
         raise NotImplementedError("no tail primitive for this family")
 
     @property
@@ -497,9 +498,9 @@ class NFunction:
         Gv = self(grid)
         gv = self.deriv(grid)
         gpv = self.deriv2(grid)
-        if abs(float(self(0.0))) > 1e-300:
+        if abs(self(0.0)) > 1e-300:
             problems.append("G(0) != 0")
-        if abs(float(self.deriv(0.0))) > 1e-300:
+        if abs(self.deriv(0.0)) > 1e-300:
             problems.append("g(0) != 0")
         if np.any(np.diff(Gv) < 0.0):
             problems.append("values not nondecreasing")
@@ -810,15 +811,14 @@ class DerivedNFunction:
     evaluate: Optional[Callable] = None
 
     def __call__(self, t):
-        t = _as_array(t)
         return self.table(t) if self.evaluate is None else self.evaluate(t)
 
     def deriv(self, t):
-        return self.table.derivative(_as_array(t))
+        return self.table.derivative(t)
 
     def inverse(self, v):
         if self.inverse_table is not None:
-            return self.inverse_table(_as_array(v))
+            return self.inverse_table(v)
         return solve_increasing(self.table, v)
 
     @property
@@ -848,13 +848,13 @@ def complementary(nf) -> DerivedNFunction:
     values = abscissa * grid - nf(grid)
     splits = []
     for b in breaks:
-        lo, hi = float(nf.deriv(b * (1.0 - 1e-9))), float(nf.deriv(b))
+        lo, hi = nf.deriv(b * (1.0 - 1e-9)), nf.deriv(b)
         splits += [lo, hi]
         # fill the affine stretch of the conjugate across the derivative jump
         if hi > lo > 0.0:
             span = np.logspace(np.log10(lo), np.log10(hi), 65)[1:-1]
             abscissa = np.concatenate([abscissa, span])
-            values = np.concatenate([values, span * b - float(nf(b))])
+            values = np.concatenate([values, span * b - nf(b)])
     order = np.argsort(abscissa)
     abscissa, values = abscissa[order], values[order]
     # numerically differentiated bases can wiggle: keep only pairs that are
@@ -869,17 +869,16 @@ def complementary(nf) -> DerivedNFunction:
     refine = isinstance(nf, NFunction)
 
     def evaluate(t):
-        t1 = np.atleast_1d(t)
-        if np.any(t1 < 0.0):
+        t = _as_array(t)
+        if np.any(t < 0.0):
             raise ValueError("conjugate argument must be nonnegative")
-        tau = np.maximum(table.derivative(np.where(t1 == 0.0, 1.0, t1)), 1e-300)
+        tau = table.derivative(t)   # 0 at t = 0, so the value is 0 there
         if refine:
-            tau = _newton_refine(nf.deriv, nf.deriv2, tau, t1)
-        val = t1 * tau - nf(tau)
+            tau = _newton_refine(nf.deriv, nf.deriv2, tau, t)
+        val = t * tau - nf(tau)
         for b in breaks:
-            val = np.maximum(val, t1 * b - float(nf(b)))
-        val = np.where(t1 == 0.0, 0.0, val)   # a NaN argument stays NaN
-        return val if np.ndim(t) else float(val[0])
+            val = np.maximum(val, t * b - nf(b))
+        return _float_if_0d(val)
 
     return DerivedNFunction(table=table, label=f"conjugate[{nf.name}]", evaluate=evaluate)
 
@@ -893,12 +892,10 @@ def inverse_nfunction(nf: NFunction) -> DerivedNFunction:
     """
     grid = log_grid(*TABLE_LOG10_RANGE, TABLE_KNOTS, nf.breakpoints)
     values = nf(grid)
-    table = LogLogTable(values, grid, split_at=[float(nf(b)) for b in nf.breakpoints])
+    table = LogLogTable(values, grid, split_at=[nf(b) for b in nf.breakpoints])
 
     def evaluate(tau):
-        tau1 = np.atleast_1d(tau)
-        t = _newton_refine(nf, nf.deriv, table(tau1), tau1)
-        return t if np.ndim(tau) else float(t[0])
+        return _float_if_0d(_newton_refine(nf, nf.deriv, table(tau), tau))
 
     return DerivedNFunction(table=table, label=f"inverse[{nf.name}]", evaluate=evaluate,
                             inverse_table=LogLogTable(grid, values, split_at=nf.breakpoints))
@@ -920,7 +917,7 @@ def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction
     ginv = nf.inverse
 
     def log_slope(tau_a, tau_b):
-        return (np.log(float(ginv(tau_b))) - np.log(float(ginv(tau_a)))) / np.log(tau_b / tau_a)
+        return (np.log(ginv(tau_b)) - np.log(ginv(tau_a))) / np.log(tau_b / tau_a)
 
     head_power = log_slope(1e-9, 1e-8) - kappa
     if head_power <= -1.0 + 1e-12:
@@ -933,7 +930,7 @@ def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction
             f"integrand power at infinity is {tail_power:.4f} < -1: "
             "the required divergence at infinity is absent", "infinity")
 
-    breaks = [float(nf(b)) for b in nf.breakpoints]
+    breaks = [nf(b) for b in nf.breakpoints]
     knots = log_grid(-10.0, 10.0, 1200, breaks)
     integrand = lambda tau: ginv(tau) * tau ** (-kappa)
     # head piece: integrand ~ C tau^a near zero, integrable since a > -1
@@ -959,10 +956,8 @@ def compose_power(gstar: DerivedNFunction, exponent: float) -> DerivedNFunction:
     if not exponent > 0.0:
         raise ValueError(f"composition exponent must be positive, got {exponent}")
     grid = log_grid(*TABLE_LOG10_RANGE, 2048)
-    values = gstar(grid ** exponent)
-    keep = values > 0.0
     return DerivedNFunction(
-        table=LogLogTable(grid[keep], values[keep]),
+        table=LogLogTable(grid, gstar(grid ** exponent)),
         label=f"compose[{gstar.name}; e={exponent:g}]",
     )
 
@@ -993,8 +988,8 @@ def essentially_faster(H, G, t_max: float = 1e8) -> bool:
     if t_max < 1e8:
         raise ValueError("comparison needs t_max >= 1e8")
     for k in (0.5, 1.0, 2.0, 10.0):
-        r_far = float(H(k * t_max)) / float(G(t_max))
-        r_near = float(H(k * t_max / 1e4)) / float(G(t_max / 1e4))
+        r_far = H(k * t_max) / G(t_max)
+        r_near = H(k * t_max / 1e4) / G(t_max / 1e4)
         if not np.isfinite(r_far) or not np.isfinite(r_near):
             logger.debug("essentially_faster inconclusive: non-finite ratio at k=%g", k)
             return False

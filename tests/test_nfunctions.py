@@ -283,12 +283,30 @@ def test_table_derivative_vanishes_at_origin():
     assert conj.deriv(1.0) == pytest.approx(1.0, rel=1e-6)   # (2/3) t^(3/2) at 1
 
 
-def test_table_derivative_of_a_scalar_is_a_float():
-    conj = complementary(power_nfunction(3.0))
+def _scalar_rule_subject(name):
+    if name in FAMILIES:
+        return FAMILIES[name]
+    if name == "tabulated":
+        t = np.logspace(-3, 3, 200)
+        return tabulated_nfunction(t, t ** 3)
+    derive = {"conjugate": complementary, "inverse": inverse_nfunction}[name]
+    return derive(power_nfunction(3.0))
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "tabulated", "conjugate", "inverse"])
+def test_table_derivative_of_a_scalar_is_a_float(name):
+    # one scalar rule: a 0-d argument gives a Python float, an array an
+    # array of its shape
+    F = _scalar_rule_subject(name)
+    assert type(F(2.0)) is float and type(F.inverse(2.0)) is float
     for t in (0.0, 1.0, 2.5):
-        assert type(conj.deriv(t)) is float
-        assert type(conj.table.derivative(np.float64(t))) is float
-    assert conj.deriv(np.array([1.0])).shape == (1,)
+        assert type(F.deriv(t)) is float and type(F.deriv(np.float64(t))) is float
+    if isinstance(F, NFunction):
+        assert type(F.deriv2(2.0)) is float and type(F.integral_over_t(2.0)) is float
+    else:
+        assert type(F.table.derivative(np.float64(2.5))) is float
+    assert F.deriv(np.array([1.0])).shape == (1,)
+    assert F(np.ones((2, 3))).shape == F.inverse(np.ones((2, 3))).shape == (2, 3)
 
 
 def test_complementary_powersum_bracket():
@@ -703,10 +721,58 @@ def test_table_segment_matches_binary_search(name):
             one = table._segment(np.array(v))[0]
             assert one.shape == () and one == _searchsorted_row(table, np.array(v))
         # the lookup gathers exactly the rows the binary search names
-        c, s = table._locate(x)
+        c, s, _ = table._locate(x)
         lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
     assert np.array_equal(c, table._coef[want])
     assert np.array_equal(s, lx - table._origin[want], equal_nan=True)
+
+
+def _clamped_table():
+    """Knots 1..5 whose PCHIP slope at the first knot clamps to 0."""
+    return LogLogTable(np.arange(1.0, 6.0), np.array([1.0, 1.01, 3.0, 9.0, 27.0]))
+
+
+EDGE_PROBES = np.array([0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", [*LOOKUP_TABLES, "clamped"])
+def test_table_contract_at_the_edges(name):
+    # 0 -> 0, inf -> inf and NaN -> NaN through the power-law extensions,
+    # whose slopes are positive; the derivative at 0 and at inf is the
+    # extension's limit; no warning, and a negative argument is an error
+    table = _clamped_table() if name == "clamped" else _lookup_table(name)
+    value = table(EDGE_PROBES)
+    slope = table.slope(EDGE_PROBES)
+    deriv = table.derivative(EDGE_PROBES)
+    assert value[0] == 0.0 and value[4] == np.inf and np.isnan(value[5])
+    assert np.all(value[:4] <= value[1:5])
+    low, high = slope[0], slope[4]
+    assert low > 0.0 and high > 0.0 and slope[1] == low and slope[3] == high
+    assert deriv[0] == (0.0 if low > 1.0 else np.inf)
+    assert deriv[4] == (np.inf if high > 1.0 else 0.0)
+    assert np.all(deriv[1:4] >= 0.0) and np.isnan(slope[5]) and np.isnan(deriv[5])
+    if name.startswith("inverse"):
+        assert deriv[0] == np.inf
+    for x, want in ((0.0, 0.0), (np.inf, np.inf)):
+        assert table(x) == want and table.derivative(x) == deriv[0 if x == 0.0 else 4]
+    with pytest.raises(ValueError):
+        table(np.array([1.0, -1.0]))
+
+
+def test_clamped_end_slope_extends_by_the_end_secant():
+    table = _clamped_table()
+    assert table._coef[1, 2] == 0.0   # the clamped knot slope
+    assert table.slope(0.5) == pytest.approx(np.log(1.01) / np.log(2.0), rel=1e-12)
+    assert 0.0 < table(1e-300) < table(0.5) < table(1.0) == pytest.approx(1.0)
+
+
+def test_derived_derivatives_take_the_extension_limits():
+    G = power_nfunction(3.0)
+    assert inverse_nfunction(G).deriv(0.0) == np.inf      # slope 1/3 below the knots
+    assert complementary(G).deriv(np.inf) == np.inf      # slope 3/2 above them
+    with pytest.raises(ValueError):
+        complementary(G)(-1.0)
 
 
 @pytest.mark.parametrize("name", ["conjugate-powerlog3", "tabulated-clustered"])

@@ -681,6 +681,20 @@ def test_symmetry_control_case():
     assert out.asymmetry > 1e-3  # reported, not held against the expectation
 
 
+def test_symmetry_outcome_above_its_threshold_is_not_ok():
+    # the control case converges with asymmetry > 1e-3: ok follows the threshold
+    mesh = Mesh(-1.0, 1.0, 64)
+    skew = 1.0 + 0.5 * (mesh.nodes > 0.2)
+    spec = ProblemSpec(G=P3, s=0.5, alpha=0.5, beta=0.5,
+                       f=GridFunction(mesh, skew),
+                       k=GridFunction.constant(mesh, 1.0),
+                       epsilon0=1e-2, epsilon_min=1e-3)
+    out = symmetry_experiment(spec, tol=1e-9, threshold=1e-3)
+    assert not out.inconclusive and out.threshold == 1e-3 and out.asymmetry > 1e-3
+    assert not out.ok
+    assert replace(out, threshold=2.0 * out.asymmetry).ok
+
+
 def test_symmetry_needs_even_count():
     mesh = Mesh(-1.0, 1.0, 33)
     with pytest.raises(ValueError):
