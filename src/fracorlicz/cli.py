@@ -122,6 +122,16 @@ class _Run:
         self.manifest.add_output(path)
         return path
 
+    def note_stages(self, result, solve: str = "") -> None:
+        """One manifest line per stage of result, tagged solve=<solve> if given."""
+        tag = f"solve={solve} " if solve else ""
+        for st in result.stages:
+            self.manifest.note(
+                f"stage {tag}eps={st.epsilon:.6e} cells={st.cells} iterations={st.iterations} "
+                f"energy={st.energy:.12e} pair_passes={st.pair_passes} backtracks={st.backtracks} "
+                f"bb_fallbacks={st.bb_fallbacks} plain_steps={st.plain_steps} "
+                f"seconds={st.seconds:.3f} stop={st.stop}")
+
     def finish(self) -> None:
         self.manifest.wall_time = time.perf_counter() - self.t0
         self.manifest.write(self.out / "manifest.txt")
@@ -205,14 +215,7 @@ def cmd_solve(run: _Run) -> int:
     run.manifest.note(f"converged={result.converged}")
     run.manifest.note(f"residual_inf={result.residual_inf:.6e}")
     run.manifest.note(f"iterations={result.iterations}")
-    for stage in result.stages:
-        run.manifest.note(
-            f"stage eps={stage.epsilon:.6e} cells={stage.cells} "
-            f"iterations={stage.iterations} "
-            f"energy={stage.energy:.12e} "
-            f"pair_passes={stage.pair_passes} backtracks={stage.backtracks} "
-            f"bb_fallbacks={stage.bb_fallbacks} plain_steps={stage.plain_steps} "
-            f"seconds={stage.seconds:.3f} stop={stage.stop}")
+    run.note_stages(result)
     if _is_torsion_benchmark(spec):
         ref = float(spec.k.values[0]) * torsion_reference(spec.mesh)
         err = (result.u - ref).l2_norm() / ref.l2_norm()
@@ -236,8 +239,9 @@ def cmd_compare(run: _Run) -> int:
     high = replace(low, f=f_high, k=k_high)
     st = run.settings
     outcome = comparison_experiment(low, high, tol=st.tol, max_iter=st.max_iter)
-    run.write_grid("solution_low.txt", outcome.low.u)
-    run.write_grid("solution_high.txt", outcome.high.u)
+    for side, result in (("low", outcome.low), ("high", outcome.high)):
+        run.write_grid(f"solution_{side}.txt", result.u)
+        run.note_stages(result, side)
     for note in outcome.notes:
         run.manifest.note(f"membership={note}")
     if outcome.inconclusive:
@@ -258,8 +262,10 @@ def cmd_uniqueness(run: _Run) -> int:
     st = run.settings
     outcome = uniqueness_experiment(spec, tol=st.tol, max_iter=st.max_iter,
                                     seed=st.seed, threshold=threshold)
+    run.note_stages(outcome.reference, "reference")
     for i, res in enumerate(outcome.results):
         run.write_grid(f"solution_init{i}.txt", res.u)
+        run.note_stages(res, f"init{i}")
     if outcome.out_of_hypothesis:
         run.manifest.note("warning=out-of-hypothesis: beta >= p_minus - 1; "
                           "outcome reported, not asserted")
@@ -282,6 +288,7 @@ def cmd_symmetry(run: _Run) -> int:
     outcome = symmetry_experiment(spec, u_init=u_init, tol=st.tol, max_iter=st.max_iter,
                                   threshold=threshold)
     run.write_grid("solution.txt", outcome.result.u)
+    run.note_stages(outcome.result, "continuation" if u_init is None else "init")
     run.manifest.note(f"asymmetry={outcome.asymmetry:.6e}")
     if outcome.inconclusive:
         return run.conclude("INCONCLUSIVE", ": solve did not converge")

@@ -100,7 +100,7 @@ def solve_increasing(fn, target, args=()):
     Chandrupatla's hybrid (`_chandrupatla`) then solves
     log fn - log target = 0 in log x to BISECT_REL_TOL, i.e. to that
     relative accuracy in x, from the level values the walk computed.
-    target == 0 maps to 0.
+    target == 0 maps to 0 and a NaN target to NaN.
 
     fn must have log-log slope d log fn / d log x >= 1 wherever it is
     positive, as every N-function, modular and Luxemburg level has (G(x)/x
@@ -116,7 +116,7 @@ def solve_increasing(fn, target, args=()):
     """
     target = _as_array(target)
     flat = target.ravel()
-    root = np.zeros(flat.shape)
+    root = np.where(np.isnan(flat), np.nan, 0.0)
     pos = np.flatnonzero(flat > 0.0)
     log_t = np.log(flat[pos])
     args = tuple(np.ravel(a)[pos] for a in args)
@@ -385,12 +385,17 @@ def _newton_refine(fn, slope, x, target):
 
     Two steps square the interpolation error of a table seed away.  A
     nonpositive slope is replaced by 1, and the multiplicative clamp of
-    each step to [x/2, 2x] keeps iterates positive near kinks.
+    each step to [x/2, 2x] keeps iterates positive near kinks.  An infinite
+    seed, which a table gives only at an infinite target, is the root and
+    stays.
     """
     for _ in range(2):
         d = slope(x)
         d = np.where(d > 0.0, d, 1.0)
-        x = np.clip(x - (fn(x) - target) / d, 0.5 * x, 2.0 * x)
+        level = fn(x)
+        with np.errstate(invalid="ignore"):   # inf - inf at an infinite seed
+            gap = level - target
+        x = np.where(np.isinf(x), x, np.clip(x - gap / d, 0.5 * x, 2.0 * x))
     return x
 
 
@@ -875,7 +880,9 @@ def complementary(nf) -> DerivedNFunction:
         tau = table.derivative(t)   # 0 at t = 0, so the value is 0 there
         if refine:
             tau = _newton_refine(nf.deriv, nf.deriv2, tau, t)
-        val = t * tau - nf(tau)
+        level = nf(tau)
+        with np.errstate(invalid="ignore"):   # inf - inf where t = tau = inf
+            val = np.where(np.isinf(tau), tau, t * tau - level)
         for b in breaks:
             val = np.maximum(val, t * b - nf(b))
         return _float_if_0d(val)

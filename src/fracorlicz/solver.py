@@ -28,15 +28,20 @@ onto the box, and the descent corrects it.
 The schedule runs on a coarse mesh and the fine meshes only polish its
 answer (nested iteration in the full-multigrid sense, Brandt 1977).  The
 levels halve the problem's mesh while its cell count is even and the half
-keeps at least COARSEST_CELLS cells.  Data moves down by pairs of cells: f,
-k and the start are averaged, which keeps reflection symmetry, and the
-obstacle takes the cell minimum, so a node pinned at 0 stays pinned.  The
-whole schedule runs on the coarsest level; each finer level starts from
-the coarser solution, interpolated linearly with zero values at a and b,
-and runs one stage at epsilon_min.  A mesh that does not halve is the
+keeps at least COARSEST_CELLS cells.  Data moves down by pairs of cells: f
+and k are averaged, which keeps reflection symmetry, and the obstacle takes
+the cell minimum, so a node pinned at 0 stays pinned.  The whole schedule
+runs on the coarsest level from u = 0; each finer level starts from the
+coarser solution, interpolated linearly with zero values at a and b, and
+runs one stage at epsilon_min.  A mesh that does not halve is the
 one-level case of the same loop.  A solve has converged when every stage
 of every level stopped at pg_tol and the coarse Cauchy increments
 decrease over the last three epsilon stages.
+
+The continuation takes no start: one restricted to the coarsest mesh would
+change only its first stage.  The uniqueness and symmetry experiments give
+each start to one minimize_energy call on the full mesh at epsilon_min
+instead, the one place where a start can change the answer.
 
 Everything is deterministic and takes no seed: each stage's first trial is
 the unit step, and no wall-clock entropy enters the iterates (the per-stage
@@ -45,6 +50,7 @@ seconds in StageStats are telemetry only).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -331,7 +337,8 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     """
     start = time.perf_counter()
     mesh = spec.mesh
-    _check_start_mesh(spec, u_init)
+    if u_init.mesh != mesh:
+        raise ValueError(f"u_init lives on {u_init.mesh}, the problem on {mesh}")
     if max_iter is None:
         max_iter = 50 * mesh.n
     upper = None if spec.obstacle is None else spec.obstacle.values
@@ -434,16 +441,6 @@ def _epsilon_schedule(spec: ProblemSpec) -> List[float]:
     return schedule
 
 
-def _check_start_mesh(spec: ProblemSpec, u_init: GridFunction) -> None:
-    if u_init.mesh != spec.mesh:
-        raise ValueError(f"u_init lives on {u_init.mesh}, the problem on {spec.mesh}")
-
-
-def _pair_mean(values: np.ndarray) -> np.ndarray:
-    """Means of cell pairs: restriction to the mesh of half the cells."""
-    return 0.5 * (values[0::2] + values[1::2])
-
-
 def _coarsened(spec: ProblemSpec) -> ProblemSpec:
     """spec on the mesh of half its cells (the cell count must be even).
 
@@ -452,12 +449,11 @@ def _coarsened(spec: ProblemSpec) -> ProblemSpec:
     needs nothing.
     """
     mesh = Mesh(spec.mesh.a, spec.mesh.b, spec.mesh.n // 2)
-    restrict = lambda gf, values: GridFunction(mesh, values, gf.label)
-    obstacle = spec.obstacle
-    if obstacle is not None:
-        obstacle = restrict(obstacle, np.minimum(obstacle.values[0::2], obstacle.values[1::2]))
-    return replace(spec, f=restrict(spec.f, _pair_mean(spec.f.values)),
-                   k=restrict(spec.k, _pair_mean(spec.k.values)), obstacle=obstacle)
+    restrict = lambda gf, pair: GridFunction(mesh, pair(gf.values[0::2], gf.values[1::2]),
+                                             gf.label)
+    mean = lambda a, b: 0.5 * (a + b)
+    obstacle = None if spec.obstacle is None else restrict(spec.obstacle, np.minimum)
+    return replace(spec, f=restrict(spec.f, mean), k=restrict(spec.k, mean), obstacle=obstacle)
 
 
 def _interpolate(u: GridFunction, mesh: Mesh) -> GridFunction:
@@ -480,43 +476,34 @@ def _predicted_start(history: Sequence[Tuple[float, np.ndarray]], epsilon: float
     return _project(values, upper)
 
 
-def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
-                   tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
-    """Continuation solve, nested over mesh levels.
+def solve_singular(spec: ProblemSpec, *, tol: float = 1e-9,
+                   max_iter: Optional[int] = None) -> SolveResult:
+    """Continuation solve from u = 0, nested over mesh levels.
 
     The levels halve spec's mesh while its cell count is even and the half
     keeps at least COARSEST_CELLS cells; otherwise there is one level.  The
-    start (zero by default) is restricted to the coarsest level by cell-pair
-    means, and the whole epsilon schedule runs there.  The first stage
-    starts from the restricted start; each later stage from the Lagrange
-    extrapolation in epsilon, at the stage's epsilon, through the last
-    PREDICTOR_POINTS stage solutions (fewer while fewer exist), clamped onto
-    the box.  The weights use the actual epsilon values, so the last step
-    to epsilon_min, which is not a halving, is predicted as well as the
-    others.  Each finer level starts from the coarser solution,
-    interpolated linearly with zero values at a and b, and runs one stage
-    at epsilon_min.  Every stage is one minimize_energy call with tol and
-    max_iter (default 50 times that level's cells), recorded in stages in
-    the order run.
+    whole epsilon schedule runs on the coarsest level.  The first stage
+    starts from u = 0; each later stage from the Lagrange extrapolation in
+    epsilon, at the stage's epsilon, through the last PREDICTOR_POINTS stage
+    solutions (fewer while fewer exist), clamped onto the box.  The weights
+    use the actual epsilon values, so the last step to epsilon_min, which
+    is not a halving, is predicted as well as the others.  Each finer level
+    starts from the coarser solution, interpolated linearly with zero
+    values at a and b, and runs one stage at epsilon_min.  Every stage is
+    one minimize_energy call with tol and max_iter (default 50 times that
+    level's cells), recorded in stages in the order run.
 
     The continuation itself is a numerical device (the analysis sends the
     regularization to zero abstractly).  converged requires every stage to
     stop at pg_tol and the stagewise sup-norm increments of the coarsest
     level, the distances between consecutive stage solutions, to decrease
-    over its last three stages; residual_inf is the finest level's.  A
-    u_init on another mesh is a ValueError.
+    over its last three stages; residual_inf is the finest level's.
     """
-    if u_init is None:
-        u_init = GridFunction.zeros(spec.mesh)
-    _check_start_mesh(spec, u_init)
     levels = [spec]
     while levels[-1].mesh.n % 2 == 0 and levels[-1].mesh.n // 2 >= COARSEST_CELLS:
         levels.append(_coarsened(levels[-1]))
     levels.reverse()
-    start = u_init.values
-    for _ in levels[1:]:
-        start = _pair_mean(start)
-    u = GridFunction(levels[0].mesh, start, u_init.label)
+    u = GridFunction.zeros(levels[0].mesh)
 
     schedule = _epsilon_schedule(spec)
     plan = ([(levels[0], eps) for eps in schedule]
@@ -565,8 +552,8 @@ def solve_singular(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     )
 
 
-def solve_general(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
-                  tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
+def solve_general(spec: ProblemSpec, *, tol: float = 1e-9,
+                  max_iter: Optional[int] = None) -> SolveResult:
     """Continuation solve for a custom right-hand side F(x, u).
 
     Rejected up front unless F is nonnegative on samples and the ratio
@@ -582,7 +569,7 @@ def solve_general(spec: ProblemSpec, u_init: Optional[GridFunction] = None,
     for x in xs:
         if np.any(np.asarray([spec.F_custom(x, s) for s in s_grid[:8]]) < 0.0):
             raise ValueError("custom right-hand side must be nonnegative")
-    return solve_singular(spec, u_init, tol=tol, max_iter=max_iter)
+    return solve_singular(spec, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +632,7 @@ def discretization_estimate(mesh: Mesh, s: float, scale: float) -> float:
     return scale * mesh.h ** min(1.0, 2.0 - 2.0 * s) / 10.0
 
 
-def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
-                          u_init: Optional[GridFunction] = None,
+def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec, *,
                           tol: float = 1e-9, max_iter: Optional[int] = None) -> ComparisonOutcome:
     """Solve an ordered pair of problems and look for comparison violations.
 
@@ -663,8 +649,8 @@ def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
        np.any(spec_low.k.values > spec_high.k.values):
         raise ValueError("need f_low <= f_high and k_low <= k_high nodewise")
     notes = tuple(membership_report(spec_low))
-    low = solve_singular(spec_low, u_init, tol=tol, max_iter=max_iter)
-    high = solve_singular(spec_high, u_init, tol=tol, max_iter=max_iter)
+    low = solve_singular(spec_low, tol=tol, max_iter=max_iter)
+    high = solve_singular(spec_high, tol=tol, max_iter=max_iter)
     inconclusive = not (low.converged and high.converged)
     scale = max(low.u.sup_norm(), high.u.sup_norm(), 1e-30)
     tol_cmp = 10.0 * (tol + discretization_estimate(spec_low.mesh, spec_low.s, scale))
@@ -672,8 +658,18 @@ def comparison_experiment(spec_low: ProblemSpec, spec_high: ProblemSpec,
     return ComparisonOutcome(low, high, violated, tol_cmp, inconclusive, notes)
 
 
+def _solve_from(spec: ProblemSpec, u_init: Optional[GridFunction], tol: float,
+                max_iter: Optional[int]) -> SolveResult:
+    """The continuation solve without a start; with one, a single
+    minimize_energy call from it on the full mesh at epsilon_min."""
+    if u_init is None:
+        return solve_singular(spec, tol=tol, max_iter=max_iter)
+    return minimize_energy(spec, spec.epsilon_min, u_init, tol=tol, max_iter=max_iter)
+
+
 @dataclass
 class UniquenessOutcome:
+    reference: SolveResult
     results: List[SolveResult]
     max_pairwise: float
     threshold: float
@@ -690,32 +686,30 @@ def uniqueness_experiment(spec: ProblemSpec,
                           tol: float = 1e-9, max_iter: Optional[int] = None,
                           seed: int = 0,
                           threshold: float = 1e-5) -> UniquenessOutcome:
-    """Run the continuation from several starts; measure solution spread.
+    """Solve the epsilon_min problem from several starts; measure the spread.
 
+    reference is the continuation solve (from u = 0); results holds one
+    direct minimize_energy solve on the full mesh at epsilon_min per start.
     Without inits, the starts are 0.1, 1 and a random_positive field drawn
-    from seed.  The spread is the max over pairs of sup-distance normalized
-    by 1 + sup-norm.  A reaction exponent at or above p_minus - 1 marks the
-    run out-of-hypothesis: it still executes, but the outcome is reported
+    from seed.  The spread is the max, over all pairs of these solves,
+    reference included, of the sup-distance normalized by 1 + sup-norm.
+    The outcome is inconclusive unless every solve stopped at pg_tol.  A
+    reaction exponent at or above p_minus - 1 marks the run
+    out-of-hypothesis: it still executes, but the outcome is reported
     rather than asserted.
     """
-    mesh = spec.mesh
     if inits is None:
-        rng = np.random.default_rng(seed)
-        inits = [GridFunction.constant(mesh, 0.1),
-                 GridFunction.constant(mesh, 1.0),
-                 random_positive(rng, mesh)]
+        mesh = spec.mesh
+        inits = [GridFunction.constant(mesh, 0.1), GridFunction.constant(mesh, 1.0),
+                 random_positive(np.random.default_rng(seed), mesh)]
     if len(inits) < 3:
         raise ValueError("uniqueness experiment needs at least 3 distinct starts")
-    out_of_hyp = spec.beta >= spec.G.p_minus - 1.0
-    results = [solve_singular(spec, u0, tol=tol, max_iter=max_iter) for u0 in inits]
-    spread = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            a, b = results[i].u, results[j].u
-            d = float(np.max(np.abs(a.values - b.values)) / (1.0 + a.sup_norm()))
-            spread = max(spread, d)
-    inconclusive = not all(r.converged for r in results)
-    return UniquenessOutcome(results, spread, threshold, out_of_hyp, inconclusive)
+    solves = [_solve_from(spec, u0, tol, max_iter) for u0 in [None, *inits]]
+    spread = max(float(np.max(np.abs(a.u.values - b.u.values)) / (1.0 + a.u.sup_norm()))
+                 for a, b in itertools.combinations(solves, 2))
+    return UniquenessOutcome(solves[0], solves[1:], spread, threshold,
+                             out_of_hypothesis=spec.beta >= spec.G.p_minus - 1.0,
+                             inconclusive=not all(r.converged for r in solves))
 
 
 @dataclass
@@ -740,20 +734,22 @@ def symmetry_experiment(spec: ProblemSpec, u_init: Optional[GridFunction] = None
                         threshold: float = 1e-6) -> SymmetryOutcome:
     """Solve and measure the reflection asymmetry of the solution.
 
-    The discrete scheme is reflection-equivariant, so with symmetric data
-    the converged solution is symmetric to solver tolerance even from an
-    asymmetric start: the outcome is ok when the solve converged and the
-    sup-norm asymmetry is below threshold.  Asymmetric data is admitted as
-    a labeled control case: the run executes and the asymmetry is reported,
-    but symmetric_data is False so the caller knows not to hold it against
-    the expectation.  Requires an even cell count so reflection maps nodes
-    to nodes.
+    Without u_init the solve is the continuation from u = 0; with it, one
+    direct minimize_energy solve from u_init on the full mesh at
+    epsilon_min.  The discrete scheme is reflection-equivariant, so with
+    symmetric data the converged solution is symmetric to solver tolerance
+    even from an asymmetric start: the outcome is ok when the solve
+    converged (stopped at pg_tol) and the sup-norm asymmetry is below
+    threshold.  Asymmetric data is admitted as a labeled control case: the
+    run executes and the asymmetry is reported, but symmetric_data is False
+    so the caller knows not to hold it against the expectation.  Requires
+    an even cell count so reflection maps nodes to nodes.
     """
     if spec.mesh.n % 2 != 0:
         raise ValueError("symmetry experiment needs an even cell count")
     symmetric = (_is_even(spec.f.values) and _is_even(spec.k.values)
                  and (spec.obstacle is None or _is_even(spec.obstacle.values)))
-    result = solve_singular(spec, u_init, tol=tol, max_iter=max_iter)
+    result = _solve_from(spec, u_init, tol, max_iter)
     u = result.u.values
     asym = float(np.max(np.abs(u - u[::-1])))
     return SymmetryOutcome(result, asym, threshold, symmetric, not result.converged)

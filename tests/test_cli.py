@@ -489,6 +489,62 @@ def test_capped_experiment_is_inconclusive(tmp_path, command, extra):
     assert "verdict=INCONCLUSIVE" in (out / "manifest.txt").read_text()
 
 
+def _stage_fields(out):
+    return [dict(item.split("=") for item in line.split()[1:])
+            for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("stage ")]
+
+
+def test_experiment_manifests_report_every_solve_stage(tmp_path):
+    # eps 1e-2 .. 1e-4: eight coarse stages on 32 cells, then the 64-cell level
+    cfg = singular_config(tmp_path, n=64, extra="\n[compare]\nf_high = 2\n\n"
+                                                "[symmetry]\ninit = 1 + x\n")
+    continuation = ["32"] * 8 + ["64"]
+    tagged = {}
+    for command in ("compare", "uniqueness", "symmetry"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        fields = _stage_fields(out)
+        assert all(f["stop"] == "pg_tol" for f in fields)
+        tagged[command] = [(f["solve"], f["cells"]) for f in fields]
+        starts = [f for f in fields if f["solve"].startswith("init")]
+        assert all((f["cells"], float(f["eps"])) == ("64", 1e-4) for f in starts)
+        for path in out.glob("solution*.txt"):
+            assert "seconds" not in path.read_text()
+    assert tagged["compare"] == ([("low", c) for c in continuation]
+                                 + [("high", c) for c in continuation])
+    assert tagged["uniqueness"] == ([("reference", c) for c in continuation]
+                                    + [(f"init{i}", "64") for i in range(3)])
+    assert tagged["symmetry"] == [("init", "64")]
+
+
+@pytest.mark.parametrize("command", ["uniqueness", "symmetry"])
+def test_direct_solve_short_of_pg_tol_is_inconclusive(tmp_path, monkeypatch, command):
+    # the continuation converges; only the solves from a start are capped
+    continuation, minimize = solver.solve_singular, solver.minimize_energy
+    running = []
+
+    def tracked(spec, **kwargs):
+        running.append(True)
+        try:
+            return continuation(spec, **kwargs)
+        finally:
+            running.pop()
+
+    def capped(spec, epsilon, u_init, tol=1e-9, max_iter=None):
+        return minimize(spec, epsilon, u_init, tol=tol, max_iter=max_iter if running else 3)
+
+    monkeypatch.setattr(solver, "solve_singular", tracked)
+    monkeypatch.setattr(solver, "minimize_energy", capped)
+    out = tmp_path / "o"
+    cfg = singular_config(tmp_path, n=32, extra="\n[symmetry]\ninit = 1 + x\n")
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "verdict=INCONCLUSIVE" in (out / "manifest.txt").read_text()
+    stops = {(f["solve"], f["stop"]) for f in _stage_fields(out)}
+    assert {stop for solve, stop in stops if solve.startswith("init")} == {"max_iter"}
+    assert {stop for solve, stop in stops if not solve.startswith("init")} <= {"pg_tol"}
+
+
 def test_uniqueness_fail(tmp_path, capsys):
     cfg = singular_config(tmp_path, n=32, extra="\n[uniqueness]\nthreshold = 1e-300\n")
     out = tmp_path / "u"

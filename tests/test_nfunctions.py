@@ -775,6 +775,23 @@ def test_derived_derivatives_take_the_extension_limits():
         complementary(G)(-1.0)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_derived_functions_are_infinite_at_infinity(name):
+    # the table seeds inf there; Newton and the Fenchel value must keep it
+    G = FAMILIES[name]
+    for F in (complementary(G), inverse_nfunction(G)):
+        assert F(np.inf) == np.inf
+        assert np.array_equal(F(np.array([0.0, np.inf])), [0.0, np.inf])
+
+
+def test_nan_target_has_a_nan_root():
+    # as every table maps NaN to NaN
+    for F in (power_sum_nfunction(3.0, 4.0), complementary(power_nfunction(3.0))):
+        assert np.isnan(F.inverse(np.nan))
+        roots = F.inverse(np.array([np.nan, 0.0, 1.0]))
+        assert np.isnan(roots[0]) and roots[1] == 0.0 and roots[2] > 0.0
+
+
 @pytest.mark.parametrize("name", ["conjugate-powerlog3", "tabulated-clustered"])
 @pytest.mark.parametrize("guess", ["first", "last"])
 def test_table_segment_corrects_any_first_guess(name, guess):

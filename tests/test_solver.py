@@ -476,9 +476,11 @@ def test_start_on_another_mesh_is_rejected():
     for other in (Mesh(0.0, 2.0, 32), Mesh(0.0, 1.0, 64)):
         start = GridFunction.constant(other, 0.1)
         with pytest.raises(ValueError, match="u_init"):
-            solve_singular(spec, start)
-        with pytest.raises(ValueError, match="u_init"):
             minimize_energy(spec, 1e-2, start)
+    # the continuation takes no start, and tol is keyword-only, so a start
+    # passed in tol's old place fails at the call
+    with pytest.raises(TypeError):
+        solve_singular(spec, GridFunction.constant(mesh, 0.1))
 
 
 def test_nested_solve_matches_the_fine_mesh_continuation():
@@ -643,6 +645,39 @@ def test_uniqueness_experiment_small():
     assert out.max_pairwise < 1e-5
 
 
+def test_experiment_starts_are_direct_epsilon_min_solves():
+    # a start reaches the n-cell problem at epsilon_min, not a coarse stage
+    mesh = Mesh(-1.0, 1.0, 64)
+    spec = _spec(mesh, eps0=1e-2, eps_min=1e-5)
+    uniq = uniqueness_experiment(spec, tol=1e-9, seed=11)
+    sym = symmetry_experiment(spec, u_init=GridFunction(mesh, 1.0 + mesh.nodes), tol=1e-9)
+    for res in uniq.results + [sym.result]:
+        assert res.converged
+        assert [(st.cells, st.epsilon, st.stop) for st in res.stages] == \
+            [(64, spec.epsilon_min, "pg_tol")]
+    coarse = len(solver._epsilon_schedule(spec))
+    assert [st.cells for st in uniq.reference.stages] == [32] * coarse + [64]
+    assert uniq.ok and sym.ok
+
+
+def test_uniqueness_spread_includes_the_reference(monkeypatch):
+    mesh = Mesh(0.0, 1.0, 32)
+    spec = _spec(mesh, eps0=1e-2, eps_min=1e-4)
+    continuation = solver.solve_singular
+
+    def shifted(spec, **kwargs):
+        result = continuation(spec, **kwargs)
+        return replace(result, u=result.u.with_values(result.u.values + 1e-3))
+
+    monkeypatch.setattr(solver, "solve_singular", shifted)
+    out = uniqueness_experiment(spec, tol=1e-9, seed=11)
+    assert not out.inconclusive and not out.ok
+    ref = out.reference.u
+    gaps = [np.max(np.abs(ref.values - r.u.values)) / (1.0 + ref.sup_norm())
+            for r in out.results]
+    assert min(gaps) > 5e-4 and out.max_pairwise == max(gaps)
+
+
 def test_uniqueness_needs_three_starts():
     mesh = Mesh(0.0, 1.0, 32)
     with pytest.raises(ValueError):
@@ -725,12 +760,7 @@ def test_general_path_decreasing_nonlinearity():
                                 inits=[GridFunction.constant(mesh, 0.1),
                                        GridFunction.constant(mesh, 1.0),
                                        GridFunction.constant(mesh, 2.0)])
-    # route the solves through the general path manually
-    results = [solve_general(spec, u0, tol=1e-9)
-               for u0 in (GridFunction.constant(mesh, 0.1),
-                          GridFunction.constant(mesh, 1.0))]
-    assert all(r.converged for r in results)
-    assert np.max(np.abs(results[0].u.values - results[1].u.values)) < 1e-6
+    assert out.ok
 
 
 def test_general_path_rejections():
