@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from .nfunctions import BracketExpansionError
-from .grid import (GridFunction, ModularNotDecreasingError, modular, seminorm_modular,
-                   luxemburg_norm)
+from .grid import (GridFunction, ModularNotDecreasingError, modular_and_slope,
+                   seminorm_modular_and_slope, luxemburg_norm)
 from .solver import (solve_singular, comparison_experiment, uniqueness_experiment,
                      symmetry_experiment, torsion_reference)
 from .inequalities import SUITES, STANDARD_FAMILIES, run_suite
@@ -307,18 +307,18 @@ def cmd_norm(run: _Run) -> int:
     kind = get_setting(parser, "norm", "kind", str, default="LG")
     u = coefficient_field(expr, mesh, "u", run.base_dir)
     if kind == "LG":
-        modular_fn = lambda w: modular(w, G)
+        modular_fn = lambda w: modular_and_slope(w, G)
     elif kind in ("seminorm_omega", "seminorm_full"):
         # the order is [norm] s, else [problem] s, else 1/2
         s = fraction_setting(parser, "norm" if parser.has_option("norm", "s") else "problem",
                              "s", 0.5)
         domain = "omega" if kind == "seminorm_omega" else "full"
-        modular_fn = lambda w: seminorm_modular(w, G, s, domain)
+        modular_fn = lambda w: seminorm_modular_and_slope(w, G, s, domain)
     else:
         raise ConfigError(f"[norm] kind must be LG, seminorm_omega or seminorm_full, "
                           f"got {kind!r}")
     value = luxemburg_norm(u, modular_fn)
-    residual = abs(modular_fn(u / value) - 1.0) if value > 0.0 else 0.0
+    residual = abs(modular_fn(u / value)[0] - 1.0) if value > 0.0 else 0.0
     print(f"norm={value:.10g} bisection_residual={residual:.3e}")
     run.manifest.note(f"norm={value!r} residual={residual!r} kind={kind}")
     return EXIT_OK

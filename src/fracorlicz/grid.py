@@ -36,8 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .nfunctions import NFunction, BracketExpansionError, complementary, solve_increasing
 
 __all__ = [
-    "Mesh", "GridFunction", "modular", "seminorm_modular", "luxemburg_norm",
-    "lg_norm", "gagliardo_seminorm", "difference_quotients", "holder_pairing_check",
+    "Mesh", "GridFunction", "modular", "seminorm_modular", "modular_and_slope",
+    "seminorm_modular_and_slope", "luxemburg_norm", "lg_norm", "gagliardo_seminorm",
+    "difference_quotients", "holder_pairing_check",
     "poincare_constant_estimate", "random_fourier", "random_positive",
     "ModularNotDecreasingError",
 ]
@@ -313,71 +314,129 @@ def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float)
 # Luxemburg norm
 # ---------------------------------------------------------------------------
 
-def _unit_level_gauge(level: Callable, rows: np.ndarray) -> np.ndarray:
-    """Luxemburg gauge 1 / mu of each listed row, where level(mu, rows) = 1.
+def _log_slope(derivative, level):
+    """d log level / d log mu from the level and its derivative in log mu."""
+    with np.errstate(divide="ignore", invalid="ignore"):   # a level of 0 or inf
+        return derivative / level
 
-    level must be nondecreasing in the scale factor mu applied to the row.
+
+def modular_and_slope(u: GridFunction, G) -> tuple:
+    """(modular(u, G), its log slope d log modular(mu u) / d log mu at mu = 1).
+
+    G is an NFunction or a derived function (its level_terms); the slope is
+    sum |u| g(|u|) / sum G(|u|), from the same evaluation as the modular.
+    """
+    value, derivative = (np.sum(a) for a in G.level_terms(np.abs(u.values)))
+    return float(u.mesh.h * value), float(_log_slope(derivative, value))
+
+
+def seminorm_modular_and_slope(u: GridFunction, G: NFunction, s: float,
+                               domain: str = "omega") -> tuple:
+    """(seminorm_modular(u, G, s, domain), its log slope in the scale factor).
+
+    One pair pass gives the modular and its gradient, the operator divided
+    by h (with the exterior tails on the full domain), so the derivative of
+    the modular of mu u in log mu at mu = 1 is h times the operator paired
+    with u.
+    """
+    _check_order(s)
+    if domain == "omega":
+        value, operator = _pair_pass(u.values, G, u.mesh, s, energy=True, gradient=True)
+        value = float(value)
+    elif domain == "full":
+        value, operator = modular_and_operator(u.values, G, u.mesh, s)
+    else:
+        raise ValueError(f"unknown modular domain {domain!r}")
+    return value, float(_log_slope(u.mesh.h * (operator @ u.values), value))
+
+
+def _unit_level_gauge(level: Callable, count: int, at_one) -> np.ndarray:
+    """Luxemburg gauges 1 / mu of rows 0 .. count - 1, where level(mu, rows) = 1.
+
+    level returns each listed row's level at its scale factor mu and the
+    level's log slope in mu; it must be nondecreasing in mu.  at_one is
+    level's (value, slope) at mu = 1 for every row.
     """
     try:
-        mu = solve_increasing(level, np.ones(len(rows)), args=(rows,))
+        mu = solve_increasing(level, np.ones(count), args=(np.arange(count),), at_one=at_one)
     except BracketExpansionError as err:
         raise ModularNotDecreasingError(f"no unit level of the modular: {err}") from err
     return 1.0 / mu
 
 
-def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], float]) -> float:
-    """inf(lambda > 0 : modular(u / lambda) <= 1) by a bracketed monotone solve.
+def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], tuple]) -> float:
+    """inf(lambda > 0 : modular(u / lambda) <= 1) by the monotone root-finder.
 
-    The scaled modular modular(mu u) is solved for the unit level in mu to
-    relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing: a walk
-    from mu = 1 to a bracket, then a secant first step, exact when the
-    modular scales like a power), and the norm is 1 / mu.  Returns 0 where
-    the modular vanishes at u, e.g. u = 0.
+    modular_fn(w) returns (modular of w, d log modular(mu w) / d log mu at
+    mu = 1), as modular_and_slope and seminorm_modular_and_slope do.  The
+    scaled modular modular(mu u) is solved for the unit level in mu to
+    relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing: Newton
+    in log mu from mu = 1, steered by the slope, so a modular that scales
+    like a power costs one evaluation at mu = 1 and one at the root), and
+    the norm is 1 / mu.  Returns 0 where the modular vanishes at u, e.g.
+    u = 0.
     """
-    if modular_fn(u) == 0.0:
+    value, slope = modular_fn(u)
+    if value == 0.0:
         return 0.0
-    level = lambda mu, _rows: np.array([modular_fn(u * m) for m in mu])
-    return float(_unit_level_gauge(level, np.zeros(1, dtype=int))[0])
+
+    def level(mu, _rows):
+        return tuple(np.array([v]) for v in modular_fn(u * mu[0]))
+
+    return float(_unit_level_gauge(level, 1, (np.array([value]), np.array([slope])))[0])
 
 
-def lg_norm(u: GridFunction, G: NFunction) -> float:
+def lg_norm(u: GridFunction, G) -> float:
     """Luxemburg norm of the plain Orlicz modular."""
-    return luxemburg_norm(u, lambda w: modular(w, G))
+    return luxemburg_norm(u, lambda w: modular_and_slope(w, G))
 
 
 def gagliardo_seminorm(u: GridFunction, G: NFunction, s: float,
                        domain: str = "omega") -> float:
     """Luxemburg gauge of the Gagliardo modular (domain or full-space)."""
-    return luxemburg_norm(u, lambda w: seminorm_modular(w, G, s, domain))
+    return luxemburg_norm(u, lambda w: seminorm_modular_and_slope(w, G, s, domain))
 
 
 # ---------------------------------------------------------------------------
 # Batched helpers for the randomized sweeps (samples stacked row-wise)
 # ---------------------------------------------------------------------------
 
-def batch_modular(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarray:
-    return h * np.sum(G_eval(np.abs(values)), axis=-1)
+def batch_luxemburg(values: np.ndarray, h: float, terms: Callable) -> tuple:
+    """(norms, modulars) of the rows of a sample matrix, solved in row chunks.
 
-
-def batch_luxemburg(values: np.ndarray, h: float, G_eval: Callable) -> np.ndarray:
-    """Row-wise Luxemburg norms of a sample matrix, solved in row chunks.
-
-    Each row's level h * sum(G_eval(mu |row|)) is solved for the unit level
-    in mu like luxemburg_norm; zero rows get norm 0.  The nonzero rows are
-    solved LUXEMBURG_CHUNK at a time, which bounds the temporaries of one
-    level evaluation; rows are solved independently, so the norms do not
-    depend on the chunking.  Each evaluation, in the bracket walk and in
-    the root-finder alike, gathers from values only the rows still open, so
-    G_eval sees about 4 entries per batch entry for a pure power, and no
-    second full-size copy of the batch stays alive during the solve.
+    terms(t, out) returns (F(t), t F'(t)) for a nonnegative array t, as
+    NFunction.level_terms does; out holds two buffers shaped like t that it
+    may write into.  Each row's level h * sum F(mu |row|), with its log
+    slope sum t F' / sum F, is solved for the unit level in mu like
+    luxemburg_norm.  The level at mu = 1 is the row's modular: the first
+    evaluation, computed as h * sum(F(|row|)).  Zero rows get 0 for both.
+    The nonzero rows are solved LUXEMBURG_CHUNK at a time, which bounds
+    the temporaries; rows are solved independently, so the results do not
+    depend on the chunking.  |values| is taken once per chunk, and each
+    evaluation gathers only the rows still open into kept buffers, so terms
+    sees about 2 entries per batch entry for a pure power.
     """
-    out = np.zeros(values.shape[0])
+    norms, modulars = np.zeros(values.shape[0]), np.zeros(values.shape[0])
     nonzero = np.flatnonzero(np.any(values, axis=1))
-    level = lambda mu, rows: h * np.sum(G_eval(np.abs(values[rows]) * mu[:, None]), axis=1)
+    work = np.empty((3, min(nonzero.size, LUXEMBURG_CHUNK), values.shape[1]))
+    ones = np.ones(values.shape[1])
     for lo in range(0, nonzero.size, LUXEMBURG_CHUNK):
         rows = nonzero[lo:lo + LUXEMBURG_CHUNK]
-        out[rows] = _unit_level_gauge(level, rows)
-    return out
+        magnitude = np.abs(values[rows])
+
+        def level(mu, open_rows):
+            t, F_buf, tF_buf = work[:, :open_rows.size]
+            np.take(magnitude, open_rows, axis=0, out=t, mode="clip")
+            t *= mu[:, None]
+            F, tF = terms(t, (F_buf, tF_buf))
+            # the slope only steers, so its sum takes the faster matrix product
+            total = np.sum(F, axis=1)
+            return h * total, _log_slope(tF @ ones, total)
+
+        at_one = level(np.ones(rows.size), np.arange(rows.size))
+        modulars[rows] = at_one[0]
+        norms[rows] = _unit_level_gauge(level, rows.size, at_one)
+    return norms, modulars
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
 from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
-                   batch_modular, batch_luxemburg, difference_quotients, random_fourier)
+                   batch_luxemburg, difference_quotients, random_fourier)
 
 __all__ = [
     "InequalityReport", "FCFunction", "fc_check",
@@ -434,8 +434,8 @@ def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> Inequa
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
     fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
     fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
-    return _sandwich_report("modular_norm_sandwich", G, batch_modular(fields, mesh.h, G),
-                            batch_luxemburg(fields, mesh.h, G))
+    norm, phi = batch_luxemburg(fields, mesh.h, G.level_terms)
+    return _sandwich_report("modular_norm_sandwich", G, phi, norm)
 
 
 def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
@@ -444,17 +444,22 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
 
     The scaled difference quotients are precomputed once and flattened per
     row, so the Gagliardo modular is a kernel-weighted plain modular of
-    them and the gauge is one batch_luxemburg solve, with a bracket
-    independent of the claim under test.
+    them, and the gauge and the modular come from one batch_luxemburg
+    solve, independent of the claim under test.
     """
     mesh = Mesh(0.0, 1.0, n)
     fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
     fields = fields[np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9]
     quotients, weights = difference_quotients(fields, mesh, s)
-    weighted_G = lambda z: G(z) * weights
-    return _sandwich_report("seminorm_sandwich", G,
-                            batch_modular(quotients, mesh.h ** 2, weighted_G),
-                            batch_luxemburg(quotients, mesh.h ** 2, weighted_G), s=s)
+
+    def weighted_terms(z, out):
+        e, tg = G.level_terms(z, out)
+        e *= weights
+        tg *= weights
+        return e, tg
+
+    norm, phi = batch_luxemburg(quotients, mesh.h ** 2, weighted_terms)
+    return _sandwich_report("seminorm_sandwich", G, phi, norm, s=s)
 
 
 def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
@@ -465,11 +470,16 @@ def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
     u = random_fourier(rng, mesh, samples)[1]
     v = random_fourier(rng, mesh, samples)[1]
     lhs = mesh.h * np.sum(u * v, axis=1)
-    nu = batch_luxemburg(u, mesh.h, G)
+    nu = batch_luxemburg(u, mesh.h, G.level_terms)[0]
+
     # raw table evaluation: the factor-2 slack of the bound dwarfs the
     # interpolation error, and it is several times cheaper than the
     # polished pointwise conjugate
-    nv = batch_luxemburg(v, mesh.h, conj.table)
+    def table_terms(t, out):
+        value, slope = conj.table.value_and_slope(t)
+        return value, np.multiply(value, slope, out=slope)
+
+    nv = batch_luxemburg(v, mesh.h, table_terms)[0]
     rhs = 2.0 * nu * nv
     gap = rhs - lhs
     tols = _scaled_tol(rhs)

@@ -23,8 +23,9 @@ derivative there is the extension's limit.  Each derived function evaluates in o
 Newton refinement seeded from the table (the complementary function's
 maximizer, the inverse).  Monotone equations without a table
 (closed-form-free inverses of the families, Luxemburg norms) go through
-one bracketed root-finder, Chandrupatla's hybrid.  Both algorithms live in
-this module on numpy alone.
+one root-finder, a safeguarded Newton iteration in log-log coordinates fed
+by the log-log slope each level evaluation yields.  Both algorithms live
+in this module on numpy alone.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ TABLE_LOG10_RANGE = (-12.0, 12.0)
 TABLE_KNOTS = 4096
 
 BISECT_REL_TOL = 1e-12   # relative root tolerance for all monotone solves
-MAX_WALK_STEPS = 8       # bracket walk budget per element: reaches 2^+-255
+MAX_WALK_STEPS = 8       # outward walk budget per element: reaches 2^+-255
 MAX_ROOT_STEPS = 2046    # root-finder cap: the float exponent range in bits
+_LOG_X_MAX = 700.0       # root-finder iterates keep exp(+-this) finite and normal
 
 # log 0 and log inf are clipped to +-this before a table lookup, so they land
 # on the power-law extensions (where 0 * inf would give NaN): exp of the
@@ -64,7 +66,7 @@ class InvalidNFunctionError(ValueError):
 
 
 class BracketExpansionError(RuntimeError):
-    """A monotone solve failed to bracket its target after MAX_WALK_STEPS."""
+    """A monotone solve failed to bracket its target within MAX_WALK_STEPS walk steps."""
 
 
 class SobolevConjugateError(ValueError):
@@ -88,31 +90,41 @@ def _float_if_0d(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def solve_increasing(fn, target, args=()):
+def solve_increasing(fn, target, args=(), at_one=None):
     """Solve fn(x, *args) = target for a nondecreasing fn, vectorised over target.
 
-    Each element with target > 0 starts at x = 1 and walks outward in
-    log x, up while fn is below its target and down while above, by ratios
-    2, 4, 16, 256, ... (the log step doubles), so MAX_WALK_STEPS steps reach
-    2^+-255 without touching 0 or inf.  A step evaluates fn only on the
-    elements still walking, and an element's bracket is the last two points
-    of its walk; one whose level is NaN stops there and gets a NaN root.
-    Chandrupatla's hybrid (`_chandrupatla`) then solves
-    log fn - log target = 0 in log x to BISECT_REL_TOL, i.e. to that
-    relative accuracy in x, from the level values the walk computed.
-    target == 0 maps to 0 and a NaN target to NaN.
+    fn returns (level, slope), arrays shaped like x: its value and its
+    log-log slope d log fn / d log x, both from one evaluation.  Each
+    element with target > 0 solves f(y) = log level - log target = 0 in
+    y = log x by Newton's method from y = 0, with the step
+    -f / max(slope, 1), to BISECT_REL_TOL, i.e. to that relative accuracy
+    in x.  at_one, where the caller has it, is fn's (level, slope) at
+    x = 1, shaped like target; it takes the place of the first evaluation.
+    target == 0 maps to 0, and a NaN target or a NaN level to NaN.
 
-    fn must have log-log slope d log fn / d log x >= 1 wherever it is
-    positive, as every N-function, modular and Luxemburg level has (G(x)/x
-    is nondecreasing for a convex G with G(0) = 0, and so for sums of
-    them).  The root-finder's early stop relies on it: a log gap of at most
-    BISECT_REL_TOL / 2 then puts x within BISECT_REL_TOL / 2 of the root
-    in log x.  A slope sigma < 1 widens that to BISECT_REL_TOL / (2 sigma).
+    Each element keeps a bracket [lo, hi] of its root in y from the signs
+    of f seen so far.  It takes the Newton step when that lands strictly
+    inside the bracket and its last evaluation at least halved |f|;
+    otherwise it bisects the bracket, or, while one end is still open (and
+    where the level is 0 or inf), walks outward by the larger of |f| and
+    log 2 * 2^k at its k-th walk step.  MAX_WALK_STEPS walk steps reach
+    2^+-255, and one more raises BracketExpansionError.  No iterate leaves
+    |y| <= _LOG_X_MAX, so fn is never evaluated at 0 or inf.
 
-    args holds arrays shaped like target, one entry per element.  Both the
-    walk and the root-finder evaluate fn only on the elements still open
-    and pass args cut down to match, so a batched caller passes a row index
-    and gathers its per-row data from it.
+    fn must have log-log slope >= 1 wherever it is positive, as every
+    N-function, modular and Luxemburg level has (G(x)/x is nondecreasing
+    for a convex G with G(0) = 0, and so for sums of them).  Then a step of
+    -f crosses the root, which makes a walk step bracket it, and the stop
+    is certified: an element stops once |f| <= BISECT_REL_TOL / 2, which
+    puts y within BISECT_REL_TOL / 2 of the root, or once its bracket is
+    narrower than BISECT_REL_TOL, at the end with the smaller |f|.  The stop
+    reads only f, so an inexact slope changes the number of evaluations,
+    not the accuracy.  A pure power's root costs two evaluations: the
+    Newton step lands on it and the next evaluation certifies it.
+
+    args holds arrays shaped like target, one entry per element; fn sees
+    only the elements still open, with args cut down to match, so a
+    batched caller passes a row index and gathers its per-row data from it.
     """
     target = _as_array(target)
     flat = target.ravel()
@@ -120,86 +132,54 @@ def solve_increasing(fn, target, args=()):
     pos = np.flatnonzero(flat > 0.0)
     log_t = np.log(flat[pos])
     args = tuple(np.ravel(a)[pos] for a in args)
-
-    def log_gap(y, log_t, *a):
-        with np.errstate(divide="ignore"):
-            return np.log(fn(np.exp(y), *a)) - log_t
-    y2 = np.zeros(pos.size)
-    f2 = log_gap(y2, log_t, *args)
-    up = np.where(f2 < 0.0, 1.0, -1.0)
-    y1, f1 = y2.copy(), f2.copy()
-    for k in range(MAX_WALK_STEPS + 1):
-        walk = np.flatnonzero(up * f2 < 0.0)   # a NaN level stops
-        if not walk.size:
-            break
-        if k == MAX_WALK_STEPS:
-            raise BracketExpansionError(
-                "upper bracket expansion exhausted (target beyond function range)"
-                if np.any(up[walk] > 0.0) else "lower bracket expansion exhausted")
-        y1[walk], f1[walk] = y2[walk], f2[walk]
-        y2[walk] += up[walk] * np.log(2.0) * 2.0 ** k
-        f2[walk] = log_gap(y2[walk], log_t[walk], *(a[walk] for a in args))
-    f1[np.isnan(f2)] = np.nan
-    root[pos] = np.exp(_chandrupatla(log_gap, y2, y1, f2, f1, (log_t, *args)))
-    return _float_if_0d(root.reshape(target.shape))
-
-
-def _chandrupatla(gap, x1, x2, f1, f2, args):
-    """Roots of gap(x, *args) = 0 in the brackets [x1, x2], elementwise.
-
-    f1 and f2 are gap at x1 and x2, of opposite signs.  The first step is
-    the secant (regula falsi) through the bracket ends, which lands on the
-    root when gap is affine in x, as log level is in log scale for a pure
-    power; it bisects where an end value is infinite.  Later steps follow
-    Chandrupatla's hybrid (Adv. Eng. Softw. 28, 1997): inverse quadratic
-    interpolation through the last three points when its xi/phi test
-    passes, bisection otherwise.  No step lands closer than half a
-    tolerance to a bracket end.  An element stops when its bracket is
-    narrower than BISECT_REL_TOL or the smaller |gap| of its ends is at
-    most BISECT_REL_TOL / 2, and returns the end with the smaller |gap|; it
-    returns NaN if its bracket loses the sign change or both ends are NaN.
-    The gap test is certified when gap has slope >= 1 in x (the condition
-    in `solve_increasing`): that end is then within BISECT_REL_TOL / 2 of
-    the root.  gap sees only the unconverged elements, with args cut down
-    to match.
-    """
-    root = np.empty_like(x1)
-    idx = np.arange(x1.size)
-    x3 = f3 = None
+    # per open element: its position in root, its iterate y, the bracket
+    # [lo, hi] with the gaps there, the gap at the previous iterate and the
+    # number of walk steps taken
+    y = np.zeros(pos.size)
+    lo, hi = np.full(pos.size, -np.inf), np.full(pos.size, np.inf)
+    f_lo, f_hi, f_last = (np.full(pos.size, np.inf) for _ in range(3))
+    walks = np.zeros(pos.size)
     for step in range(MAX_ROOT_STEPS + 1):
-        smaller = np.abs(f1) < np.abs(f2)
-        xmin = np.where(smaller, x1, x2)
-        done = np.abs(np.where(smaller, f1, f2)) <= 0.5 * BISECT_REL_TOL
-        failed = ~done & ((np.sign(f1) == np.sign(f2)) | (np.isnan(f1) & np.isnan(f2)))
-        dx = np.abs(x2 - x1)
-        stop = done | failed | (dx < BISECT_REL_TOL) | (step == MAX_ROOT_STEPS)
-        root[idx[stop]] = np.where(failed[stop], np.nan, xmin[stop])
-        go = ~stop
-        if not go.any():
-            break
-        idx, x1, f1, x2, f2, dx = idx[go], x1[go], f1[go], x2[go], f2[go], dx[go]
-        args = tuple(a[go] for a in args)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if x3 is None:
-                t = np.where(np.isfinite(f1 - f2), f1 / (f1 - f2), 0.5)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if step == 0 and at_one is not None:
+                level, slope = (np.ravel(a)[pos] for a in at_one)
             else:
-                x3, f3 = x3[go], f3[go]
-                xi = (x1 - x2) / (x3 - x2)
-                alpha = (x3 - x1) / (x2 - x1)
-                phi = (f1 - f2) / (f3 - f2)
-                iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
-                       - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
-                t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
-                             iqi, 0.5)
-        edge = 0.5 * BISECT_REL_TOL / dx
-        t = np.clip(t, edge, 1.0 - edge)
-        x = x1 + t * (x2 - x1)
-        f = gap(x, *args)
-        same = np.sign(f) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
-    return root
+                level, slope = fn(np.exp(y), *args)
+            f = np.log(level) - log_t
+        below, above = f < 0.0, f > 0.0
+        lo, f_lo = np.where(below, y, lo), np.where(below, f, f_lo)
+        hi, f_hi = np.where(above, y, hi), np.where(above, f, f_hi)
+        done = np.abs(f) <= 0.5 * BISECT_REL_TOL
+        stop = done | (hi - lo < BISECT_REL_TOL) | np.isnan(f) | (step == MAX_ROOT_STEPS)
+        if stop.any():
+            k = np.flatnonzero(stop)
+            end = np.where(np.abs(f_lo[k]) <= np.abs(f_hi[k]), lo[k], hi[k])
+            root[pos[k]] = np.where(np.isnan(f[k]), np.nan,
+                                    np.exp(np.where(done[k], y[k], end)))
+            k = np.flatnonzero(~stop)
+            if not k.size:
+                break
+            pos, y, f, slope, lo, hi, f_lo, f_hi, f_last, walks, log_t = (
+                a[k] for a in (pos, y, f, slope, lo, hi, f_lo, f_hi, f_last, walks, log_t))
+            args = tuple(a[k] for a in args)
+        with np.errstate(invalid="ignore"):
+            y_next = y - f / np.fmax(slope, 1.0)
+        ok = (lo < y_next) & (y_next < hi) & (np.abs(f) <= 0.5 * np.abs(f_last))
+        f_last = f
+        if not ok.all():
+            k = np.flatnonzero(~ok)
+            walk = np.isinf(lo[k]) | np.isinf(hi[k])
+            stuck = k[walk][walks[k[walk]] == MAX_WALK_STEPS]
+            if stuck.size:
+                raise BracketExpansionError(
+                    "upper bracket expansion exhausted (target beyond function range)"
+                    if np.any(f[stuck] < 0.0) else "lower bracket expansion exhausted")
+            gap = np.where(np.isfinite(f[k]), np.abs(f[k]), 0.0)
+            reach = -np.sign(f[k]) * np.fmax(gap, np.log(2.0) * 2.0 ** walks[k])
+            y_next[k] = np.where(walk, y[k] + reach, 0.5 * (lo[k] + hi[k]))
+            walks[k] += walk
+        y = np.clip(y_next, -_LOG_X_MAX, _LOG_X_MAX, out=y_next)
+    return _float_if_0d(root.reshape(target.shape))
 
 
 def _pchip_slopes(h, m):
@@ -345,6 +325,16 @@ class LogLogTable:
         c, s, _ = self._locate(x)
         return _float_if_0d(self._log_slope(c, s))
 
+    def value_and_slope(self, x):
+        """(value, log slope) from one lookup: the root-finder's (level, slope)."""
+        x = _as_array(x)
+        if np.any(x < 0.0):
+            raise ValueError("table argument must be nonnegative")
+        c, s, _ = self._locate(x)
+        with np.errstate(over="ignore"):
+            value = np.exp(self._log_value(c, s))
+        return _float_if_0d(value), _float_if_0d(self._log_slope(c, s))
+
     def derivative(self, x):
         """dv/dx = exp(log v - log x) * dlogv/dlogx from one lookup.
 
@@ -463,11 +453,27 @@ class NFunction:
     def deriv2(self, t):
         return _float_if_0d(self.deriv2_fn(_as_array(t)))
 
+    def level_terms(self, t, out=(None, None)):
+        """(G(t), t g(t)) for an array t, from one pair_terms call into out.
+
+        Summed over a field, the first is a Luxemburg level and the second
+        its derivative in log scale, so their ratio is the level's log-log
+        slope, which steers the root-finder.  out is as in pair_terms.
+        """
+        G, g = self.pair_terms(t, True, True, out)
+        g *= t
+        return G, g
+
     def inverse(self, tau):
         """Inverse of the function itself, closed-form where available."""
         if self.inverse_fn is not None:
             return _float_if_0d(self.inverse_fn(_as_array(tau)))
-        return solve_increasing(self, tau)
+
+        def level(t):
+            G, tg = self.level_terms(t)
+            return G, tg / G
+
+        return solve_increasing(level, tau)
 
     def integral_over_t(self, x):
         """Cumulative integral of G(r)/r from 0 to x.
@@ -722,12 +728,25 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
         raise InvalidNFunctionError("tabulated data is not convex")
 
     def pair_terms(t, energy, gradient, out):
-        return (table(t) if energy else None), (table.derivative(t) if gradient else None)
+        # G = v and g = (v / t) sigma, sigma the log slope, from one lookup
+        if np.any(t < 0.0):
+            raise ValueError("table argument must be nonnegative")
+        c, s, lt = table._locate(t)
+        log_v = table._log_value(c, s)
+        with np.errstate(over="ignore"):
+            return ((np.exp(log_v) if energy else None),
+                    (np.exp(log_v - lt) * table._log_slope(c, s) if gradient else None))
 
     def deriv2(x):
-        x = _as_array(x)
-        eps = 1e-4
-        return (table.derivative(x * (1 + eps)) - table.derivative(x * (1 - eps))) / (2 * eps * x)
+        # the interpolant's own second derivative, (v / x^2)(sigma^2 - sigma
+        # + sigma'), sigma' = d sigma / d log x, from one lookup: at 0 and inf
+        # it is the power-law extension's limit
+        c, s, lx = table._locate(_as_array(x))
+        sigma = table._log_slope(c, s)
+        curvature = 6.0 * c[..., 0] * s + 2.0 * c[..., 1]
+        with np.errstate(over="ignore"):
+            return (np.exp(table._log_value(c, s) - 2.0 * lx)
+                    * (sigma * (sigma - 1.0) + curvature))
 
     # cumulative of G(r)/r: head from the local power fit, then per-segment
     # Gauss-Legendre in the log variable
@@ -824,7 +843,11 @@ class DerivedNFunction:
     def inverse(self, v):
         if self.inverse_table is not None:
             return self.inverse_table(v)
-        return solve_increasing(self.table, v)
+        return solve_increasing(self.table.value_and_slope, v)
+
+    def level_terms(self, t):
+        """(F(t), t F'(t)) for an array t, as NFunction.level_terms gives them."""
+        return self(t), t * self.deriv(t)
 
     @property
     def name(self):

@@ -62,7 +62,7 @@ import numpy as np
 from .nfunctions import (NFunction, complementary, sobolev_conjugate,
                          reaction_weight_nfunction, singular_weight_nfunction,
                          SobolevConjugateError, gauss_log_segments)
-from .grid import (GridFunction, Mesh, modular, seminorm_modular, operator_apply,
+from .grid import (GridFunction, Mesh, modular_and_slope, seminorm_modular, operator_apply,
                    modular_and_operator, luxemburg_norm, random_positive)
 from .inequalities import call_vectorised, f2_monotonicity_check
 
@@ -579,7 +579,7 @@ def solve_general(spec: ProblemSpec, *, tol: float = 1e-9,
 def _conjugate_norm(u: GridFunction, nf) -> float:
     """Luxemburg norm of u in the Orlicz space of the conjugate of nf."""
     conjugate = complementary(nf)  # built once: the solve visits many levels
-    return luxemburg_norm(u, lambda w: modular(w, conjugate))
+    return luxemburg_norm(u, lambda w: modular_and_slope(w, conjugate))
 
 
 def membership_report(spec: ProblemSpec) -> list:

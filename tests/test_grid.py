@@ -9,7 +9,8 @@ from fracorlicz.nfunctions import (power_nfunction, power_sum_nfunction,
 from fracorlicz.inequalities import STANDARD_FAMILIES
 from fracorlicz.grid import (
     Mesh, GridFunction, ModularNotDecreasingError, modular, seminorm_modular,
-    luxemburg_norm, lg_norm, gagliardo_seminorm, holder_pairing_check,
+    modular_and_slope, seminorm_modular_and_slope, luxemburg_norm, lg_norm,
+    gagliardo_seminorm, holder_pairing_check,
     poincare_constant_estimate, random_fourier, random_positive,
     operator_apply, operator_apply_batch,
     exterior_tail_energy, exterior_tail_gradient,
@@ -248,7 +249,10 @@ def test_luxemburg_triangle_inequality():
 def test_luxemburg_detects_broken_modular():
     mesh = Mesh(0.0, 1.0, 16)
     u = GridFunction.constant(mesh, 1.0)
-    increasing = lambda w: 1.0 / (1e-6 + float(np.max(np.abs(w.values))))
+    def increasing(w):
+        m = float(np.max(np.abs(w.values)))
+        return 1.0 / (1e-6 + m), -m / (1e-6 + m)
+
     with pytest.raises(ModularNotDecreasingError):
         luxemburg_norm(u, increasing)
 
@@ -261,9 +265,9 @@ def test_modular_norm_sandwich_both_modulars():
             u = fourier_field(rng, mesh)
             if not np.any(u.values):
                 continue
-            for mod_fn in (lambda w: modular(w, G),
-                           lambda w: seminorm_modular(w, G, 0.5, "omega")):
-                phi = mod_fn(u)
+            for mod_fn in (lambda w: modular_and_slope(w, G),
+                           lambda w: seminorm_modular_and_slope(w, G, 0.5, "omega")):
+                phi = mod_fn(u)[0]
                 if phi == 0.0:
                     continue
                 norm = luxemburg_norm(u, mod_fn)
@@ -282,29 +286,84 @@ def test_gagliardo_seminorm_domains():
     assert full >= omega > 0.0  # bigger modular, bigger gauge
 
 
+def _level_terms(G, conjugate):
+    """batch_luxemburg's evaluator of G, or of its conjugate table as the Hoelder sweep uses it."""
+    if not conjugate:
+        return G.level_terms
+    table = complementary(G).table
+
+    def terms(t, out):
+        value, slope = table.value_and_slope(t)
+        return value, value * slope
+
+    return terms
+
+
+def _reference_norms(G, rows, h):
+    """Closed form (h sum G(|u|))^(1/p) for a power, else scipy's find_root
+    on the log-log level equation, derivative-free."""
+    from scipy.optimize.elementwise import find_root
+    if G.family == "power":
+        return (h * np.sum(G(np.abs(rows)), axis=1)) ** (1.0 / G.params[0])
+    res = find_root(
+        lambda y, i: np.log(h * np.sum(G(np.abs(rows[i]) * np.exp(y)[:, None]), axis=1)),
+        (-30.0, 30.0), args=(np.arange(len(rows)),),
+        tolerances={"xatol": 1e-14, "xrtol": 0.0})
+    return np.exp(-res.x)
+
+
+def test_modular_and_slope_share_one_evaluation():
+    # the values are the modulars bit for bit, and the slopes are the
+    # derivatives of log modular(mu u) in log mu at mu = 1
+    rng = np.random.default_rng(13)
+    mesh = Mesh(0.0, 1.0, 16)
+    u = fourier_field(rng, mesh)
+    eps = 1e-6
+    for G in FAMILIES.values():
+        pairs = [(lambda w: modular_and_slope(w, G), lambda w: modular(w, G))]
+        pairs += [(lambda w, d=d: seminorm_modular_and_slope(w, G, 0.5, d),
+                   lambda w, d=d: seminorm_modular(w, G, 0.5, d)) for d in ("omega", "full")]
+        for with_slope, plain in pairs:
+            value, slope = with_slope(u)
+            assert value == plain(u)
+            fd = (np.log(plain(u * np.exp(eps))) - np.log(plain(u * np.exp(-eps)))) / (2 * eps)
+            assert slope == pytest.approx(fd, rel=1e-7)
+
+
+def test_batch_luxemburg_modulars_are_the_plain_modulars():
+    # the first level evaluation, at mu = 1, is h sum G(|row|) bit for bit
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    rows[3] = 0.0
+    for G in FAMILIES.values():
+        modulars = batch_luxemburg(rows, mesh.h, G.level_terms)[1]
+        assert np.array_equal(modulars, mesh.h * np.sum(G(np.abs(rows)), axis=-1))
+
+
 def test_batch_luxemburg_matches_single():
     rng = np.random.default_rng(8)
     mesh = Mesh(0.0, 1.0, 16)
     rows = np.vstack([random_fourier(rng, mesh, 6)[1], np.zeros(16)])
-    batch = batch_luxemburg(rows, mesh.h, P3)
+    batch = batch_luxemburg(rows, mesh.h, P3.level_terms)[0]
     for row, val in zip(rows, batch):
         ref = lg_norm(GridFunction(mesh, row), P3)
         assert val == pytest.approx(ref, abs=1e-9, rel=1e-9)
 
 
 def test_batch_luxemburg_level_evaluations_few_on_pure_power():
-    # log modular is affine in log scale for a pure power, so the bracketed
-    # root-finder needs only the bracket and a couple of steps
+    # log modular is affine in log scale for a pure power, so the Newton
+    # step from mu = 1 lands on the root and one more level certifies it
     rng = np.random.default_rng(9)
     mesh = Mesh(0.0, 1.0, 32)
     _, rows = random_fourier(rng, mesh, 200)
     calls = []
 
-    def counted(t):
+    def counted(t, out):
         calls.append(1)
-        return P3(t)
+        return P3.level_terms(t, out)
 
-    batch = batch_luxemburg(rows, mesh.h, counted)
+    batch = batch_luxemburg(rows, mesh.h, counted)[0]
     assert len(calls) <= 12
     # pure power: modular(u / lam) = modular(u) / lam^p, so the norm is closed form
     exact = (mesh.h * np.sum(P3(np.abs(rows)), axis=1)) ** (1.0 / 3.0)
@@ -312,16 +371,16 @@ def test_batch_luxemburg_level_evaluations_few_on_pure_power():
 
 
 def test_batch_luxemburg_reuses_bracket_level_values():
-    # the root-finder starts from the level values the bracket expansion
-    # already computed at the final bracket ends, so none is evaluated twice
+    # the level at mu = 1 is evaluated once: it is the modular and the
+    # root-finder's start, so no level is evaluated twice
     rng = np.random.default_rng(9)
     mesh = Mesh(0.0, 1.0, 32)
     _, rows = random_fourier(rng, mesh, 200)
     calls = []
 
-    def counted(t):
+    def counted(t, out):
         calls.append(1)
-        return P3(t)
+        return P3.level_terms(t, out)
 
     batch_luxemburg(rows, mesh.h, counted)
     assert len(calls) <= 7
@@ -331,18 +390,18 @@ def test_batch_luxemburg_reuses_bracket_level_values():
     ("power3", False, 4.0), ("power3", True, 4.0),
     ("powersum34", False, 7.0), ("powerlog3", False, 7.0)])
 def test_batch_luxemburg_row_evaluations(name, conjugate, bound):
-    # the bracket walk evaluates only the rows not yet bracketed, and the
-    # secant first step lands on a pure power's root: row evaluations per
-    # row, i.e. entries passed to G_eval over the batch size
+    # each evaluation gathers only the rows still open, and the Newton
+    # step lands on a pure power's root: row evaluations per row, i.e.
+    # entries passed to the evaluator over the batch size
     rng = np.random.default_rng(9)
     mesh = Mesh(0.0, 1.0, 32)
     _, rows = random_fourier(rng, mesh, 200)
-    G = complementary(FAMILIES[name]) if conjugate else FAMILIES[name]
+    terms = _level_terms(FAMILIES[name], conjugate)
     entries = []
 
-    def counted(t):
+    def counted(t, out):
         entries.append(t.size)
-        return G(t)
+        return terms(t, out)
 
     batch_luxemburg(rows, mesh.h, counted)
     assert sum(entries) / rows.size <= bound
@@ -352,24 +411,25 @@ def test_batch_luxemburg_row_evaluations(name, conjugate, bound):
     ("power3", False, 3.1), ("power3", True, 3.1), ("power4", False, 3.1),
     ("powersum34", False, 6.2), ("powerlog3", False, 6.2)])
 def test_batch_luxemburg_row_evaluations_with_early_stop(name, conjugate, bound):
-    # the root-finder stops once a bracket end's log gap is within
-    # BISECT_REL_TOL / 2: a pure power's secant step lands there, so the
-    # walk's evaluations and that one step make about 3 per row (5.8 and
-    # 5.9 for powersum34 and powerlog3 on this data); the power norms stay
+    # the root-finder stops once an iterate's log gap is within
+    # BISECT_REL_TOL / 2: a pure power's Newton step lands there, so the
+    # evaluation at mu = 1 and the one at that step make 2 per row (about
+    # 4 for powersum34 and powerlog3 on this data); the power norms stay
     # within 2 BISECT_REL_TOL of the closed form
     rng = np.random.default_rng(9)
     mesh = Mesh(0.0, 1.0, 32)
     _, rows = random_fourier(rng, mesh, 200)
-    G = complementary(FAMILIES[name]) if conjugate else FAMILIES[name]
+    G = FAMILIES[name]
+    terms = _level_terms(G, conjugate)
     entries = []
 
-    def counted(t):
+    def counted(t, out):
         entries.append(t.size)
-        return G(t)
+        return terms(t, out)
 
-    norms = batch_luxemburg(rows, mesh.h, counted)
+    norms = batch_luxemburg(rows, mesh.h, counted)[0]
     assert sum(entries) / rows.size <= bound
-    if G.name.startswith("power(p="):
+    if not conjugate and G.family == "power":
         p = G.params[0]
         exact = (mesh.h * np.sum(np.abs(rows) ** p / p, axis=1)) ** (1.0 / p)
         assert np.max(np.abs(norms / exact - 1.0)) <= 2.0 * BISECT_REL_TOL
@@ -385,12 +445,13 @@ def test_batch_luxemburg_chunking_changes_no_bit(monkeypatch, nonzero):
     _, fields = random_fourier(rng, mesh, nonzero)
     rows = np.insert(fields, [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK - 1], 0.0, axis=0)
     zero = [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK]
-    for G_eval in (P3, complementary(P3).table):
-        chunked = batch_luxemburg(rows, mesh.h, G_eval)
+    for terms in (_level_terms(P3, False), _level_terms(P3, True)):
+        chunked, chunked_modulars = batch_luxemburg(rows, mesh.h, terms)
         with monkeypatch.context() as m:
             m.setattr("fracorlicz.grid.LUXEMBURG_CHUNK", len(rows))
-            whole = batch_luxemburg(rows, mesh.h, G_eval)
+            whole, whole_modulars = batch_luxemburg(rows, mesh.h, terms)
         assert np.array_equal(chunked, whole)
+        assert np.array_equal(chunked_modulars, whole_modulars)
         assert np.all(chunked[zero] == 0.0) and np.all(np.delete(chunked, zero) > 0.0)
 
 
@@ -398,21 +459,92 @@ def test_batch_luxemburg_chunking_changes_no_bit(monkeypatch, nonzero):
 def test_batch_luxemburg_matches_reference_norms(name):
     # powers against the closed form (h sum G(|u|))^(1/p), the others
     # against scipy's find_root on the same log-log equation
-    from scipy.optimize.elementwise import find_root
     rng = np.random.default_rng(9)
     mesh = Mesh(0.0, 1.0, 32)
     _, rows = random_fourier(rng, mesh, 200)
     G = FAMILIES[name]
-    batch = batch_luxemburg(rows, mesh.h, G)
-    if G.family == "power":
-        ref = (mesh.h * np.sum(G(np.abs(rows)), axis=1)) ** (1.0 / G.params[0])
+    batch = batch_luxemburg(rows, mesh.h, G.level_terms)[0]
+    assert np.allclose(batch, _reference_norms(G, rows, mesh.h), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name, kind, bound", [
+    ("power3", "G", 2.05), ("power3", "conjugate", 2.05), ("power3", "seminorm", 2.05),
+    ("power4", "G", 2.05), ("power4", "conjugate", 2.05), ("power4", "seminorm", 2.05),
+    ("powersum34", "G", 4.5), ("powerlog3", "G", 4.5)])
+def test_newton_level_evaluations_per_row(name, kind, bound):
+    # a pure power's level, its conjugate table's (a pure power too) and
+    # its kernel-weighted seminorm level scale like powers of mu, so the
+    # Newton step from mu = 1 lands on the root and the next evaluation
+    # certifies it: 2 row evaluations per row
+    rng = np.random.default_rng(9)
+    G = FAMILIES[name]
+    if kind == "seminorm":
+        mesh = Mesh(0.0, 1.0, 8)
+        rows, weights = difference_quotients(random_fourier(rng, mesh, 200)[1], mesh, 0.5)
+        h = mesh.h ** 2
+
+        def terms(t, out):
+            e, tg = G.level_terms(t, out)
+            return e * weights, tg * weights
     else:
-        res = find_root(
-            lambda y, i: np.log(mesh.h * np.sum(G(np.abs(rows[i]) * np.exp(y)[:, None]), axis=1)),
-            (-30.0, 30.0), args=(np.arange(len(rows)),),
-            tolerances={"xatol": 1e-14, "xrtol": 0.0})
-        ref = np.exp(-res.x)
-    assert np.allclose(batch, ref, rtol=1e-12, atol=0.0)
+        mesh = Mesh(0.0, 1.0, 32)
+        _, rows = random_fourier(rng, mesh, 200)
+        h = mesh.h
+        terms = _level_terms(G, kind == "conjugate")
+    entries = []
+
+    def counted(t, out):
+        entries.append(t.size)
+        return terms(t, out)
+
+    batch_luxemburg(rows, h, counted)
+    assert sum(entries) / rows.size <= bound
+
+
+@pytest.mark.parametrize("name", ["power3", "powersum34", "powerlog3"])
+@pytest.mark.parametrize("wrong", ["half", "quadruple", "one"])
+def test_wrong_slope_steers_but_the_value_certifies(name, wrong):
+    # the stop reads only the level, so a slope off by a factor of 2 or 4,
+    # or a constant 1, costs evaluations but not accuracy
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    G = FAMILIES[name]
+
+    def terms(t, out):
+        e, tg = G.level_terms(t, out)
+        if wrong == "one":
+            tg[...] = e
+        else:
+            tg *= 0.5 if wrong == "half" else 4.0
+        return e, tg
+
+    norms = batch_luxemburg(rows, mesh.h, terms)[0]
+    ref = _reference_norms(G, rows, mesh.h)
+    assert np.max(np.abs(norms / ref - 1.0)) <= BISECT_REL_TOL
+
+
+@pytest.mark.parametrize("domain", ["omega", "full"])
+@pytest.mark.parametrize("name", ["power3", "powerlog3"])
+def test_gagliardo_seminorm_matches_reference(name, domain):
+    # a power's modular of mu u is mu^p times that of u (the exterior tail
+    # too), so its gauge is the modular's p-th root; powerlog3's gauge is
+    # checked against scipy's find_root on the log of the plain modular
+    from scipy.optimize.elementwise import find_root
+    rng = np.random.default_rng(7)
+    mesh = Mesh(0.0, 1.0, 24)
+    G = FAMILIES[name]
+    log_level = np.vectorize(lambda y: np.log(seminorm_modular(u * np.exp(y), G, 0.5, domain)))
+    for _ in range(3):
+        u = fourier_field(rng, mesh)
+        norm = gagliardo_seminorm(u, G, 0.5, domain)
+        if G.family == "power":
+            ref = seminorm_modular(u, G, 0.5, domain) ** (1.0 / G.params[0])
+        else:
+            res = find_root(log_level, (-30.0, 30.0),
+                            tolerances={"xatol": 1e-14, "xrtol": 0.0})
+            ref = float(np.exp(-res.x))
+        assert norm == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

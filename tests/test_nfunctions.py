@@ -14,6 +14,7 @@ from fracorlicz.nfunctions import (
     estimate_indices, complementary, inverse_nfunction, sobolev_conjugate,
     compose_power, reaction_weight_nfunction, singular_weight_nfunction,
     essentially_faster, solve_increasing, LogLogTable, INDEX_GRID, _LOG_HUGE,
+    BISECT_REL_TOL,
 )
 
 FAMILIES = {
@@ -366,21 +367,38 @@ def test_complementary_involution():
         assert np.allclose(double(t), G(t), rtol=1e-4)
 
 
+def _with_slope(F):
+    """F as the root-finder's level: (F(x), x F'(x) / F(x))."""
+    def level(x, *args):
+        value = F(x)
+        return value, x * F.deriv(x) / value
+    return level
+
+
+def _tanh(x):
+    return np.tanh(x), x * (1.0 - np.tanh(x) ** 2) / np.tanh(x)
+
+
+def _one_plus(x):
+    return 1.0 + x, x / (1.0 + x)
+
+
 def test_solve_increasing_matches_scipy_find_root():
-    # the in-package Chandrupatla iteration against scipy's as a reference,
-    # across the derivative jump of the power-log family
+    # the in-package Newton iteration against scipy's root-finder as a
+    # reference, across the derivative jump of the power-log family
     from scipy.optimize.elementwise import find_root
     G = FAMILIES["powerlog3"]
     target = np.logspace(-9, 9, 37)
     res = find_root(lambda y, log_t: np.log(G(np.exp(y))) - log_t, (-60.0, 60.0),
                     args=(np.log(target),), tolerances={"xatol": 1e-13, "xrtol": 0.0})
-    assert np.allclose(solve_increasing(G, target), np.exp(res.x), rtol=1e-11, atol=0.0)
+    assert np.allclose(solve_increasing(_with_slope(G), target), np.exp(res.x),
+                       rtol=1e-11, atol=0.0)
 
 
 def test_bracket_expansion_failure():
     # bounded increasing function never reaches the target
     with pytest.raises(BracketExpansionError):
-        solve_increasing(np.tanh, 2.0)
+        solve_increasing(_tanh, 2.0)
 
 
 def _recording(fn, seen):
@@ -393,7 +411,7 @@ def _recording(fn, seen):
 def test_bracket_walk_gives_up_without_reaching_zero_or_inf():
     # the walk raises after its budget in either direction, and every
     # point it evaluates is a positive finite float
-    for fn, target, side in ((np.tanh, 2.0, "upper"), (lambda x: 1.0 + x, 0.5, "lower")):
+    for fn, target, side in ((_tanh, 2.0, "upper"), (_one_plus, 0.5, "lower")):
         seen = []
         with pytest.raises(BracketExpansionError, match=side):
             solve_increasing(_recording(fn, seen), target)
@@ -402,21 +420,47 @@ def test_bracket_walk_gives_up_without_reaching_zero_or_inf():
 
 
 def test_bracket_walk_reaches_far_roots():
-    # the range the walk covers includes [1e-12 * 2^-200, 2^200]
+    # the root-finder reaches roots in [1e-70, 1e59] from x = 1
     G = FAMILIES["power3"]
     roots = np.array([1e-70, 1e-3, 1.0, 1e4, 1e59])
     seen = []
-    assert np.allclose(solve_increasing(_recording(G, seen), G(roots)), roots,
+    assert np.allclose(solve_increasing(_recording(_with_slope(G), seen), G(roots)), roots,
                        rtol=1e-11, atol=0.0)
     x = np.concatenate(seen)
     assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+
+
+@pytest.mark.parametrize("factor", [0.5, 4.0, None])
+def test_wrong_slope_changes_the_count_not_the_root(factor):
+    # the stop reads only the level: a slope off by a factor, or a constant
+    # 1 (factor None), still gives every root to BISECT_REL_TOL
+    G = FAMILIES["powersum34"]
+    roots = np.logspace(-60, 50, 45)
+
+    def level(x):
+        value, slope = _with_slope(G)(x)
+        return value, (np.ones_like(x) if factor is None else factor * slope)
+
+    got = solve_increasing(level, G(roots))
+    assert np.max(np.abs(got / roots - 1.0)) <= BISECT_REL_TOL
+
+
+def test_newton_root_of_a_power_costs_two_evaluations():
+    # the Newton step from x = 1 lands on a pure power's root and the next
+    # evaluation certifies it, for roots far out on both sides
+    G = FAMILIES["power4"]
+    roots = np.array([1e-70, 1e-3, 0.5, 1e4, 1e59])
+    seen = []
+    got = solve_increasing(_recording(_with_slope(G), seen), G(roots))
+    assert len(seen) == 2
+    assert np.max(np.abs(got / roots - 1.0)) <= BISECT_REL_TOL
 
 
 def test_nan_level_stops_the_walk_with_a_nan_root():
     # an element whose level is NaN, at the start or further out, stops
     # walking and gets a NaN root; the other elements are unaffected
     def cube_or_nan(x, nan_above):
-        return np.where(x > nan_above, np.nan, x ** 3)
+        return np.where(x > nan_above, np.nan, x ** 3), np.full_like(x, 3.0)
     nan_above = np.array([np.inf, 0.0, 100.0, np.inf])
     calls = []
     root = solve_increasing(_recording(cube_or_nan, calls), np.array([8.0, 8.0, 1e15, 1e-6]),
@@ -567,6 +611,40 @@ def test_tabulated_from_power_samples():
     assert G.deriv(2.0) == pytest.approx(4.0, rel=1e-4)
     assert G.p_minus == pytest.approx(3.0, abs=2e-2)
     assert G.p_plus == pytest.approx(3.0, abs=2e-2)
+
+
+def test_tabulated_second_derivative_is_the_interpolants():
+    # t^3 samples are a line in log-log, so the interpolant is t^3 and its
+    # second derivative 6t; on curved data it matches a central difference
+    # of g between knots; at 0 and inf it is the extensions' limit, so the
+    # conjugate's Newton refinement there raises no warning
+    t = np.logspace(-3, 3, 200)
+    G = tabulated_nfunction(t, t ** 3)
+    x = np.logspace(-2.9, 2.9, 57)
+    assert np.allclose(G.deriv2(x), 6.0 * x, rtol=1e-9, atol=0.0)
+    H = tabulated_nfunction(t, t ** 3 + t ** 2)
+    mid = np.sqrt(t[:-1] * t[1:])
+    eps = 1e-7
+    fd = (H.deriv(mid * (1 + eps)) - H.deriv(mid * (1 - eps))) / (2 * eps * mid)
+    assert np.allclose(H.deriv2(mid), fd, rtol=1e-5, atol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert G.deriv2(0.0) == 0.0 and G.deriv2(np.inf) == np.inf
+        conj = complementary(G)
+        assert conj(0.0) == 0.0 and conj(np.inf) == np.inf
+
+
+def test_tabulated_terms_are_the_table_lookups():
+    # pair_terms takes G and g from one lookup, with the bits of the table's
+    # value and derivative, and rejects a negative argument as the table does
+    t = np.logspace(-3, 3, 200)
+    table = LogLogTable(t, t ** 3 + t ** 2)
+    G = tabulated_nfunction(t, t ** 3 + t ** 2)
+    x = np.concatenate([[0.0, 1e-300, np.inf], np.logspace(-5, 5, 101)])
+    G_x, g_x = G.pair_terms(x, True, True, (None, None))
+    assert np.array_equal(G_x, table(x)) and np.array_equal(g_x, table.derivative(x))
+    with pytest.raises(ValueError):
+        G(-1.0)
 
 
 def test_tabulated_rejects_nonconvex():
