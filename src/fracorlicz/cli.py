@@ -143,9 +143,14 @@ class _Run:
 
 
 def _problem_context(run: _Run):
+    """(mesh, G, spec) of the config; each hypothesis warning of spec goes to
+    the manifest as warning=<note> and, unless quiet, to stdout."""
     mesh = build_mesh(run.parser)
     G = build_nfunction(run.parser, run.base_dir)
     spec = build_problem(run.parser, mesh, G, run.base_dir)
+    for note in spec.hypothesis_warnings():
+        run.manifest.note(f"warning={note}")
+        run.say(f"warning: {note}")
     return mesh, G, spec
 
 
@@ -206,9 +211,6 @@ def _is_torsion_benchmark(spec) -> bool:
 
 def cmd_solve(run: _Run) -> int:
     _, _, spec = _problem_context(run)
-    for note in spec.hypothesis_warnings():
-        run.manifest.note(f"warning={note}")
-        run.say(f"warning: {note}")
     st = run.settings
     result = solve_singular(spec, tol=st.tol, max_iter=st.max_iter)
     run.write_grid("solution.txt", result.u)
@@ -255,10 +257,6 @@ def cmd_compare(run: _Run) -> int:
 def cmd_uniqueness(run: _Run) -> int:
     _, _, spec = _problem_context(run)
     threshold = positive_setting(run.parser, "uniqueness", "threshold", 1e-5)
-    for note in spec.hypothesis_warnings():
-        run.manifest.note(f"warning={note}")
-        if "out" in note or "uniqueness" in note:
-            run.say(f"warning: {note}")
     st = run.settings
     outcome = uniqueness_experiment(spec, tol=st.tol, max_iter=st.max_iter,
                                     seed=st.seed, threshold=threshold)

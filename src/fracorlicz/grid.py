@@ -15,12 +15,12 @@ The kernel powers depend only on |i - j|, so they are cached as O(n) data
 behind (n, n) Toeplitz views, and one row-blocked pair pass yields the
 double sum of G (the modular), of g (the operator), or both at once.  The
 pass takes G and g together from the N-function's pair_terms, the one
-evaluator each family supplies, and writes its slabs with out= into
-buffers that unbatched passes keep from one call to the next; pair_terms
-may write its terms into the G and g slabs too, so a solver iteration on
-a power family allocates no slab-sized array.  Those buffers make pair
-passes from several threads at once unsafe; the package runs them from one
-thread.
+evaluator each family supplies, and writes its slabs with out= into one
+workspace that every pass, for one field or a batch, keeps while the slab
+size stays; pair_terms writes its terms into the G and g slabs too, so a
+warm pass of a built-in family allocates no slab-sized array.  That
+workspace makes pair passes from several threads at once unsafe; the
+package runs them from one thread.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def modular(u: GridFunction, G: NFunction) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _slab_workspace(floats: int) -> np.ndarray:
-    """The slab buffers of unbatched pair passes, kept while the mesh size stays."""
+    """The slab buffers of every pair pass, kept while their size stays."""
     return np.empty(floats)
 
 
@@ -205,16 +205,14 @@ def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
     and values may carry batch axes.  A block of rows meets the columns from
     its first row on, so pairs across blocks are evaluated once: G terms are
     symmetric, g terms antisymmetric (later columns take negated sums).
-    Every block takes G and g from G.pair_terms and writes its difference,
-    quotient and term slabs with out= into PAIR_SLABS flat buffers: those of
-    _slab_workspace for one field, fresh ones per call for a batch (a kept
-    batch workspace would hold its peak memory for the rest of the process).
+    Every block takes G and g from one G.pair_terms call and writes its
+    difference, quotient and term slabs with out= into the PAIR_SLABS flat
+    buffers of _slab_workspace; energy and gradient pick the sums taken.
     The returned arrays are fresh and share no memory with the buffers.
     """
     inv_s, inv_1, inv_1s, _, _ = _kernel(mesh, s)
     slab = values.size * min(PAIR_BLOCK, mesh.n)
-    work = (_slab_workspace(PAIR_SLABS * slab) if values.ndim == 1
-            else np.empty(PAIR_SLABS * slab))
+    work = _slab_workspace(PAIR_SLABS * slab)
     total = 0.0
     grad = np.zeros(values.shape) if gradient else None
     for lo in range(0, mesh.n, PAIR_BLOCK):
@@ -225,7 +223,7 @@ def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
         np.subtract(values[..., lo:lo + b, None], values[..., None, lo:], out=diff)
         np.abs(diff, out=q)
         q *= inv_s[lo:lo + b, lo:]
-        e, g = G.pair_terms(q, energy, gradient, out=(G_slab, g_slab))
+        e, g = G.pair_terms(q, out=(G_slab, g_slab))
         if energy:
             w = inv_1[lo:lo + b, lo:]
             total = total + (2.0 * np.einsum("...ij,ij->...", e, w)

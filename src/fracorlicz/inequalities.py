@@ -375,11 +375,14 @@ def sharpen_witness(gap_fn: Callable[[dict], float], witness: dict,
 # Randomized suites
 # ---------------------------------------------------------------------------
 
-def _scaled_tol(*magnitudes, base: float = 1e-8) -> np.ndarray:
+SCALED_TOL = 1e-8  # per-sample tolerance of a suite, relative to 1 + sum of |magnitudes|
+
+
+def _scaled_tol(*magnitudes) -> np.ndarray:
     total = magnitudes[0] * 0.0 + 1.0
     for m in magnitudes:
         total = total + np.abs(m)
-    return base * total
+    return SCALED_TOL * total
 
 
 def sweep_young(G: NFunction, samples: int, seed: int) -> InequalityReport:
@@ -618,7 +621,7 @@ def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5) -> Ine
         pair_u, pair_v = _diaz_saa_parts(np.exp(u), np.exp(v), G, mesh, s, q)
         gaps[lo:lo + m] = pair_u + pair_v
         scales[lo:lo + m] = np.abs(pair_u) + np.abs(pair_v)
-    tols = 1e-8 * (1.0 + scales)
+    tols = SCALED_TOL * (1.0 + scales)
     witness = lambda i: {"coeff_u": coeff[0, i].tolist(), "coeff_v": coeff[1, i].tolist(),
                          "q": q, "s": s, "n": DIAZ_SAA_CELLS, "family": G.name}
     return _finish_report("diaz_saa", gaps, tols, witness, samples)

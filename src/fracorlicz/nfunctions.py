@@ -12,8 +12,9 @@ All evaluators are vectorised over numpy arrays; a 0-d argument gives a
 Python float (`_float_if_0d`).  A family's G and its derivative g have one
 evaluator, the `pair_terms` field of NFunction, which gives both from
 shared powers and logarithms and writes into buffers its caller hands it;
-calling G or G.deriv asks it for one part.  A user-built family supplies
-its own pair_terms under the contract in the NFunction docstring.
+G, G.deriv and G.level_terms each take their part of that one call.  A
+user-built family supplies its own pair_terms and tail primitive under the
+contract in the NFunction docstring.
 
 Derived functions are stored as strictly monotone tables interpolated with
 a monotonicity preserving cubic (PCHIP, Fritsch & Carlson) in log-log
@@ -21,10 +22,10 @@ coordinates, with power-law extensions of positive slope beyond the
 tabulated range: a table maps 0 to 0, inf to inf and NaN to NaN, and its
 derivative there is the extension's limit.  Each derived function evaluates in one way: its table, or one
 Newton refinement seeded from the table (the complementary function's
-maximizer, the inverse).  Monotone equations without a table
-(closed-form-free inverses of the families, Luxemburg norms) go through
-one root-finder, a safeguarded Newton iteration in log-log coordinates fed
-by the log-log slope each level evaluation yields.  Both algorithms live
+maximizer, the inverse).  Monotone equations without a table (the inverses
+of the families, Luxemburg norms) go through one root-finder, a
+safeguarded Newton iteration in log-log coordinates fed by the log-log
+slope each level evaluation yields.  Both algorithms live
 in this module on numpy alone.
 """
 
@@ -100,7 +101,8 @@ def solve_increasing(fn, target, args=(), at_one=None):
     -f / max(slope, 1), to BISECT_REL_TOL, i.e. to that relative accuracy
     in x.  at_one, where the caller has it, is fn's (level, slope) at
     x = 1, shaped like target; it takes the place of the first evaluation.
-    target == 0 maps to 0, and a NaN target or a NaN level to NaN.
+    target == 0 maps to 0, target == inf to inf, and a NaN target or a NaN
+    level to NaN.
 
     Each element keeps a bracket [lo, hi] of its root in y from the signs
     of f seen so far.  It takes the Newton step when that lands strictly
@@ -128,8 +130,8 @@ def solve_increasing(fn, target, args=(), at_one=None):
     """
     target = _as_array(target)
     flat = target.ravel()
-    root = np.where(np.isnan(flat), np.nan, 0.0)
-    pos = np.flatnonzero(flat > 0.0)
+    root = np.where(np.isnan(flat) | (flat == np.inf), flat, 0.0)
+    pos = np.flatnonzero((flat > 0.0) & (flat < np.inf))
     log_t = np.log(flat[pos])
     args = tuple(np.ravel(a)[pos] for a in args)
     # per open element: its position in root, its iterate y, the bracket
@@ -420,35 +422,35 @@ class NFunction:
     trusted.  ``warnings`` records documented relaxations (for instance a
     lower index at or below 2, which the solver tolerates but flags).
 
-    ``pair_terms(t, energy, gradient, out)`` is the one evaluator of G and
-    g = G' that a family supplies: for an array t it returns (G(t), g(t)),
-    a part not asked for None.  out = (G buffer, g buffer) holds arrays
-    shaped like t that t does not overlap, or None where the family is to
-    allocate; a family may write into them (as scratch too, even for a
-    part not asked for) or ignore them.  The pair pass of ``grid`` passes
-    its slab buffers, and calling G or G.deriv is the energy-only or
-    gradient-only call with out = (None, None), so a family writes its G
-    and g formulas once.
+    ``pair_terms(t, out)`` is the one evaluator of G and g = G' that a
+    family supplies: for an array t it returns (G(t), g(t)).  out =
+    (G buffer, g buffer) holds arrays shaped like t that t does not
+    overlap, or None where the family is to allocate; a family may write
+    into them (as scratch too) or ignore them.  The pair pass of ``grid``
+    passes its slab buffers; G(t), G.deriv(t) and G.level_terms(t) each
+    take their part of the one call, so a family writes its G and g
+    formulas once.  ``tail_primitive_fn`` is required: it is the
+    cumulative integral of G(r)/r behind the exterior tails of the
+    full-space modular (`integral_over_t`).
     """
 
     family: str
     params: tuple
-    pair_terms: Callable[[np.ndarray, bool, bool, tuple], tuple]
+    pair_terms: Callable[[np.ndarray, tuple], tuple]
     deriv2_fn: Callable[[np.ndarray], np.ndarray]
+    tail_primitive_fn: Callable[[np.ndarray], np.ndarray]
     p_minus: float
     p_plus: float
     eval_domain: tuple = (1e-12, 1e12)
     breakpoints: tuple = ()
     warnings: tuple = ()
-    inverse_fn: Optional[Callable] = None
-    tail_primitive_fn: Optional[Callable] = None
     label: str = ""
 
     def __call__(self, t):
-        return _float_if_0d(self.pair_terms(_as_array(t), True, False, (None, None))[0])
+        return _float_if_0d(self.pair_terms(_as_array(t), (None, None))[0])
 
     def deriv(self, t):
-        return _float_if_0d(self.pair_terms(_as_array(t), False, True, (None, None))[1])
+        return _float_if_0d(self.pair_terms(_as_array(t), (None, None))[1])
 
     def deriv2(self, t):
         return _float_if_0d(self.deriv2_fn(_as_array(t)))
@@ -460,14 +462,12 @@ class NFunction:
         its derivative in log scale, so their ratio is the level's log-log
         slope, which steers the root-finder.  out is as in pair_terms.
         """
-        G, g = self.pair_terms(t, True, True, out)
+        G, g = self.pair_terms(t, out)
         g *= t
         return G, g
 
     def inverse(self, tau):
-        """Inverse of the function itself, closed-form where available."""
-        if self.inverse_fn is not None:
-            return _float_if_0d(self.inverse_fn(_as_array(tau)))
+        """Inverse of the function itself, by the root-finder on level_terms."""
 
         def level(t):
             G, tg = self.level_terms(t)
@@ -482,9 +482,7 @@ class NFunction:
         nonlocal modulars: the tail of the kernel integral beyond distance d
         collapses to integral_over_t(c * d**-s) / s for a field of height c.
         """
-        if self.tail_primitive_fn is not None:
-            return _float_if_0d(self.tail_primitive_fn(_as_array(x)))
-        raise NotImplementedError("no tail primitive for this family")
+        return _float_if_0d(self.tail_primitive_fn(_as_array(x)))
 
     @property
     def delta2_constant(self) -> float:
@@ -568,27 +566,20 @@ def power_nfunction(p: float) -> NFunction:
     if p < 2.0:
         raise InvalidNFunctionError(f"power family needs p >= 2, got {p}")
 
-    def pair_terms(t, energy, gradient, out):
+    def pair_terms(t, out):
         # G = t g / p from the one power g = t**(p - 1): within a few ulp of
         # t**p / p, and the same bits at p = 2
         G, g = out
         g = _power(t, p - 1.0, g)
-        if not energy:
-            return None, g
-        if gradient:
-            G = np.multiply(t, g, out=G)
-        else:   # G takes the place of g
-            G = g
-            G *= t
+        G = np.multiply(t, g, out=G)
         G /= p
-        return G, (g if gradient else None)
+        return G, g
 
     return NFunction(
         family="power", params=(p,),
         pair_terms=pair_terms,
         deriv2_fn=lambda t: (p - 1.0) * t ** (p - 2.0),
         p_minus=p, p_plus=p,
-        inverse_fn=lambda tau: (p * tau) ** (1.0 / p),
         tail_primitive_fn=lambda x: x ** p / p ** 2,
         label=f"power(p={p:g})",
     )
@@ -604,7 +595,7 @@ def power_sum_nfunction(p: float, q: float) -> NFunction:
         raise InvalidNFunctionError(f"power-sum family needs 2 <= p <= q, got ({p}, {q})")
     weight = q / p - 1.0
 
-    def pair_terms(t, energy, gradient, out):
+    def pair_terms(t, out):
         # c = max(t, 0), a = c**(p - 1), b = c**(q - 1): g = a + b and
         # G = t ((q/p - 1) a + g) / q = t a / p + t b / q, clamped at +0
         a, b = _buffers(t, out)
@@ -612,13 +603,11 @@ def power_sum_nfunction(p: float, q: float) -> NFunction:
         _power(a, q - 1.0, b)
         _power(a, p - 1.0, a)
         g = np.add(b, a, out=b)
-        if energy:
-            a *= weight
-            a += g
-            a *= t
-            a /= q
-            np.maximum(a, 0.0, out=a)
-        return (a if energy else None), (g if gradient else None)
+        a *= weight
+        a += g
+        a *= t
+        a /= q
+        return np.maximum(a, 0.0, out=a), g
 
     return NFunction(
         family="powersum", params=(p, q),
@@ -651,7 +640,7 @@ def power_log_nfunction(p: float) -> NFunction:
     c_hi = 1.0 + 1.0 / p
     tiny = np.finfo(float).tiny
 
-    def pair_terms(t, energy, gradient, out):
+    def pair_terms(t, out):
         # c = max(t, tiny), L = ln c, a = c**(p - 1) and w = (|L| + 1) a:
         # G = w t / p clamped at +0, g = w + copysign(a, L) / p (so t = 1,
         # where L = +0, takes c_hi); the sign of L rides on a
@@ -659,20 +648,16 @@ def power_log_nfunction(p: float) -> NFunction:
         np.maximum(t, tiny, out=G)
         _power(G, p - 1.0, a)
         L = np.log(G, out=G)
-        if gradient:
-            np.copysign(a, L, out=a)
+        np.copysign(a, L, out=a)
         w = np.abs(L, out=G)
         w += 1.0
         w *= a
-        if gradient:
-            np.abs(w, out=w)
-            a /= p
-            a += w
-        if energy:
-            w *= t
-            w /= p
-            np.maximum(w, 0.0, out=w)
-        return (w if energy else None), (a if gradient else None)
+        np.abs(w, out=w)
+        a /= p
+        a += w
+        w *= t
+        w /= p
+        return np.maximum(w, 0.0, out=w), a
 
     def gprime(t):
         t = _as_array(t)
@@ -727,15 +712,14 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
     if not convex_samples(t, table.values):
         raise InvalidNFunctionError("tabulated data is not convex")
 
-    def pair_terms(t, energy, gradient, out):
+    def pair_terms(t, out):
         # G = v and g = (v / t) sigma, sigma the log slope, from one lookup
         if np.any(t < 0.0):
             raise ValueError("table argument must be nonnegative")
         c, s, lt = table._locate(t)
         log_v = table._log_value(c, s)
         with np.errstate(over="ignore"):
-            return ((np.exp(log_v) if energy else None),
-                    (np.exp(log_v - lt) * table._log_slope(c, s) if gradient else None))
+            return np.exp(log_v), np.exp(log_v - lt) * table._log_slope(c, s)
 
     def deriv2(x):
         # the interpolant's own second derivative, (v / x^2)(sigma^2 - sigma

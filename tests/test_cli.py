@@ -225,6 +225,32 @@ def test_solve_emits_hypothesis_warnings(tmp_path):
     assert "warning=f == 0" in manifest
 
 
+def test_every_problem_command_writes_and_prints_the_hypothesis_warnings(tmp_path, capsys):
+    # beta = 2.5 >= p_minus - 1 = 2 is outside the hypothesis; uniqueness
+    # adds its own out-of-hypothesis line after the shared ones
+    text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3,
+                       alpha=0.5, beta=2.5, f="1", k="1", eps0="1e-2", epsmin="1e-3")
+    cfg = write(tmp_path, "oub.ini",
+                text + "\n[compare]\nf_high = 2\n\n[symmetry]\ninit = 1 + x\n")
+    manifests, printed = {}, {}
+    for command in ("solve", "compare", "uniqueness", "symmetry"):
+        out = tmp_path / command
+        main([command, "--config", cfg, "--out", str(out)])
+        lines = (out / "manifest.txt").read_text().splitlines()
+        manifests[command] = [line for line in lines if line.startswith("warning=")]
+        printed[command] = [line for line in capsys.readouterr().out.splitlines()
+                            if line.startswith("warning: ")]
+    expected = manifests["solve"]
+    assert any("outside the uniqueness hypothesis" in line for line in expected)
+    assert printed["solve"] == [line.replace("=", ": ", 1) for line in expected]
+    for command in ("compare", "symmetry"):
+        assert manifests[command] == expected and printed[command] == printed["solve"]
+    assert manifests["uniqueness"][:len(expected)] == expected
+    assert manifests["uniqueness"][len(expected):] == [
+        "warning=out-of-hypothesis: beta >= p_minus - 1; outcome reported, not asserted"]
+    assert printed["uniqueness"] == printed["solve"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -714,9 +714,24 @@ def test_pair_pass_results_do_not_alias_the_slab_buffers():
     assert np.array_equal(op_a, kept)
     # a batched pass on another mesh between two 1-D passes changes nothing
     first = operator_apply(a, P3, mesh, s)
-    operator_apply(rng.uniform(-1.0, 1.0, (512, 12)), P3, Mesh(0.0, 1.0, 12), s)
+    small = Mesh(0.0, 1.0, 12)
+    batches = rng.uniform(-1.0, 1.0, (2, 512, small.n))
+    x = operator_apply(batches[0], P3, small, s)
     again = operator_apply(a, P3, mesh, s)
     assert np.array_equal(first, again) and np.array_equal(op_a, kept)
+    # batched passes use the one workspace too: a second pass of the same
+    # shape is a cache hit, and neither result aliases the other or it
+    kept_x = x.copy()
+    operator_apply(batches[0], P3, small, s)
+    hits = _slab_workspace.cache_info().hits
+    y = operator_apply(batches[1], P3, small, s)
+    assert _slab_workspace.cache_info().hits == hits + 1
+    work = _slab_workspace(PAIR_SLABS * batches[0].size * small.n)
+    assert not np.shares_memory(x, y)
+    assert not np.shares_memory(x, work) and not np.shares_memory(y, work)
+    # a batched pass repeated after another batched pass gives the same bits
+    assert np.array_equal(x, kept_x)
+    assert np.array_equal(operator_apply(batches[0], P3, small, s), kept_x)
     assert (energy_a, energy_b) == (modular_and_operator(a, P3, mesh, s)[0],
                                     modular_and_operator(b, P3, mesh, s)[0])
 

@@ -120,12 +120,20 @@ def test_indices_grid_span_enforced():
 
 def test_indices_reject_vanishing_derivative():
     broken = power_nfunction(3.0)
-    vanishing = lambda t, energy, gradient, out: (
-        broken(t) if energy else None, np.zeros_like(t) if gradient else None)
+    vanishing = lambda t, out: (broken(t), np.zeros_like(t))
     bad = NFunction(family="broken", params=(), pair_terms=vanishing,
-                    deriv2_fn=broken.deriv2_fn, p_minus=3.0, p_plus=3.0)
+                    deriv2_fn=broken.deriv2_fn, tail_primitive_fn=broken.tail_primitive_fn,
+                    p_minus=3.0, p_plus=3.0)
     with pytest.raises(InvalidNFunctionError):
         estimate_indices(bad)
+
+
+def test_nfunction_needs_a_tail_primitive():
+    # the full-space modular's exterior tails have no other path
+    G = power_nfunction(3.0)
+    with pytest.raises(TypeError, match="tail_primitive_fn"):
+        NFunction(family="no-tail", params=(), pair_terms=G.pair_terms,
+                  deriv2_fn=G.deriv2_fn, p_minus=3.0, p_plus=3.0)
 
 
 def test_index_ratio_bounds_value_ratio():
@@ -208,20 +216,17 @@ def _closed_forms(G, t):
 @pytest.mark.parametrize("name", list(_pair_families()))
 def test_pair_terms_match_fn_and_deriv(name):
     # G and g within 4 ulp of the closed forms (exact where infinite or 0),
-    # G and G.deriv the same bits as pair_terms, and the energy-only and
-    # gradient-only calls the same bits as the call for both
+    # and G, G.deriv and level_terms the same bits as pair_terms into buffers
     G = _pair_families()[name]
     t = np.concatenate([[0.0, 1e-300, 1e-3, 1.0, 7.5, 1e300, np.inf],
                         np.logspace(-6.0, 6.0, 97),
                         np.exp(np.random.default_rng(5).uniform(-14.0, 14.0, 20000))])
     with np.errstate(over="ignore"):
-        e, g = G.pair_terms(t, True, True, out=(np.empty_like(t), np.empty_like(t)))
-        only_e, none_g = G.pair_terms(t, True, False, out=(np.empty_like(t), np.empty_like(t)))
-        none_e, only_g = G.pair_terms(t, False, True, out=(np.empty_like(t), np.empty_like(t)))
+        e, g = G.pair_terms(t, out=(np.empty_like(t), np.empty_like(t)))
         assert np.array_equal(G(t), e) and np.array_equal(G.deriv(t), g)
+        level, tg = G.level_terms(t)
+        assert np.array_equal(level, e) and np.array_equal(tg, t * g)
         refs = _closed_forms(G, t)
-    assert none_g is None and none_e is None
-    assert np.array_equal(only_e, e) and np.array_equal(only_g, g)
     for got, ref in zip((e, g), refs):
         finite = np.isfinite(ref) & (ref > 0.0)
         assert np.array_equal(got[~finite], ref[~finite])
@@ -234,23 +239,23 @@ def test_pair_terms_match_fn_and_deriv(name):
 def test_pair_terms_keep_nan(name):
     G = _pair_families()[name]
     t = np.array([np.nan, 0.0, 1.0])
-    e, g = G.pair_terms(t, True, True, out=(np.empty(3), np.empty(3)))
+    e, g = G.pair_terms(t, out=(np.empty(3), np.empty(3)))
     for part in (e, g, G(t), G.deriv(t)):
         assert np.isnan(part[0]) and part[1] == 0.0 and part[2] > 0.0
 
 
 @pytest.mark.parametrize("name", list(_pair_families()))
 def test_pair_terms_at_edge_arguments(name):
-    # +0.0 (never -0.0) at t <= 0, NaN at NaN, and the one-part calls the
-    # same bits as the fused call, with and without buffers; the power
-    # family's domain is t >= 0 (it does not clamp), so its negative
-    # arguments check the bits only
+    # +0.0 (never -0.0) at t <= 0, NaN at NaN, and G and G.deriv the same
+    # bits as pair_terms, with and without buffers; the power family's
+    # domain is t >= 0 (it does not clamp), so its negative arguments check
+    # the bits only
     G = _pair_families()[name]
     t = np.array([-1e300, -1.0, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf, np.nan])
     with np.errstate(over="ignore"):
-        e, g = G.pair_terms(t, True, True, out=(np.empty_like(t), np.empty_like(t)))
-        parts = [G(t), G.pair_terms(t, True, False, out=(np.empty_like(t), None))[0],
-                 G.deriv(t), G.pair_terms(t, False, True, out=(None, np.empty_like(t)))[1]]
+        e, g = G.pair_terms(t, out=(np.empty_like(t), np.empty_like(t)))
+        parts = [G(t), G.pair_terms(t, out=(np.empty_like(t), None))[0],
+                 G.deriv(t), G.pair_terms(t, out=(None, np.empty_like(t)))[1]]
     for part, fused in zip(parts, (e, e, g, g)):
         assert np.array_equal(part[:-1].view(np.int64), fused[:-1].view(np.int64))
         assert np.isnan(part[-1])
@@ -641,7 +646,7 @@ def test_tabulated_terms_are_the_table_lookups():
     table = LogLogTable(t, t ** 3 + t ** 2)
     G = tabulated_nfunction(t, t ** 3 + t ** 2)
     x = np.concatenate([[0.0, 1e-300, np.inf], np.logspace(-5, 5, 101)])
-    G_x, g_x = G.pair_terms(x, True, True, (None, None))
+    G_x, g_x = G.pair_terms(x, (None, None))
     assert np.array_equal(G_x, table(x)) and np.array_equal(g_x, table.derivative(x))
     with pytest.raises(ValueError):
         G(-1.0)
@@ -860,6 +865,16 @@ def test_derived_functions_are_infinite_at_infinity(name):
     for F in (complementary(G), inverse_nfunction(G)):
         assert F(np.inf) == np.inf
         assert np.array_equal(F(np.array([0.0, np.inf])), [0.0, np.inf])
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "tabulated", "conjugate"])
+def test_infinite_target_has_an_infinite_root(name):
+    # as 0 maps to 0 and NaN to NaN, with no walk toward an unbounded root
+    F = _scalar_rule_subject(name)
+    assert F.inverse(np.inf) == np.inf
+    roots = F.inverse(np.array([0.0, 1.0, np.inf, np.nan]))
+    assert roots[0] == 0.0 and np.isfinite(roots[1]) and roots[1] > 0.0
+    assert roots[2] == np.inf and np.isnan(roots[3])
 
 
 def test_nan_target_has_a_nan_root():
