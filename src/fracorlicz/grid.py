@@ -39,7 +39,8 @@ __all__ = [
     "Mesh", "GridFunction", "modular", "seminorm_modular", "modular_and_slope",
     "seminorm_modular_and_slope", "luxemburg_norm", "lg_norm", "gagliardo_seminorm",
     "difference_quotients", "holder_pairing_check",
-    "poincare_constant_estimate", "random_fourier", "random_positive",
+    "poincare_constant_estimate", "fourier_coefficients", "sine_basis",
+    "random_fourier", "random_positive",
     "ModularNotDecreasingError",
 ]
 
@@ -149,7 +150,10 @@ class GridFunction:
 
 PAIR_BLOCK = 64  # rows per slab of the pair pass: cache-sized, few Python steps
 PAIR_SLABS = 4   # slab buffers of the pair pass: difference, quotient, G and g terms
-LUXEMBURG_CHUNK = 4096  # rows per batched Luxemburg solve: bounds its temporaries
+# Rows per batched Luxemburg solve, and per row chunk of the verify sweeps
+# that build their fields, quotients and gauges a chunk at a time: bounds
+# their temporaries at O(LUXEMBURG_CHUNK x cells) floats.
+LUXEMBURG_CHUNK = 1024
 
 
 @functools.lru_cache(maxsize=8)
@@ -166,15 +170,16 @@ def _kernel(mesh: Mesh, s: float):
 
 
 def difference_quotients(values: np.ndarray, mesh: Mesh, s: float):
-    """(|u_i - u_j| / d_ij^s over all ordered node pairs, their weights 1 / d_ij).
+    """(|u_i - u_j| / d_ij^s over the unordered node pairs i < j, weights 2 / d_ij).
 
-    The quotients are flattened per row of values (leading batch axes are
-    kept) and the weights flattened alike, diagonal pairs 0 in both, so
-    h^2 sum(w G(q)) is the domain Gagliardo modular of each row.
+    The n(n - 1)/2 quotients of each row of values (leading batch axes are
+    kept) run over the pairs of np.triu_indices(n, 1), and each weight
+    counts its pair in both orders, so h^2 sum(w G(q)) is the domain
+    Gagliardo modular of each row.
     """
     inv_s, inv_1, _, _, _ = _kernel(mesh, s)
-    q = np.abs(values[..., :, None] - values[..., None, :]) * inv_s
-    return q.reshape(values.shape[:-1] + (-1,)), inv_1.ravel()
+    i, j = np.triu_indices(mesh.n, 1)
+    return np.abs(values[..., i] - values[..., j]) * inv_s[i, j], 2.0 * inv_1[i, j]
 
 
 def _check_order(s: float):
@@ -408,9 +413,12 @@ def batch_luxemburg(values: np.ndarray, h: float, terms: Callable) -> tuple:
     slope sum t F' / sum F, is solved for the unit level in mu like
     luxemburg_norm.  The level at mu = 1 is the row's modular: the first
     evaluation, computed as h * sum(F(|row|)).  Zero rows get 0 for both.
-    The nonzero rows are solved LUXEMBURG_CHUNK at a time, which bounds
-    the temporaries; rows are solved independently, so the results do not
-    depend on the chunking.  |values| is taken once per chunk, and each
+    values may have any number of rows.  The nonzero rows are solved
+    LUXEMBURG_CHUNK at a time, which bounds the temporaries at a few
+    LUXEMBURG_CHUNK x cells arrays; rows are solved independently, so the
+    results do not depend on the chunking, and a caller that builds its
+    rows one chunk at a time (the verify sweeps) gets the same bits as one
+    call on all of them.  |values| is taken once per chunk, and each
     evaluation gathers only the rows still open into kept buffers, so terms
     sees about 2 entries per batch entry for a pure power.
     """
@@ -455,17 +463,37 @@ def holder_pairing_check(u: GridFunction, v: GridFunction, G: NFunction,
     return lhs, rhs, lhs <= rhs + 1e-8 * (1.0 + rhs)
 
 
+FOURIER_MODES = 8  # sine modes of a random field
+
+
+def fourier_coefficients(rng: np.random.Generator, samples: int) -> np.ndarray:
+    """(samples, FOURIER_MODES) coefficients, uniform on [-1, 1].
+
+    One (samples, 8) draw consumes the stream like samples successive draws
+    of 8.
+    """
+    return rng.uniform(-1.0, 1.0, (samples, FOURIER_MODES))
+
+
+def sine_basis(mesh: Mesh) -> np.ndarray:
+    """(FOURIER_MODES, n) modes sin(pi k x), k = 1..8, at the nodes scaled to (0, 1).
+
+    The modes vanish at the boundary, so the zero extension stays natural.
+    """
+    x = (np.arange(mesh.n) + 0.5) / mesh.n
+    return np.sin(np.pi * np.outer(np.arange(1, FOURIER_MODES + 1), x))
+
+
 def random_fourier(rng: np.random.Generator, mesh: Mesh, samples: int) -> tuple:
     """(coefficients, fields): samples sine series with uniform [-1, 1] coefficients.
 
-    Row i of fields is sum_k coefficients[i, k - 1] sin(pi k x) over modes
-    k = 1..8 at the nodes x scaled to (0, 1); the modes vanish at the
-    boundary, so the zero extension stays natural.  One (samples, 8) draw
-    consumes the stream like samples successive draws of 8.
+    Row i of fields is coefficients[i] @ sine_basis(mesh), with the
+    coefficients from fourier_coefficients.  A sweep that forms its fields
+    a row chunk at a time draws the coefficients the same way and
+    multiplies a chunk of them by the same basis.
     """
-    x = (np.arange(mesh.n) + 0.5) / mesh.n
-    coeff = rng.uniform(-1.0, 1.0, (samples, 8))
-    return coeff, coeff @ np.sin(np.pi * np.outer(np.arange(1, 9), x))
+    coeff = fourier_coefficients(rng, samples)
+    return coeff, coeff @ sine_basis(mesh)
 
 
 def random_positive(rng: np.random.Generator, mesh: Mesh) -> GridFunction:

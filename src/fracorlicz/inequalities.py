@@ -23,8 +23,10 @@ import numpy as np
 from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
+from . import grid
 from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
-                   batch_luxemburg, difference_quotients, random_fourier)
+                   batch_luxemburg, difference_quotients, fourier_coefficients,
+                   random_fourier, sine_basis)
 
 __all__ = [
     "InequalityReport", "FCFunction", "fc_check",
@@ -421,6 +423,21 @@ def sweep_scaling(G: NFunction, samples: int, seed: int) -> InequalityReport:
 FIELD_CELLS = 32  # mesh of the modular-norm sandwich and Hoelder sweeps
 
 
+def _by_row_chunks(samples: int, solve: Callable) -> tuple:
+    """solve(rows) over consecutive slices of grid.LUXEMBURG_CHUNK samples, joined.
+
+    solve returns a tuple of per-sample vectors for the samples of its
+    slice (a filtered slice returns fewer); each is concatenated over the
+    slices.  The field sweeps form their fields, quotients and gauges
+    inside solve, so they hold O(LUXEMBURG_CHUNK x cells) field data and
+    O(samples) result vectors, whatever the sample count.  Rows are solved
+    independently, so the results do not depend on the chunk size.
+    """
+    chunk = grid.LUXEMBURG_CHUNK
+    parts = [solve(slice(lo, lo + chunk)) for lo in range(0, samples, chunk)]
+    return tuple(np.concatenate(vectors) for vectors in zip(*parts))
+
+
 def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> InequalityReport:
     """min(norm^p-, norm^p+) <= modular phi <= max(norm^p-, norm^p+), row-wise."""
     low = np.minimum(norm ** G.p_minus, norm ** G.p_plus)
@@ -433,11 +450,21 @@ def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> Ine
 
 
 def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> InequalityReport:
-    """Modular bracketed by powers of its own Luxemburg gauge (plain modular)."""
+    """Modular bracketed by powers of its own Luxemburg gauge (plain modular).
+
+    The fields of random_fourier are formed, filtered and gauged one row
+    chunk at a time; coeff_row counts the fields kept.
+    """
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
-    fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
-    fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
-    norm, phi = batch_luxemburg(fields, mesh.h, G.level_terms)
+    coeff = fourier_coefficients(np.random.default_rng(seed), samples)
+    basis = sine_basis(mesh)
+
+    def solve(rows):
+        fields = coeff[rows] @ basis
+        fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
+        return batch_luxemburg(fields, mesh.h, G.level_terms)
+
+    norm, phi = _by_row_chunks(samples, solve)
     return _sandwich_report("modular_norm_sandwich", G, phi, norm)
 
 
@@ -445,35 +472,46 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
                             n: int = 8, s: float = 0.5) -> InequalityReport:
     """Same sandwich for the Gagliardo modular and its gauge (small grids).
 
-    The scaled difference quotients are precomputed once and flattened per
-    row, so the Gagliardo modular is a kernel-weighted plain modular of
-    them, and the gauge and the modular come from one batch_luxemburg
-    solve, independent of the claim under test.
+    Per row chunk, the fields' scaled difference quotients over the
+    unordered node pairs are formed once, so the Gagliardo modular is a
+    kernel-weighted plain modular of them, and the gauge and the modular
+    come from one batch_luxemburg solve, independent of the claim under
+    test.  Constant fields are dropped; coeff_row counts the fields kept.
     """
     mesh = Mesh(0.0, 1.0, n)
-    fields = random_fourier(np.random.default_rng(seed), mesh, samples)[1]
-    fields = fields[np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9]
-    quotients, weights = difference_quotients(fields, mesh, s)
+    coeff = fourier_coefficients(np.random.default_rng(seed), samples)
+    basis = sine_basis(mesh)
 
-    def weighted_terms(z, out):
-        e, tg = G.level_terms(z, out)
-        e *= weights
-        tg *= weights
-        return e, tg
+    def solve(rows):
+        fields = coeff[rows] @ basis
+        fields = fields[np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9]
+        quotients, weights = difference_quotients(fields, mesh, s)
 
-    norm, phi = batch_luxemburg(quotients, mesh.h ** 2, weighted_terms)
+        def weighted_terms(z, out):
+            e, tg = G.level_terms(z, out)
+            e *= weights
+            tg *= weights
+            return e, tg
+
+        return batch_luxemburg(quotients, mesh.h ** 2, weighted_terms)
+
+    norm, phi = _by_row_chunks(samples, solve)
     return _sandwich_report("seminorm_sandwich", G, phi, norm, s=s)
 
 
 def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
-    """Orlicz Hoelder pairing bound over random field pairs."""
+    """Orlicz Hoelder pairing bound over random field pairs.
+
+    All coefficients of u are drawn before those of v, as two random_fourier
+    calls would; the fields, the pairing and both gauges are formed one row
+    chunk at a time.
+    """
     rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
     conj = complementary(G)
-    u = random_fourier(rng, mesh, samples)[1]
-    v = random_fourier(rng, mesh, samples)[1]
-    lhs = mesh.h * np.sum(u * v, axis=1)
-    nu = batch_luxemburg(u, mesh.h, G.level_terms)[0]
+    coeff_u = fourier_coefficients(rng, samples)
+    coeff_v = fourier_coefficients(rng, samples)
+    basis = sine_basis(mesh)
 
     # raw table evaluation: the factor-2 slack of the bound dwarfs the
     # interpolation error, and it is several times cheaper than the
@@ -482,7 +520,14 @@ def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
         value, slope = conj.table.value_and_slope(t)
         return value, np.multiply(value, slope, out=slope)
 
-    nv = batch_luxemburg(v, mesh.h, table_terms)[0]
+    def solve(rows):
+        u = coeff_u[rows] @ basis
+        v = coeff_v[rows] @ basis
+        return (mesh.h * np.sum(u * v, axis=1),
+                batch_luxemburg(u, mesh.h, G.level_terms)[0],
+                batch_luxemburg(v, mesh.h, table_terms)[0])
+
+    lhs, nu, nv = _by_row_chunks(samples, solve)
     rhs = 2.0 * nu * nv
     gap = rhs - lhs
     tols = _scaled_tol(rhs)

@@ -226,8 +226,8 @@ def test_solve_emits_hypothesis_warnings(tmp_path):
 
 
 def test_every_problem_command_writes_and_prints_the_hypothesis_warnings(tmp_path, capsys):
-    # beta = 2.5 >= p_minus - 1 = 2 is outside the hypothesis; uniqueness
-    # adds its own out-of-hypothesis line after the shared ones
+    # beta = 2.5 >= p_minus - 1 = 2 is outside the hypothesis; every
+    # command, uniqueness included, warns once per condition
     text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3,
                        alpha=0.5, beta=2.5, f="1", k="1", eps0="1e-2", epsmin="1e-3")
     cfg = write(tmp_path, "oub.ini",
@@ -245,9 +245,7 @@ def test_every_problem_command_writes_and_prints_the_hypothesis_warnings(tmp_pat
     assert printed["solve"] == [line.replace("=", ": ", 1) for line in expected]
     for command in ("compare", "symmetry"):
         assert manifests[command] == expected and printed[command] == printed["solve"]
-    assert manifests["uniqueness"][:len(expected)] == expected
-    assert manifests["uniqueness"][len(expected):] == [
-        "warning=out-of-hypothesis: beta >= p_minus - 1; outcome reported, not asserted"]
+    assert manifests["uniqueness"] == expected
     assert printed["uniqueness"] == printed["solve"]
 
 

@@ -376,6 +376,42 @@ def test_seminorm_sandwich_gauge_matches_gagliardo_seminorm():
             assert report.witness["norm"] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
+FIELD_SWEEPS = ("modular_norm_sandwich", "seminorm_sandwich", "holder")
+
+
+@pytest.mark.parametrize("name, bound_mb", [
+    ("modular_norm_sandwich", 6), ("seminorm_sandwich", 8), ("holder", 12)])
+def test_field_sweeps_hold_chunks_not_samples(name, bound_mb):
+    # fields, quotients and gauges are formed one LUXEMBURG_CHUNK of rows at
+    # a time, so at 20 000 samples the traced peak is the (samples, 8)
+    # coefficients, the per-sample result vectors and one chunk's
+    # temporaries (whole-sample arrays peaked at 12-26 MB)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        run_suite(name, P3, 20000, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
+@pytest.mark.parametrize("name", FIELD_SWEEPS)
+def test_field_sweeps_do_not_depend_on_the_row_chunk(monkeypatch, name):
+    # the sweep-level twin of test_batch_luxemburg_chunking_changes_no_bit:
+    # a small odd chunk and one above the sample count give the reports of
+    # the default chunking bit for bit
+    samples = 1500
+    for G in STANDARD_FAMILIES.values():
+        reference = run_suite(name, G, samples, 5)
+        for chunk in (37, samples + 1):
+            with monkeypatch.context() as m:
+                m.setattr("fracorlicz.grid.LUXEMBURG_CHUNK", chunk)
+                report = run_suite(name, G, samples, 5)
+            assert report.csv_row() == reference.csv_row()
+            assert report.witness_text() == reference.witness_text()
+
+
 def test_default_exponent_respects_lower_index():
     assert default_exponent(P3) == 2.5
     assert default_exponent(power_log_nfunction(3.0)) == 1.5
