@@ -436,24 +436,31 @@ def test_batch_luxemburg_row_evaluations_with_early_stop(name, conjugate, bound)
         assert np.max(np.abs(norms / exact - 1.0)) <= 2.0 * BISECT_REL_TOL
 
 
-@pytest.mark.parametrize("nonzero", [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK,
-                                     LUXEMBURG_CHUNK + 1, 2 * LUXEMBURG_CHUNK + 3])
+STRADDLED_CHUNK = 4096  # a chunk size the row counts below sit on and around
+
+
+@pytest.mark.parametrize("nonzero", [STRADDLED_CHUNK - 1, STRADDLED_CHUNK,
+                                     STRADDLED_CHUNK + 1, 2 * STRADDLED_CHUNK + 3])
 def test_batch_luxemburg_chunking_changes_no_bit(monkeypatch, nonzero):
-    # rows are solved independently: the chunked norms equal one unchunked
-    # solve bit for bit; two zero rows sit where the first chunk ends
+    # rows are solved independently: the chunked norms, at STRADDLED_CHUNK
+    # and at the default LUXEMBURG_CHUNK, equal one unchunked solve bit for
+    # bit; two zero rows sit where the first STRADDLED_CHUNK ends
     rng = np.random.default_rng(12)
     mesh = Mesh(0.0, 1.0, 8)
     _, fields = random_fourier(rng, mesh, nonzero)
-    rows = np.insert(fields, [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK - 1], 0.0, axis=0)
-    zero = [LUXEMBURG_CHUNK - 1, LUXEMBURG_CHUNK]
+    rows = np.insert(fields, [STRADDLED_CHUNK - 1, STRADDLED_CHUNK - 1], 0.0, axis=0)
+    zero = [STRADDLED_CHUNK - 1, STRADDLED_CHUNK]
     for terms in (_level_terms(P3, False), _level_terms(P3, True)):
-        chunked, chunked_modulars = batch_luxemburg(rows, mesh.h, terms)
         with monkeypatch.context() as m:
             m.setattr("fracorlicz.grid.LUXEMBURG_CHUNK", len(rows))
             whole, whole_modulars = batch_luxemburg(rows, mesh.h, terms)
-        assert np.array_equal(chunked, whole)
-        assert np.array_equal(chunked_modulars, whole_modulars)
-        assert np.all(chunked[zero] == 0.0) and np.all(np.delete(chunked, zero) > 0.0)
+        for chunk in (STRADDLED_CHUNK, LUXEMBURG_CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr("fracorlicz.grid.LUXEMBURG_CHUNK", chunk)
+                chunked, chunked_modulars = batch_luxemburg(rows, mesh.h, terms)
+            assert np.array_equal(chunked, whole)
+            assert np.array_equal(chunked_modulars, whole_modulars)
+            assert np.all(chunked[zero] == 0.0) and np.all(np.delete(chunked, zero) > 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
