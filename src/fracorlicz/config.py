@@ -125,7 +125,10 @@ def build_nfunction(parser, base_dir: Optional[Path] = None) -> NFunction:
         if family == "tabulated":
             rel = get_setting(parser, "nfunction", "table", str, required=True)
             path = (base_dir / rel) if base_dir else Path(rel)
-            data = np.loadtxt(path)
+            data = np.loadtxt(path, ndmin=2)
+            if data.shape[1] != 2:
+                raise ValueError(f"table {rel} needs two columns (t, G(t)), "
+                                 f"got {data.shape[1]}")
             return construct_nfunction("tabulated", abscissa=data[:, 0],
                                        values=data[:, 1], label=path.stem)
         params = {}

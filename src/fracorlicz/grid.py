@@ -21,6 +21,12 @@ size stays; pair_terms writes its terms into the G and g slabs too, so a
 warm pass of a built-in family allocates no slab-sized array.  That
 workspace makes pair passes from several threads at once unsafe; the
 package runs them from one thread.
+
+Luxemburg gauges, of one field or of the rows of a sample matrix, take the
+level contract of nfunctions.solve_increasing: a modular evaluation yields
+the modular and its derivative in log scale, and only the root-finder
+divides them.  batch_luxemburg solves the rows it is given at once; a
+caller that must bound its memory hands it one row chunk at a time.
 """
 
 from __future__ import annotations
@@ -137,6 +143,8 @@ class GridFunction:
     @classmethod
     def from_text(cls, text: str, mesh: Mesh, label: str = "") -> "GridFunction":
         rows = [line.split() for line in text.strip().splitlines() if line.strip()]
+        if any(len(r) != 2 for r in rows):
+            raise ValueError("serialized grid function needs two columns (x, value) per row")
         values = np.array([float(r[1]) for r in rows])
         xs = np.array([float(r[0]) for r in rows])
         if len(values) != mesh.n or not np.allclose(xs, mesh.nodes, atol=1e-12):
@@ -150,10 +158,6 @@ class GridFunction:
 
 PAIR_BLOCK = 64  # rows per slab of the pair pass: cache-sized, few Python steps
 PAIR_SLABS = 4   # slab buffers of the pair pass: difference, quotient, G and g terms
-# Rows per batched Luxemburg solve, and per row chunk of the verify sweeps
-# that build their fields, quotients and gauges a chunk at a time: bounds
-# their temporaries at O(LUXEMBURG_CHUNK x cells) floats.
-LUXEMBURG_CHUNK = 1024
 
 
 @functools.lru_cache(maxsize=8)
@@ -317,25 +321,19 @@ def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float)
 # Luxemburg norm
 # ---------------------------------------------------------------------------
 
-def _log_slope(derivative, level):
-    """d log level / d log mu from the level and its derivative in log mu."""
-    with np.errstate(divide="ignore", invalid="ignore"):   # a level of 0 or inf
-        return derivative / level
-
-
 def modular_and_slope(u: GridFunction, G) -> tuple:
-    """(modular(u, G), its log slope d log modular(mu u) / d log mu at mu = 1).
+    """(modular(u, G), its derivative d modular(mu u) / d log mu at mu = 1).
 
-    G is an NFunction or a derived function (its level_terms); the slope is
-    sum |u| g(|u|) / sum G(|u|), from the same evaluation as the modular.
+    G is an NFunction or a derived function (its level_terms); the
+    derivative is h sum |u| g(|u|), from the same evaluation as the modular.
     """
     value, derivative = (np.sum(a) for a in G.level_terms(np.abs(u.values)))
-    return float(u.mesh.h * value), float(_log_slope(derivative, value))
+    return float(u.mesh.h * value), float(u.mesh.h * derivative)
 
 
 def seminorm_modular_and_slope(u: GridFunction, G: NFunction, s: float,
                                domain: str = "omega") -> tuple:
-    """(seminorm_modular(u, G, s, domain), its log slope in the scale factor).
+    """(seminorm_modular(u, G, s, domain), its derivative in log scale).
 
     One pair pass gives the modular and its gradient, the operator divided
     by h (with the exterior tails on the full domain), so the derivative of
@@ -350,15 +348,15 @@ def seminorm_modular_and_slope(u: GridFunction, G: NFunction, s: float,
         value, operator = modular_and_operator(u.values, G, u.mesh, s)
     else:
         raise ValueError(f"unknown modular domain {domain!r}")
-    return value, float(_log_slope(u.mesh.h * (operator @ u.values), value))
+    return value, float(u.mesh.h * (operator @ u.values))
 
 
 def _unit_level_gauge(level: Callable, count: int, at_one) -> np.ndarray:
     """Luxemburg gauges 1 / mu of rows 0 .. count - 1, where level(mu, rows) = 1.
 
     level returns each listed row's level at its scale factor mu and the
-    level's log slope in mu; it must be nondecreasing in mu.  at_one is
-    level's (value, slope) at mu = 1 for every row.
+    level's derivative in log mu; it must be nondecreasing in mu.  at_one
+    is level's pair at mu = 1 for every row.
     """
     try:
         mu = solve_increasing(level, np.ones(count), args=(np.arange(count),), at_one=at_one)
@@ -370,23 +368,24 @@ def _unit_level_gauge(level: Callable, count: int, at_one) -> np.ndarray:
 def luxemburg_norm(u: GridFunction, modular_fn: Callable[[GridFunction], tuple]) -> float:
     """inf(lambda > 0 : modular(u / lambda) <= 1) by the monotone root-finder.
 
-    modular_fn(w) returns (modular of w, d log modular(mu w) / d log mu at
-    mu = 1), as modular_and_slope and seminorm_modular_and_slope do.  The
-    scaled modular modular(mu u) is solved for the unit level in mu to
-    relative accuracy BISECT_REL_TOL (nfunctions.solve_increasing: Newton
-    in log mu from mu = 1, steered by the slope, so a modular that scales
+    modular_fn(w) returns (modular of w, d modular(mu w) / d log mu at
+    mu = 1), as modular_and_slope and seminorm_modular_and_slope do: the
+    level contract of nfunctions.solve_increasing.  The scaled modular
+    modular(mu u) is solved for the unit level in mu to relative accuracy
+    BISECT_REL_TOL (Newton in log mu from mu = 1, steered by the log-log
+    slope the root-finder forms from that pair, so a modular that scales
     like a power costs one evaluation at mu = 1 and one at the root), and
     the norm is 1 / mu.  Returns 0 where the modular vanishes at u, e.g.
     u = 0.
     """
-    value, slope = modular_fn(u)
+    value, derivative = modular_fn(u)
     if value == 0.0:
         return 0.0
 
     def level(mu, _rows):
         return tuple(np.array([v]) for v in modular_fn(u * mu[0]))
 
-    return float(_unit_level_gauge(level, 1, (np.array([value]), np.array([slope])))[0])
+    return float(_unit_level_gauge(level, 1, (np.array([value]), np.array([derivative])))[0])
 
 
 def lg_norm(u: GridFunction, G) -> float:
@@ -405,43 +404,41 @@ def gagliardo_seminorm(u: GridFunction, G: NFunction, s: float,
 # ---------------------------------------------------------------------------
 
 def batch_luxemburg(values: np.ndarray, h: float, terms: Callable) -> tuple:
-    """(norms, modulars) of the rows of a sample matrix, solved in row chunks.
+    """(norms, modulars) of the rows of a sample matrix, solved together.
 
     terms(t, out) returns (F(t), t F'(t)) for a nonnegative array t, as
     NFunction.level_terms does; out holds two buffers shaped like t that it
-    may write into.  Each row's level h * sum F(mu |row|), with its log
-    slope sum t F' / sum F, is solved for the unit level in mu like
+    may write into.  Each row's level h sum F(mu |row|) and its derivative
+    in log mu, h sum t F', are solved for the unit level in mu like
     luxemburg_norm.  The level at mu = 1 is the row's modular: the first
     evaluation, computed as h * sum(F(|row|)).  Zero rows get 0 for both.
-    values may have any number of rows.  The nonzero rows are solved
-    LUXEMBURG_CHUNK at a time, which bounds the temporaries at a few
-    LUXEMBURG_CHUNK x cells arrays; rows are solved independently, so the
-    results do not depend on the chunking, and a caller that builds its
-    rows one chunk at a time (the verify sweeps) gets the same bits as one
-    call on all of them.  |values| is taken once per chunk, and each
-    evaluation gathers only the rows still open into kept buffers, so terms
-    sees about 2 entries per batch entry for a pure power.
+    The temporaries are a few arrays shaped like values, so a caller that
+    bounds its memory passes its rows a chunk at a time (the verify
+    sweeps).  Rows are solved independently, except that the derivative,
+    which steers but does not stop the iteration, is summed by a matrix
+    product: a BLAS may sum the rows its block size leaves over in another
+    order, which can move their norms by an ulp where the rows are cut
+    differently.  |values| is taken once, and each evaluation gathers only
+    the rows still open into kept buffers, so terms sees about 2 entries
+    per batch entry for a pure power.
     """
     norms, modulars = np.zeros(values.shape[0]), np.zeros(values.shape[0])
-    nonzero = np.flatnonzero(np.any(values, axis=1))
-    work = np.empty((3, min(nonzero.size, LUXEMBURG_CHUNK), values.shape[1]))
+    rows = np.flatnonzero(np.any(values, axis=1))
+    magnitude = np.abs(values[rows])
+    work = np.empty((3,) + magnitude.shape)
     ones = np.ones(values.shape[1])
-    for lo in range(0, nonzero.size, LUXEMBURG_CHUNK):
-        rows = nonzero[lo:lo + LUXEMBURG_CHUNK]
-        magnitude = np.abs(values[rows])
 
-        def level(mu, open_rows):
-            t, F_buf, tF_buf = work[:, :open_rows.size]
-            np.take(magnitude, open_rows, axis=0, out=t, mode="clip")
-            t *= mu[:, None]
-            F, tF = terms(t, (F_buf, tF_buf))
-            # the slope only steers, so its sum takes the faster matrix product
-            total = np.sum(F, axis=1)
-            return h * total, _log_slope(tF @ ones, total)
+    def level(mu, open_rows):
+        t, F_buf, tF_buf = work[:, :open_rows.size]
+        np.take(magnitude, open_rows, axis=0, out=t, mode="clip")
+        t *= mu[:, None]
+        F, tF = terms(t, (F_buf, tF_buf))
+        # the derivative only steers, so its sum takes the faster matrix product
+        return h * np.sum(F, axis=1), h * (tF @ ones)
 
-        at_one = level(np.ones(rows.size), np.arange(rows.size))
-        modulars[rows] = at_one[0]
-        norms[rows] = _unit_level_gauge(level, rows.size, at_one)
+    at_one = level(np.ones(rows.size), np.arange(rows.size))
+    modulars[rows] = at_one[0]
+    norms[rows] = _unit_level_gauge(level, rows.size, at_one)
     return norms, modulars
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
-from . import grid
 from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
                    batch_luxemburg, difference_quotients, fourier_coefficients,
                    random_fourier, sine_basis)
@@ -420,21 +419,25 @@ def sweep_scaling(G: NFunction, samples: int, seed: int) -> InequalityReport:
     return _finish_report("scaling", gap, tols, witness, samples)
 
 
-FIELD_CELLS = 32  # mesh of the modular-norm sandwich and Hoelder sweeps
+FIELD_CELLS = 32     # mesh of the modular-norm sandwich and Hoelder sweeps
+SEMINORM_CELLS = 8   # mesh of the seminorm sandwich: n(n - 1)/2 quotients per field
+FIELD_CHUNK = 1024   # samples per row chunk of the field sweeps
 
 
-def _by_row_chunks(samples: int, solve: Callable) -> tuple:
-    """solve(rows) over consecutive slices of grid.LUXEMBURG_CHUNK samples, joined.
+def _by_row_chunks(samples: int, solve: Callable, chunk: int) -> tuple:
+    """solve(rows) over consecutive slices of chunk samples in order, joined.
 
     solve returns a tuple of per-sample vectors for the samples of its
     slice (a filtered slice returns fewer); each is concatenated over the
-    slices.  The field sweeps form their fields, quotients and gauges
-    inside solve, so they hold O(LUXEMBURG_CHUNK x cells) field data and
-    O(samples) result vectors, whatever the sample count.  Rows are solved
-    independently, so the results do not depend on the chunk size.
+    slices.  The sweeps form their fields, quotients and gauges inside
+    solve, so they hold O(chunk x cells) field data and O(samples) result
+    vectors, whatever the sample count.  The field sweeps draw their
+    coefficients up front and solve rows independently, so the chunk size
+    moves at most an ulp of a gauge (batch_luxemburg); a solve that draws
+    its samples from the stream as it goes (Diaz-Saa) makes the chunk part
+    of its sample law.
     """
-    chunk = grid.LUXEMBURG_CHUNK
-    parts = [solve(slice(lo, lo + chunk)) for lo in range(0, samples, chunk)]
+    parts = [solve(slice(lo, min(lo + chunk, samples))) for lo in range(0, samples, chunk)]
     return tuple(np.concatenate(vectors) for vectors in zip(*parts))
 
 
@@ -464,13 +467,13 @@ def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> Inequa
         fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
         return batch_luxemburg(fields, mesh.h, G.level_terms)
 
-    norm, phi = _by_row_chunks(samples, solve)
+    norm, phi = _by_row_chunks(samples, solve, FIELD_CHUNK)
     return _sandwich_report("modular_norm_sandwich", G, phi, norm)
 
 
 def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
-                            n: int = 8, s: float = 0.5) -> InequalityReport:
-    """Same sandwich for the Gagliardo modular and its gauge (small grids).
+                            s: float = 0.5) -> InequalityReport:
+    """Same sandwich for the Gagliardo modular and its gauge, on SEMINORM_CELLS cells.
 
     Per row chunk, the fields' scaled difference quotients over the
     unordered node pairs are formed once, so the Gagliardo modular is a
@@ -478,7 +481,7 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
     come from one batch_luxemburg solve, independent of the claim under
     test.  Constant fields are dropped; coeff_row counts the fields kept.
     """
-    mesh = Mesh(0.0, 1.0, n)
+    mesh = Mesh(0.0, 1.0, SEMINORM_CELLS)
     coeff = fourier_coefficients(np.random.default_rng(seed), samples)
     basis = sine_basis(mesh)
 
@@ -495,7 +498,7 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
 
         return batch_luxemburg(quotients, mesh.h ** 2, weighted_terms)
 
-    norm, phi = _by_row_chunks(samples, solve)
+    norm, phi = _by_row_chunks(samples, solve, FIELD_CHUNK)
     return _sandwich_report("seminorm_sandwich", G, phi, norm, s=s)
 
 
@@ -513,21 +516,17 @@ def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
     coeff_v = fourier_coefficients(rng, samples)
     basis = sine_basis(mesh)
 
-    # raw table evaluation: the factor-2 slack of the bound dwarfs the
-    # interpolation error, and it is several times cheaper than the
-    # polished pointwise conjugate
-    def table_terms(t, out):
-        value, slope = conj.table.value_and_slope(t)
-        return value, np.multiply(value, slope, out=slope)
-
     def solve(rows):
         u = coeff_u[rows] @ basis
         v = coeff_v[rows] @ basis
+        # the conjugate gauge reads the raw table: the factor-2 slack of the
+        # bound dwarfs the interpolation error, and it is several times
+        # cheaper than the polished pointwise conjugate
         return (mesh.h * np.sum(u * v, axis=1),
                 batch_luxemburg(u, mesh.h, G.level_terms)[0],
-                batch_luxemburg(v, mesh.h, table_terms)[0])
+                batch_luxemburg(v, mesh.h, conj.table.level_terms)[0])
 
-    lhs, nu, nv = _by_row_chunks(samples, solve)
+    lhs, nu, nv = _by_row_chunks(samples, solve, FIELD_CHUNK)
     rhs = 2.0 * nu * nv
     gap = rhs - lhs
     tols = _scaled_tol(rhs)
@@ -640,7 +639,10 @@ def sweep_picone(G: NFunction, samples: int, seed: int) -> InequalityReport:
     return report
 
 
-DIAZ_SAA_CHUNK = 512  # field pairs per batched operator call
+# field pairs per chunk: the chunk's u coefficients are drawn before its v
+# coefficients, so this is part of the sample law (changing it re-draws
+# every sample)
+DIAZ_SAA_CHUNK = 512
 DIAZ_SAA_CELLS = 12
 
 
@@ -650,24 +652,21 @@ def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5) -> Ine
     Fields are exponentials of Fourier bumps (strictly positive, bounded
     mutual ratios) on DIAZ_SAA_CELLS cells, paired at the exponent
     default_exponent(G); the pairing runs through the batched operator
-    with the exact exterior tails.
+    with the exact exterior tails, DIAZ_SAA_CHUNK pairs at a time.
     """
     rng = np.random.default_rng(seed)
     q = default_exponent(G)
     mesh = Mesh(0.0, 1.0, DIAZ_SAA_CELLS)
-    gaps = np.empty(samples)
-    scales = np.empty(samples)
-    coeff = np.empty((2, samples, 8))
-    for lo in range(0, samples, DIAZ_SAA_CHUNK):
-        m = min(DIAZ_SAA_CHUNK, samples - lo)
-        cu, u = random_fourier(rng, mesh, m)
-        cv, v = random_fourier(rng, mesh, m)
-        coeff[:, lo:lo + m] = cu, cv
+
+    def solve(rows):
+        cu, u = random_fourier(rng, mesh, rows.stop - rows.start)
+        cv, v = random_fourier(rng, mesh, rows.stop - rows.start)
         pair_u, pair_v = _diaz_saa_parts(np.exp(u), np.exp(v), G, mesh, s, q)
-        gaps[lo:lo + m] = pair_u + pair_v
-        scales[lo:lo + m] = np.abs(pair_u) + np.abs(pair_v)
+        return pair_u + pair_v, np.abs(pair_u) + np.abs(pair_v), cu, cv
+
+    gaps, scales, coeff_u, coeff_v = _by_row_chunks(samples, solve, DIAZ_SAA_CHUNK)
     tols = SCALED_TOL * (1.0 + scales)
-    witness = lambda i: {"coeff_u": coeff[0, i].tolist(), "coeff_v": coeff[1, i].tolist(),
+    witness = lambda i: {"coeff_u": coeff_u[i].tolist(), "coeff_v": coeff_v[i].tolist(),
                          "q": q, "s": s, "n": DIAZ_SAA_CELLS, "family": G.name}
     return _finish_report("diaz_saa", gaps, tols, witness, samples)
 

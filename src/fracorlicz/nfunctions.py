@@ -19,13 +19,16 @@ contract in the NFunction docstring.
 Derived functions are stored as strictly monotone tables interpolated with
 a monotonicity preserving cubic (PCHIP, Fritsch & Carlson) in log-log
 coordinates, with power-law extensions of positive slope beyond the
-tabulated range: a table maps 0 to 0, inf to inf and NaN to NaN, and its
-derivative there is the extension's limit.  Each derived function evaluates in one way: its table, or one
+tabulated range: a table maps 0 to 0, inf to inf and NaN to NaN, its
+derivative there is the extension's limit, and a negative argument is a
+ValueError.  Each derived function evaluates in one way: its table, or one
 Newton refinement seeded from the table (the complementary function's
 maximizer, the inverse).  Monotone equations without a table (the inverses
 of the families, Luxemburg norms) go through one root-finder, a
-safeguarded Newton iteration in log-log coordinates fed by the log-log
-slope each level evaluation yields.  Both algorithms live
+safeguarded Newton iteration in log-log coordinates.  Every level it
+solves follows one contract, that of `level_terms`: an evaluation yields
+the level and its derivative in log scale, and the root-finder alone
+divides them into the log-log slope that steers it.  Both algorithms live
 in this module on numpy alone.
 """
 
@@ -94,13 +97,14 @@ def _float_if_0d(value):
 def solve_increasing(fn, target, args=(), at_one=None):
     """Solve fn(x, *args) = target for a nondecreasing fn, vectorised over target.
 
-    fn returns (level, slope), arrays shaped like x: its value and its
-    log-log slope d log fn / d log x, both from one evaluation.  Each
-    element with target > 0 solves f(y) = log level - log target = 0 in
-    y = log x by Newton's method from y = 0, with the step
-    -f / max(slope, 1), to BISECT_REL_TOL, i.e. to that relative accuracy
-    in x.  at_one, where the caller has it, is fn's (level, slope) at
-    x = 1, shaped like target; it takes the place of the first evaluation.
+    fn returns (level, d level / d log x), arrays shaped like x, both from
+    one evaluation, as NFunction.level_terms does; their quotient is the
+    log-log slope, and this is the one place that forms it.  Each element
+    with target > 0 solves f(y) = log level - log target = 0 in y = log x
+    by Newton's method from y = 0, with the step -f / max(slope, 1), to
+    BISECT_REL_TOL, i.e. to that relative accuracy in x.  at_one, where
+    the caller has it, is fn's pair at x = 1, shaped like target; it takes
+    the place of the first evaluation.
     target == 0 maps to 0, target == inf to inf, and a NaN target or a NaN
     level to NaN.
 
@@ -142,12 +146,15 @@ def solve_increasing(fn, target, args=(), at_one=None):
     f_lo, f_hi, f_last = (np.full(pos.size, np.inf) for _ in range(3))
     walks = np.zeros(pos.size)
     for step in range(MAX_ROOT_STEPS + 1):
+        if not pos.size:
+            break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if step == 0 and at_one is not None:
-                level, slope = (np.ravel(a)[pos] for a in at_one)
+                level, d_level = (np.ravel(a)[pos] for a in at_one)
             else:
-                level, slope = fn(np.exp(y), *args)
+                level, d_level = fn(np.exp(y), *args)
             f = np.log(level) - log_t
+            slope = d_level / level   # a level of 0 or inf gives no slope
         below, above = f < 0.0, f > 0.0
         lo, f_lo = np.where(below, y, lo), np.where(below, f, f_lo)
         hi, f_hi = np.where(above, y, hi), np.where(above, f, f_hi)
@@ -159,8 +166,6 @@ def solve_increasing(fn, target, args=(), at_one=None):
             root[pos[k]] = np.where(np.isnan(f[k]), np.nan,
                                     np.exp(np.where(done[k], y[k], end)))
             k = np.flatnonzero(~stop)
-            if not k.size:
-                break
             pos, y, f, slope, lo, hi, f_lo, f_hi, f_last, walks, log_t = (
                 a[k] for a in (pos, y, f, slope, lo, hi, f_lo, f_hi, f_last, walks, log_t))
             args = tuple(a[k] for a in args)
@@ -302,7 +307,14 @@ class LogLogTable:
             l, r = flat[todo], row[todo]
 
     def _locate(self, x):
-        """(coefficient rows (..., 4), offsets s in them, log x) of x's segments."""
+        """(coefficient rows (..., 4), offsets s in them, log x) of x's segments.
+
+        Every lookup goes through here, so this is where a negative
+        argument is rejected.
+        """
+        x = _as_array(x)
+        if np.any(x < 0.0):
+            raise ValueError("table argument must be nonnegative")
         row, lx = self._segment(x)
         return self._coef.take(row, axis=0), lx - self._origin.take(row), lx
 
@@ -315,9 +327,6 @@ class LogLogTable:
         return (3.0 * c[..., 0] * s + 2.0 * c[..., 1]) * s + c[..., 2]
 
     def __call__(self, x):
-        x = _as_array(x)
-        if np.any(x < 0.0):
-            raise ValueError("table argument must be nonnegative")
         c, s, _ = self._locate(x)
         with np.errstate(over="ignore"):
             return _float_if_0d(np.exp(self._log_value(c, s)))
@@ -327,15 +336,18 @@ class LogLogTable:
         c, s, _ = self._locate(x)
         return _float_if_0d(self._log_slope(c, s))
 
-    def value_and_slope(self, x):
-        """(value, log slope) from one lookup: the root-finder's (level, slope)."""
-        x = _as_array(x)
-        if np.any(x < 0.0):
-            raise ValueError("table argument must be nonnegative")
+    def level_terms(self, x, out=None):
+        """(v, v * log slope) from one lookup, as NFunction.level_terms gives them.
+
+        The second is dv / d log x, the root-finder's level derivative; out
+        is accepted for the batch_luxemburg evaluator contract and unused.
+        """
         c, s, _ = self._locate(x)
         with np.errstate(over="ignore"):
             value = np.exp(self._log_value(c, s))
-        return _float_if_0d(value), _float_if_0d(self._log_slope(c, s))
+        slope = self._log_slope(c, s)
+        slope *= value
+        return value, slope
 
     def derivative(self, x):
         """dv/dx = exp(log v - log x) * dlogv/dlogx from one lookup.
@@ -459,8 +471,8 @@ class NFunction:
         """(G(t), t g(t)) for an array t, from one pair_terms call into out.
 
         Summed over a field, the first is a Luxemburg level and the second
-        its derivative in log scale, so their ratio is the level's log-log
-        slope, which steers the root-finder.  out is as in pair_terms.
+        its derivative in log scale: the pair the root-finder takes, which
+        forms the level's log-log slope from it.  out is as in pair_terms.
         """
         G, g = self.pair_terms(t, out)
         g *= t
@@ -468,12 +480,7 @@ class NFunction:
 
     def inverse(self, tau):
         """Inverse of the function itself, by the root-finder on level_terms."""
-
-        def level(t):
-            G, tg = self.level_terms(t)
-            return G, tg / G
-
-        return solve_increasing(level, tau)
+        return solve_increasing(self.level_terms, tau)
 
     def integral_over_t(self, x):
         """Cumulative integral of G(r)/r from 0 to x.
@@ -714,8 +721,6 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
 
     def pair_terms(t, out):
         # G = v and g = (v / t) sigma, sigma the log slope, from one lookup
-        if np.any(t < 0.0):
-            raise ValueError("table argument must be nonnegative")
         c, s, lt = table._locate(t)
         log_v = table._log_value(c, s)
         with np.errstate(over="ignore"):
@@ -725,7 +730,7 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
         # the interpolant's own second derivative, (v / x^2)(sigma^2 - sigma
         # + sigma'), sigma' = d sigma / d log x, from one lookup: at 0 and inf
         # it is the power-law extension's limit
-        c, s, lx = table._locate(_as_array(x))
+        c, s, lx = table._locate(x)
         sigma = table._log_slope(c, s)
         curvature = 6.0 * c[..., 0] * s + 2.0 * c[..., 1]
         with np.errstate(over="ignore"):
@@ -827,7 +832,7 @@ class DerivedNFunction:
     def inverse(self, v):
         if self.inverse_table is not None:
             return self.inverse_table(v)
-        return solve_increasing(self.table.value_and_slope, v)
+        return solve_increasing(self.table.level_terms, v)
 
     def level_terms(self, t):
         """(F(t), t F'(t)) for an array t, as NFunction.level_terms gives them."""
@@ -882,9 +887,7 @@ def complementary(nf) -> DerivedNFunction:
 
     def evaluate(t):
         t = _as_array(t)
-        if np.any(t < 0.0):
-            raise ValueError("conjugate argument must be nonnegative")
-        tau = table.derivative(t)   # 0 at t = 0, so the value is 0 there
+        tau = table.derivative(t)   # 0 at t = 0, so the value is 0 there; rejects t < 0
         if refine:
             tau = _newton_refine(nf.deriv, nf.deriv2, tau, t)
         level = nf(tau)
@@ -915,11 +918,11 @@ def inverse_nfunction(nf: NFunction) -> DerivedNFunction:
                             inverse_table=LogLogTable(grid, values, split_at=nf.breakpoints))
 
 
-def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction:
-    """Build the Sobolev conjugate from the defining inverse-side integral.
+def sobolev_conjugate(nf: NFunction, s: float) -> DerivedNFunction:
+    """Build the one-dimensional (N = 1) Sobolev conjugate from its inverse-side integral.
 
     The inverse of the conjugate at t is the integral from 0 to t of
-    G^{-1}(tau) * tau^{-(dim+s)/dim}, tabulated on 1200 log-spaced knots
+    G^{-1}(tau) * tau^{-(1+s)}, tabulated on 1200 log-spaced knots
     over [1e-10, 1e10].  Construction is refused when the
     integrand is non-integrable at the origin (estimated local power <= -1)
     or when the matching divergence test at infinity fails (estimated power
@@ -927,7 +930,7 @@ def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction
     """
     if not (0.0 < s < 1.0):
         raise ValueError("fractional order s must lie in (0, 1)")
-    kappa = (dim + s) / dim
+    kappa = 1.0 + s
     ginv = nf.inverse
 
     def log_slope(tau_a, tau_b):
@@ -956,7 +959,7 @@ def sobolev_conjugate(nf: NFunction, s: float, dim: int = 1) -> DerivedNFunction
     forward = LogLogTable(cumulative, knots)        # G_* itself
     return DerivedNFunction(
         table=forward, inverse_table=inverse_side,
-        label=f"sobolev_conjugate[{nf.name}; s={s:g}, N={dim}]",
+        label=f"sobolev_conjugate[{nf.name}; s={s:g}, N=1]",
     )
 
 

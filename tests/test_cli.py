@@ -769,10 +769,20 @@ def test_coefficient_from_file(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "fo"), "--quiet"]) == 0
 
 
-def test_tabulated_nfunction_from_config(tmp_path, capsys):
-    t = np.logspace(-6, 6, 400)
-    np.savetxt(tmp_path / "table.txt", np.column_stack([t, t ** 3 / 3.0]))
-    cfg = write(tmp_path, "tab.ini", """
+def test_one_column_coefficient_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "coef.txt").write_text("0.03125\n0.09375\n")
+    text = BASE.format(a=0.0, b=1.0, n=16, family="power", p=3,
+                       alpha=0.5, beta=0.5, f="file:coef.txt", k="1",
+                       eps0="1e-2", epsmin="1e-3")
+    cfg = write(tmp_path, "onecol.ini", text)
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: coefficient f: ")
+    assert not out.exists()
+
+
+TABULATED = """
 [mesh]
 a = 0
 b = 1
@@ -785,7 +795,25 @@ table = table.txt
 [norm]
 u = 1
 kind = LG
-""")
+"""
+
+
+@pytest.mark.parametrize("table", ["1 0.5\n", "1\n2\n3\n4\n5\n"],
+                         ids=["one-row", "one-column"])
+def test_malformed_table_file_is_config_error(tmp_path, capsys, table):
+    (tmp_path / "table.txt").write_text(table)
+    cfg = write(tmp_path, "tab.ini", TABULATED)
+    out = tmp_path / "never"
+    assert main(["norm", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: [nfunction]: ")
+    assert not out.exists()
+
+
+def test_tabulated_nfunction_from_config(tmp_path, capsys):
+    t = np.logspace(-6, 6, 400)
+    np.savetxt(tmp_path / "table.txt", np.column_stack([t, t ** 3 / 3.0]))
+    cfg = write(tmp_path, "tab.ini", TABULATED)
     code = main(["norm", "--config", cfg, "--out", str(tmp_path / "t")])
     out = capsys.readouterr().out
     assert code == 0

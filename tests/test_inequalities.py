@@ -12,7 +12,7 @@ from fracorlicz.inequalities import (
     picone_constant, diaz_saa_value, monotone_difference_gap,
     ray_convexity_probe, f2_monotonicity_check, default_exponent, run_suite,
     SUITES, STANDARD_FAMILIES, sharpen_witness, sweep_seminorm_sandwich,
-    _finish_report,
+    _finish_report, SEMINORM_CELLS,
 )
 
 P2 = power_nfunction(2.0)
@@ -362,11 +362,11 @@ def test_all_suites_clean_at_module_scale():
 def test_seminorm_sandwich_gauge_matches_gagliardo_seminorm():
     # the sweep's batched gauge on its worst row equals the single-field
     # Luxemburg gauge of the domain Gagliardo modular
-    n, s = 8, 0.5
-    mesh = Mesh(0.0, 1.0, n)
+    s = 0.5
+    mesh = Mesh(0.0, 1.0, SEMINORM_CELLS)
     for seed in (3, 4):
         for G in STANDARD_FAMILIES.values():
-            report = sweep_seminorm_sandwich(G, 40, seed, n=n, s=s)
+            report = sweep_seminorm_sandwich(G, 40, seed, s=s)
             rng = np.random.default_rng(seed)
             coeff = rng.uniform(-1.0, 1.0, (40, 8))
             fields = coeff @ np.sin(np.pi * np.outer(np.arange(1, 9), mesh.nodes))
@@ -382,7 +382,7 @@ FIELD_SWEEPS = ("modular_norm_sandwich", "seminorm_sandwich", "holder")
 @pytest.mark.parametrize("name, bound_mb", [
     ("modular_norm_sandwich", 6), ("seminorm_sandwich", 8), ("holder", 12)])
 def test_field_sweeps_hold_chunks_not_samples(name, bound_mb):
-    # fields, quotients and gauges are formed one LUXEMBURG_CHUNK of rows at
+    # fields, quotients and gauges are formed one FIELD_CHUNK of rows at
     # a time, so at 20 000 samples the traced peak is the (samples, 8)
     # coefficients, the per-sample result vectors and one chunk's
     # temporaries (whole-sample arrays peaked at 12-26 MB)
@@ -406,7 +406,7 @@ def test_field_sweeps_do_not_depend_on_the_row_chunk(monkeypatch, name):
         reference = run_suite(name, G, samples, 5)
         for chunk in (37, samples + 1):
             with monkeypatch.context() as m:
-                m.setattr("fracorlicz.grid.LUXEMBURG_CHUNK", chunk)
+                m.setattr("fracorlicz.inequalities.FIELD_CHUNK", chunk)
                 report = run_suite(name, G, samples, 5)
             assert report.csv_row() == reference.csv_row()
             assert report.witness_text() == reference.witness_text()

@@ -373,19 +373,18 @@ def test_complementary_involution():
 
 
 def _with_slope(F):
-    """F as the root-finder's level: (F(x), x F'(x) / F(x))."""
+    """F as the root-finder's level: (F(x), x F'(x))."""
     def level(x, *args):
-        value = F(x)
-        return value, x * F.deriv(x) / value
+        return F(x), x * F.deriv(x)
     return level
 
 
 def _tanh(x):
-    return np.tanh(x), x * (1.0 - np.tanh(x) ** 2) / np.tanh(x)
+    return np.tanh(x), x * (1.0 - np.tanh(x) ** 2)
 
 
 def _one_plus(x):
-    return 1.0 + x, x / (1.0 + x)
+    return 1.0 + x, x
 
 
 def test_solve_increasing_matches_scipy_find_root():
@@ -443,8 +442,8 @@ def test_wrong_slope_changes_the_count_not_the_root(factor):
     roots = np.logspace(-60, 50, 45)
 
     def level(x):
-        value, slope = _with_slope(G)(x)
-        return value, (np.ones_like(x) if factor is None else factor * slope)
+        value, derivative = _with_slope(G)(x)
+        return value, (value if factor is None else factor * derivative)
 
     got = solve_increasing(level, G(roots))
     assert np.max(np.abs(got / roots - 1.0)) <= BISECT_REL_TOL
@@ -465,7 +464,8 @@ def test_nan_level_stops_the_walk_with_a_nan_root():
     # an element whose level is NaN, at the start or further out, stops
     # walking and gets a NaN root; the other elements are unaffected
     def cube_or_nan(x, nan_above):
-        return np.where(x > nan_above, np.nan, x ** 3), np.full_like(x, 3.0)
+        level = np.where(x > nan_above, np.nan, x ** 3)
+        return level, 3.0 * level
     nan_above = np.array([np.inf, 0.0, 100.0, np.inf])
     calls = []
     root = solve_increasing(_recording(cube_or_nan, calls), np.array([8.0, 8.0, 1e15, 1e-6]),
@@ -528,20 +528,20 @@ def test_inverse_closed_form_power():
 def test_sobolev_conjugate_closed_form():
     # inverse-side integral for a pure power: C * t^(1/p - s/N)
     G = power_nfunction(2.0)
-    conj = sobolev_conjugate(G, s=0.25, dim=1)
+    conj = sobolev_conjugate(G, s=0.25)
     t = np.logspace(-3, 3, 41)
     exact = np.sqrt(2.0) * t ** 0.25 / 0.25
     assert np.max(np.abs(conj.inverse(t) - exact) / exact) < 1e-4
 
 
 def test_sobolev_conjugate_zero():
-    conj = sobolev_conjugate(power_nfunction(2.0), s=0.25, dim=1)
+    conj = sobolev_conjugate(power_nfunction(2.0), s=0.25)
     assert conj.inverse(0.0) == 0.0
     assert conj(0.0) == 0.0
 
 
 def test_sobolev_conjugate_inverse_shape():
-    conj = sobolev_conjugate(power_nfunction(2.0), s=0.25, dim=1)
+    conj = sobolev_conjugate(power_nfunction(2.0), s=0.25)
     t = np.logspace(-6, 6, 400)
     vals = conj.inverse(t)
     assert np.all(np.diff(vals) > 0.0)
@@ -551,15 +551,15 @@ def test_sobolev_conjugate_inverse_shape():
 
 def test_sobolev_conjugate_integrability_refusals():
     with pytest.raises(SobolevConjugateError) as err:
-        sobolev_conjugate(power_nfunction(2.0), s=0.9, dim=1)
+        sobolev_conjugate(power_nfunction(2.0), s=0.9)
     assert err.value.failed_tail == "origin"
     with pytest.raises(SobolevConjugateError):
-        sobolev_conjugate(power_nfunction(3.0), s=0.5, dim=1)
+        sobolev_conjugate(power_nfunction(3.0), s=0.5)
 
 
 def test_compose_power_identity_and_substitution():
     G = power_nfunction(2.0)
-    gstar = sobolev_conjugate(G, s=0.25, dim=1)
+    gstar = sobolev_conjugate(G, s=0.25)
     ident = compose_power(gstar, 1.0)
     t = np.logspace(-2, 2, 21)
     assert np.allclose(ident(t), gstar(t), rtol=1e-6)
@@ -571,7 +571,7 @@ def test_compose_power_closed_form_spot():
     # reaction weight with unit exponent ratio: value against the closed-form
     # forward map of the conjugate (s = 0.25, p = 2: forward exponent 4)
     G = power_nfunction(2.0)
-    gstar = sobolev_conjugate(G, s=0.25, dim=1)
+    gstar = sobolev_conjugate(G, s=0.25)
     K = reaction_weight_nfunction(gstar, beta=1.0)
     t = 7.0
     assert K(t) == pytest.approx(float(gstar(np.sqrt(t))), rel=1e-8)
@@ -579,7 +579,7 @@ def test_compose_power_closed_form_spot():
 
 def test_compose_power_rejections():
     G = power_nfunction(2.0)
-    gstar = sobolev_conjugate(G, s=0.25, dim=1)
+    gstar = sobolev_conjugate(G, s=0.25)
     with pytest.raises(ValueError):
         compose_power(gstar, 0.0)
     with pytest.raises(ValueError):
@@ -803,11 +803,15 @@ def test_table_segment_matches_binary_search(name):
         for v in [*SPECIAL_PROBES, knots[0], knots[-1], np.nextafter(knots[7], 0.0)]:
             one = table._segment(np.array(v))[0]
             assert one.shape == () and one == _searchsorted_row(table, np.array(v))
-        # the lookup gathers exactly the rows the binary search names
-        c, s, _ = table._locate(x)
-        lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
-    assert np.array_equal(c, table._coef[want])
-    assert np.array_equal(s, lx - table._origin[want], equal_nan=True)
+        # the lookup gathers exactly the rows the binary search names, and
+        # rejects the negative probes
+        with pytest.raises(ValueError, match="nonnegative"):
+            table._locate(x)
+        keep = ~(x < 0.0)   # NaN stays
+        c, s, _ = table._locate(x[keep])
+        lx = np.clip(np.log(x[keep]), -_LOG_HUGE, _LOG_HUGE)
+    assert np.array_equal(c, table._coef[want[keep]])
+    assert np.array_equal(s, lx - table._origin[want[keep]], equal_nan=True)
 
 
 def _clamped_table():
@@ -841,6 +845,22 @@ def test_table_contract_at_the_edges(name):
         assert table(x) == want and table.derivative(x) == deriv[0 if x == 0.0 else 4]
     with pytest.raises(ValueError):
         table(np.array([1.0, -1.0]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_lookups_reject_negative_arguments():
+    # one check in the lookup: the table's value, slope, derivative and
+    # level terms, the derivatives of the derived functions and the
+    # tabulated family's terms all raise on a negative argument
+    G = power_nfunction(2.0)
+    t = np.logspace(-3, 3, 200)
+    tab = tabulated_nfunction(t, t ** 3 + t ** 2)
+    table = complementary(G).table
+    for lookup in (table, table.slope, table.derivative, table.level_terms,
+                   complementary(G).deriv, inverse_nfunction(G).deriv,
+                   sobolev_conjugate(G, 0.25).deriv, tab, tab.deriv, tab.deriv2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lookup(np.array([1.0, -1.0]))
 
 
 def test_clamped_end_slope_extends_by_the_end_secant():
