@@ -18,9 +18,12 @@ pass takes G and g together from the N-function's pair_terms, the one
 evaluator each family supplies, and writes its slabs with out= into one
 workspace that every pass, for one field or a batch, keeps while the slab
 size stays; pair_terms writes its terms into the G and g slabs too, so a
-warm pass of a built-in family allocates no slab-sized array.  That
-workspace makes pair passes from several threads at once unsafe; the
-package runs them from one thread.
+warm pass of a built-in family allocates no slab-sized array.  The
+operator paired with a test field (operator_pairing) takes the weak form
+instead: one g term per unordered node pair, over the pair enumeration
+that difference_quotients uses, in the same workspace.  That workspace
+makes pair passes from several threads at once unsafe; the package runs
+them from one thread.
 
 Luxemburg gauges, of one field or of the rows of a sample matrix, take the
 level contract of nfunctions.solve_increasing: a modular evaluation yields
@@ -173,17 +176,40 @@ def _kernel(mesh: Mesh, s: float):
             (x - mesh.a) ** (-s), (mesh.b - x) ** (-s))
 
 
+@functools.lru_cache(maxsize=8)
+def _unordered_pairs(mesh: Mesh, s: float):
+    """(incidence, 1/d^s, 2/d, 1/d^(1+s)) over the node pairs i < j, read-only.
+
+    The pairs run in np.triu_indices(n, 1) order.  Column k of the
+    (n, pairs) incidence matrix holds +1 at row i and -1 at row j, so
+    values @ incidence forms every difference u_i - u_j exactly (one
+    product by +1, one by -1, the rest zeros) where values are finite.
+    """
+    inv_s, inv_1, inv_1s, _, _ = _kernel(mesh, s)
+    i, j = np.triu_indices(mesh.n, 1)
+    incidence = np.zeros((mesh.n, i.size))
+    incidence[i, np.arange(i.size)] = 1.0
+    incidence[j, np.arange(i.size)] = -1.0
+    data = (incidence, inv_s[i, j], 2.0 * inv_1[i, j], inv_1s[i, j])
+    for a in data:
+        a.flags.writeable = False
+    return data
+
+
 def difference_quotients(values: np.ndarray, mesh: Mesh, s: float):
     """(|u_i - u_j| / d_ij^s over the unordered node pairs i < j, weights 2 / d_ij).
 
     The n(n - 1)/2 quotients of each row of values (leading batch axes are
     kept) run over the pairs of np.triu_indices(n, 1), and each weight
     counts its pair in both orders, so h^2 sum(w G(q)) is the domain
-    Gagliardo modular of each row.
+    Gagliardo modular of each row.  values are finite: the differences
+    come from the incidence product of _unordered_pairs, through which a
+    non-finite entry reaches every pair of its row.
     """
-    inv_s, inv_1, _, _, _ = _kernel(mesh, s)
-    i, j = np.triu_indices(mesh.n, 1)
-    return np.abs(values[..., i] - values[..., j]) * inv_s[i, j], 2.0 * inv_1[i, j]
+    incidence, inv_s, weights, _ = _unordered_pairs(mesh, s)
+    q = np.abs(values @ incidence)
+    q *= inv_s
+    return q, weights
 
 
 def _check_order(s: float):
@@ -307,7 +333,38 @@ def operator_apply(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> np
     return interior + 2.0 * exterior_tail_gradient(values, G, mesh, s)
 
 
-operator_apply_batch = operator_apply  # the randomized sweeps' name for batches
+operator_apply_batch = operator_apply  # a name benchmarks/tracing.py wraps in inequalities
+
+
+def operator_pairing(values: np.ndarray, phi: np.ndarray, G: NFunction, mesh: Mesh,
+                     s: float) -> np.ndarray:
+    """h <A(u), phi>: operator_apply(values) paired with phi, per row.
+
+    By the antisymmetry of the pair terms this is the weak form
+    2h^2 sum_{i<j} g(q_ij) sign(u_i - u_j) (phi_i - phi_j) / d_ij^(1+s)
+    + 2h sum_i tail_i phi_i over the unordered pairs of
+    difference_quotients, tail_i the exterior_tail_gradient term, so each
+    pair takes one pair_terms entry.  It equals
+    h * sum(operator_apply(values, G, mesh, s) * phi, axis=-1) up to
+    rounding.  values and phi are finite, shaped alike, and may carry
+    leading batch axes; the pair slabs live in the one slab workspace.
+    """
+    incidence, inv_s, _, inv_1s = _unordered_pairs(mesh, s)
+    shape = values.shape[:-1] + (inv_s.size,)
+    slab = math.prod(shape)
+    work = _slab_workspace(PAIR_SLABS * slab)
+    diff, q, G_slab, g_slab = (work[k * slab:(k + 1) * slab].reshape(shape)
+                               for k in range(PAIR_SLABS))
+    np.matmul(values, incidence, out=diff)
+    np.abs(diff, out=q)
+    q *= inv_s
+    _, g = G.pair_terms(q, out=(G_slab, g_slab))
+    t = np.copysign(g, diff, out=g_slab)
+    t *= np.matmul(phi, incidence, out=q)
+    t *= inv_1s
+    tails = exterior_tail_gradient(values, G, mesh, s)
+    tails *= phi
+    return 2.0 * mesh.h ** 2 * t.sum(axis=-1) + 2.0 * mesh.h * tails.sum(axis=-1)
 
 
 def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float):
@@ -414,27 +471,25 @@ def batch_luxemburg(values: np.ndarray, h: float, terms: Callable) -> tuple:
     evaluation, computed as h * sum(F(|row|)).  Zero rows get 0 for both.
     The temporaries are a few arrays shaped like values, so a caller that
     bounds its memory passes its rows a chunk at a time (the verify
-    sweeps).  Rows are solved independently, except that the derivative,
-    which steers but does not stop the iteration, is summed by a matrix
-    product: a BLAS may sum the rows its block size leaves over in another
-    order, which can move their norms by an ulp where the rows are cut
-    differently.  |values| is taken once, and each evaluation gathers only
-    the rows still open into kept buffers, so terms sees about 2 entries
-    per batch entry for a pure power.
+    sweeps).  Rows are solved independently: each row's sums run in an
+    order fixed by the row alone, so how the rows are cut moves no bit.
+    |values| is taken once, and each evaluation gathers only the rows
+    still open into kept buffers, so terms sees about 2 entries per batch
+    entry for a pure power.
     """
     norms, modulars = np.zeros(values.shape[0]), np.zeros(values.shape[0])
     rows = np.flatnonzero(np.any(values, axis=1))
     magnitude = np.abs(values[rows])
     work = np.empty((3,) + magnitude.shape)
-    ones = np.ones(values.shape[1])
 
     def level(mu, open_rows):
         t, F_buf, tF_buf = work[:, :open_rows.size]
         np.take(magnitude, open_rows, axis=0, out=t, mode="clip")
         t *= mu[:, None]
         F, tF = terms(t, (F_buf, tF_buf))
-        # the derivative only steers, so its sum takes the faster matrix product
-        return h * np.sum(F, axis=1), h * (tF @ ones)
+        # the derivative only steers: einsum's row sum is the faster one
+        # whose order does not depend on the number of rows
+        return h * np.sum(F, axis=1), h * np.einsum("ij->i", tF)
 
     at_one = level(np.ones(rows.size), np.arange(rows.size))
     modulars[rows] = at_one[0]

@@ -23,9 +23,11 @@ import numpy as np
 from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
-from .grid import (GridFunction, Mesh, operator_apply_batch, seminorm_modular,
+from .grid import (GridFunction, Mesh, operator_pairing, seminorm_modular,
                    batch_luxemburg, difference_quotients, fourier_coefficients,
                    random_fourier, sine_basis)
+# no sweep calls it any more, but benchmarks/tracing.py wraps this name here
+from .grid import operator_apply_batch  # noqa: F401
 
 __all__ = [
     "InequalityReport", "FCFunction", "fc_check",
@@ -149,8 +151,10 @@ def hidden_convexity_gap(G: NFunction, q: float, u0x, u0y, u1x, u1y, t):
         out = np.where(t == 0.0, a, out)
         return np.where(t == 1.0, b, out)
 
-    lhs = G(np.abs(sigma(u0x, u1x) - sigma(u0y, u1y)))
-    rhs = (1.0 - t) * G(np.abs(u0x - u0y)) + t * G(np.abs(u1x - u1y))
+    # the three G values from one evaluation
+    lhs, G0, G1 = G(np.abs(np.array(np.broadcast_arrays(
+        sigma(u0x, u1x) - sigma(u0y, u1y), u0x - u0y, u1x - u1y))))
+    rhs = (1.0 - t) * G0 + t * G1
     return rhs - lhs
 
 
@@ -163,8 +167,12 @@ def picone_constant(G: NFunction, q: float):
     when G(1) < 1.  The uniformization is an artifact choice (recorded as
     such in reports), not a sharp constant.
     """
+    return _picone_constant(G, q, G(1.0))
+
+
+def _picone_constant(G: NFunction, q: float, g1: float):
+    """picone_constant from the value g1 = G(1)."""
     pm, pp = G.p_minus, G.p_plus
-    g1 = G(1.0)
     exps = (
         1.0 + pm / pp,
         1.0 + pp / pm,
@@ -191,13 +199,15 @@ def picone_gap(G: NFunction, q: float, ux, uy, vx, vy):
     if np.any(vx < 0) or np.any(vy < 0):
         raise ValueError("v must be nonnegative")
     du = ux - uy
-    lhs = G.deriv(np.abs(du)) * np.sign(du) * (vx ** q / ux ** (q - 1.0)
-                                               - vy ** q / uy ** (q - 1.0))
-    g1 = G(1.0)
-    ru = G(np.abs(du)) / g1
-    rv = G(np.abs(vx - vy)) / g1
+    # G and g at |du|, G at |dv| and G(1) from one pair_terms call
+    t = np.array(np.broadcast_arrays(np.abs(du), np.abs(vx - vy), 1.0))
+    (G_du, G_dv, g1), (g_du, _, _) = G.pair_terms(t, (None, None))
+    lhs = g_du * np.sign(du) * (vx ** q / ux ** (q - 1.0) - vy ** q / uy ** (q - 1.0))
+    g1 = float(g1.flat[0])   # G(1) at every entry
+    ru = G_du / g1
+    rv = G_dv / g1
     pm, pp = G.p_minus, G.p_plus
-    C, _ = picone_constant(G, q)
+    C, _ = _picone_constant(G, q, g1)
     rhs = C * np.maximum(rv ** (q / pp), rv ** (q / pm)) \
             * np.maximum(ru ** ((pm - q) / pp), ru ** ((pp - q) / pm))
     return lhs, rhs, rhs - lhs
@@ -309,14 +319,16 @@ def diaz_saa_value(u: GridFunction, v: GridFunction, G: NFunction, s: float,
 def _diaz_saa_parts(u, v, G: NFunction, mesh: Mesh, s: float, q: float):
     """h <A(u), (u^q - v^q) / u^(q-1)> and h <A(v), (v^q - u^q) / v^(q-1)>.
 
-    u and v are positive nodal values and may carry leading batch axes.
+    u and v are positive nodal values and may carry leading batch axes;
+    both pairings come from one operator_pairing call on them stacked.
     """
     uq = u ** q
     vq = v ** q
     bracket_u = (uq - vq) / u ** (q - 1.0)
     bracket_v = (vq - uq) / v ** (q - 1.0)
-    return (mesh.h * np.sum(operator_apply_batch(u, G, mesh, s) * bracket_u, axis=-1),
-            mesh.h * np.sum(operator_apply_batch(v, G, mesh, s) * bracket_v, axis=-1))
+    pair_u, pair_v = operator_pairing(np.stack([u, v]), np.stack([bracket_u, bracket_v]),
+                                      G, mesh, s)
+    return pair_u, pair_v
 
 
 def ray_convexity_probe(u0: GridFunction, u1: GridFunction, t: float,
@@ -651,8 +663,9 @@ def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5) -> Ine
 
     Fields are exponentials of Fourier bumps (strictly positive, bounded
     mutual ratios) on DIAZ_SAA_CELLS cells, paired at the exponent
-    default_exponent(G); the pairing runs through the batched operator
-    with the exact exterior tails, DIAZ_SAA_CHUNK pairs at a time.
+    default_exponent(G); the pairings are weak forms over the unordered
+    node pairs with the exact exterior tails (operator_pairing),
+    DIAZ_SAA_CHUNK field pairs at a time.
     """
     rng = np.random.default_rng(seed)
     q = default_exponent(G)

@@ -220,11 +220,12 @@ class LogLogTable:
     slopes, or the end secant where PCHIP clamps an end slope to 0 (so
     monotonicity survives extrapolation, which cubic extension would not
     guarantee, and both extensions increase strictly).  A lookup finds the
-    segment through a bucket index (`_segment`), gathers its coefficient
-    row and runs one Horner pass for the log value or the log slope; the
-    value and the derivative are exponentials of it, so 0 maps to 0, inf
-    to inf and NaN to NaN with no mask, and a negative argument is a
-    ValueError.  Results follow the scalar rule (`_float_if_0d`).
+    segment through a bucket index (`_segment`), gathers its four
+    coefficients from contiguous columns and runs one Horner pass in place
+    for the log value or the log slope; the value and the derivative are
+    exponentials of it, so 0 maps to 0, inf to inf and NaN to NaN with no
+    mask, and a negative argument is a ValueError.  Results follow the
+    scalar rule (`_float_if_0d`).
     split_at lists abscissae where the tabulated function has a derivative
     kink: knot slopes are computed per piece between them, so the C1
     smoothing of a single PCHIP cannot smear error across the kink.
@@ -258,13 +259,14 @@ class LogLogTable:
             d = _pchip_slopes(h[lo:hi], m[lo:hi])
             d_left[lo:hi], d_right[lo:hi] = d[:-1], d[1:]
         # Hermite cubic of each segment in powers of (log x - its left end),
-        # highest power first, one row per segment
+        # highest power first: one contiguous column per power, and _coef
+        # the (segments, 4) view of one row per segment
         curv = (d_left + d_right - 2.0 * m) / h
-        self._coef = np.zeros((abscissa.size + 1, 4))
-        self._coef[1:-1] = np.column_stack(
-            [curv / h, (m - d_left) / h - curv, d_left, ly[:-1]])
-        self._coef[0, 2:] = d_left[0] if d_left[0] > 0.0 else m[0], ly[0]
-        self._coef[-1, 2:] = d_right[-1] if d_right[-1] > 0.0 else m[-1], ly[-1]
+        self._columns = np.zeros((4, abscissa.size + 1))
+        self._columns[:, 1:-1] = curv / h, (m - d_left) / h - curv, d_left, ly[:-1]
+        self._columns[2:, 0] = d_left[0] if d_left[0] > 0.0 else m[0], ly[0]
+        self._columns[2:, -1] = d_right[-1] if d_right[-1] > 0.0 else m[-1], ly[-1]
+        self._coef = self._columns.T
         self._origin = np.concatenate([lx[:1], lx])
         self._lx = lx
         # bucket index over B equal widths of [lx[0], lx[-1]]: bucket k,
@@ -307,45 +309,76 @@ class LogLogTable:
             l, r = flat[todo], row[todo]
 
     def _locate(self, x):
-        """(coefficient rows (..., 4), offsets s in them, log x) of x's segments.
+        """(coefficients (..., 4), offsets s in them, log x) of x's segments.
 
         Every lookup goes through here, so this is where a negative
-        argument is rejected.
+        argument is rejected.  The coefficients are gathered column by
+        column into fresh memory that the caller owns, so each c[..., k] is
+        contiguous; arrays come back even for a 0-d x, so the Horner passes
+        can run in place.
         """
         x = _as_array(x)
         if np.any(x < 0.0):
             raise ValueError("table argument must be nonnegative")
-        row, lx = self._segment(x)
-        return self._coef.take(row, axis=0), lx - self._origin.take(row), lx
+        row, lx = self._segment(x.ravel())
+        s = self._origin.take(row)
+        np.subtract(lx, s, out=s)
+        c = np.empty((4, row.size))
+        for column, gathered in zip(self._columns, c):
+            column.take(row, out=gathered, mode="clip")
+        return (np.moveaxis(c.reshape((4,) + x.shape), 0, -1),
+                s.reshape(x.shape), lx.reshape(x.shape))
 
     @staticmethod
-    def _log_value(c, s):
-        return ((c[..., 0] * s + c[..., 1]) * s + c[..., 2]) * s + c[..., 3]
+    def _log_value(c, s, out):
+        """((c0 s + c1) s + c2) s + c3, the log value, into out."""
+        v = np.multiply(c[..., 0], s, out=out)
+        v += c[..., 1]
+        v *= s
+        v += c[..., 2]
+        v *= s
+        v += c[..., 3]
+        return v
 
     @staticmethod
-    def _log_slope(c, s):
-        return (3.0 * c[..., 0] * s + 2.0 * c[..., 1]) * s + c[..., 2]
+    def _log_slope(c, s, out):
+        """(3 c0 s + 2 c1) s + c2, the log slope, into out.
+
+        It scales c0 by 3 and c1 by 2 in place, so it comes after any
+        other use of them.
+        """
+        c[..., 0] *= 3.0
+        c[..., 1] *= 2.0
+        d = np.multiply(c[..., 0], s, out=out)
+        d += c[..., 1]
+        d *= s
+        d += c[..., 2]
+        return d
 
     def __call__(self, x):
         c, s, _ = self._locate(x)
+        value = self._log_value(c, s, np.empty(s.shape))
         with np.errstate(over="ignore"):
-            return _float_if_0d(np.exp(self._log_value(c, s)))
+            return _float_if_0d(np.exp(value, out=value))
 
     def slope(self, x):
         """d(log value)/d(log abscissa), constant beyond the knots."""
         c, s, _ = self._locate(x)
-        return _float_if_0d(self._log_slope(c, s))
+        return _float_if_0d(self._log_slope(c, s, np.empty(s.shape)))
 
     def level_terms(self, x, out=None):
         """(v, v * log slope) from one lookup, as NFunction.level_terms gives them.
 
-        The second is dv / d log x, the root-finder's level derivative; out
-        is accepted for the batch_luxemburg evaluator contract and unused.
+        The second is dv / d log x, the root-finder's level derivative.  out
+        holds two buffers shaped like x that receive them (None: fresh
+        arrays), as batch_luxemburg passes them.
         """
         c, s, _ = self._locate(x)
+        value, slope = (np.empty(s.shape), np.empty(s.shape)) if out is None else out
+        self._log_value(c, s, value)
+        self._log_slope(c, s, slope)
         with np.errstate(over="ignore"):
-            value = np.exp(self._log_value(c, s))
-        slope = self._log_slope(c, s)
+            np.exp(value, out=value)
         slope *= value
         return value, slope
 
@@ -357,8 +390,12 @@ class LogLogTable:
         inf (0) for d < 1, as an inverse has; d exactly 1 gives 1 there.
         """
         c, s, lx = self._locate(x)
+        value = self._log_value(c, s, np.empty(s.shape))
+        value -= lx
         with np.errstate(over="ignore"):
-            return _float_if_0d(np.exp(self._log_value(c, s) - lx) * self._log_slope(c, s))
+            np.exp(value, out=value)
+        value *= self._log_slope(c, s, lx)
+        return _float_if_0d(value)
 
 
 def log_grid(lo_exp: float, hi_exp: float, n: int,
@@ -722,20 +759,24 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
     def pair_terms(t, out):
         # G = v and g = (v / t) sigma, sigma the log slope, from one lookup
         c, s, lt = table._locate(t)
-        log_v = table._log_value(c, s)
+        G, g = _buffers(t, out)
+        log_v = table._log_value(c, s, G)
+        table._log_slope(c, s, g)
+        np.subtract(log_v, lt, out=lt)
         with np.errstate(over="ignore"):
-            return np.exp(log_v), np.exp(log_v - lt) * table._log_slope(c, s)
+            g *= np.exp(lt, out=lt)
+            return np.exp(log_v, out=log_v), g
 
     def deriv2(x):
         # the interpolant's own second derivative, (v / x^2)(sigma^2 - sigma
         # + sigma'), sigma' = d sigma / d log x, from one lookup: at 0 and inf
         # it is the power-law extension's limit
         c, s, lx = table._locate(x)
-        sigma = table._log_slope(c, s)
         curvature = 6.0 * c[..., 0] * s + 2.0 * c[..., 1]
+        log_v = table._log_value(c, s, np.empty(s.shape))
+        sigma = table._log_slope(c, s, np.empty(s.shape))
         with np.errstate(over="ignore"):
-            return (np.exp(table._log_value(c, s) - 2.0 * lx)
-                    * (sigma * (sigma - 1.0) + curvature))
+            return np.exp(log_v - 2.0 * lx) * (sigma * (sigma - 1.0) + curvature)
 
     # cumulative of G(r)/r: head from the local power fit, then per-segment
     # Gauss-Legendre in the log variable
@@ -843,6 +884,21 @@ class DerivedNFunction:
         return self.label
 
 
+def _increasing_knots(abscissa: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of the knots that rise strictly in both coordinates, for sorted abscissae.
+
+    Numerically differentiated bases can wiggle.  A knot is kept when its
+    value is positive and above every earlier value (NaN values aside) and
+    its abscissa is above the one before it.  Where no two abscissae tie,
+    these are the knots a greedy scan keeps when it takes each knot above
+    the last one kept in both coordinates; of tied abscissae, only the
+    first can be kept.
+    """
+    earlier = np.fmax.accumulate(np.concatenate([[-np.inf], values[:-1]]))
+    rises = abscissa > np.concatenate([[-np.inf], abscissa[:-1]])
+    return rises & (values > earlier) & (values > 0.0)
+
+
 def complementary(nf) -> DerivedNFunction:
     """The complementary function sup_tau (t*tau - G(tau)), seeded by its table.
 
@@ -874,14 +930,7 @@ def complementary(nf) -> DerivedNFunction:
             values = np.concatenate([values, span * b - nf(b)])
     order = np.argsort(abscissa)
     abscissa, values = abscissa[order], values[order]
-    # numerically differentiated bases can wiggle: keep only pairs that are
-    # strictly increasing in both coordinates simultaneously
-    keep = np.zeros(abscissa.size, dtype=bool)
-    last_a = last_v = -np.inf
-    for i in range(abscissa.size):
-        if abscissa[i] > last_a and values[i] > last_v and values[i] > 0.0:
-            keep[i] = True
-            last_a, last_v = abscissa[i], values[i]
+    keep = _increasing_knots(abscissa, values)
     table = LogLogTable(abscissa[keep], values[keep], split_at=splits)
     refine = isinstance(nf, NFunction)
 

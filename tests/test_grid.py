@@ -12,7 +12,7 @@ from fracorlicz.grid import (
     modular_and_slope, seminorm_modular_and_slope, luxemburg_norm, lg_norm,
     gagliardo_seminorm, holder_pairing_check,
     poincare_constant_estimate, random_fourier, random_positive,
-    operator_apply, operator_apply_batch,
+    operator_apply, operator_apply_batch, operator_pairing,
     exterior_tail_energy, exterior_tail_gradient,
     batch_luxemburg, difference_quotients,
 )
@@ -436,13 +436,13 @@ STRADDLED_CHUNK = 4096  # a chunk size the row counts below sit on and around
                                      STRADDLED_CHUNK + 1, 2 * STRADDLED_CHUNK + 3])
 def test_batch_luxemburg_chunking_changes_no_bit(nonzero):
     # rows are solved independently: calls on consecutive slices that each
-    # hold STRADDLED_CHUNK (or the field sweeps' FIELD_CHUNK) nonzero rows,
-    # the two zero rows included where they sit at the end of the first
-    # STRADDLED_CHUNK, equal one call on all rows bit for bit, and a call on
-    # the zero rows alone gives zeros.  The cuts count nonzero rows: the
-    # level's derivative is summed by a matrix product, which a BLAS may sum
-    # in another order for the rows a block size leaves over, so a cut that
-    # leaves a few rows over can move their norms by an ulp
+    # hold 1, 5, 1000, STRADDLED_CHUNK or the field sweeps' FIELD_CHUNK
+    # nonzero rows, the two zero rows included where they sit at the end of
+    # the first STRADDLED_CHUNK, equal one call on all rows bit for bit, and
+    # a call on the zero rows alone gives zeros.  Each row's sums run in an
+    # order that does not depend on how many rows a call holds (a BLAS
+    # matrix product for the derivative's sum moved a row of the power3
+    # conjugate by an ulp at cuts of 5 and of 4096)
     rng = np.random.default_rng(12)
     mesh = Mesh(0.0, 1.0, 8)
     _, fields = random_fourier(rng, mesh, nonzero)
@@ -451,7 +451,7 @@ def test_batch_luxemburg_chunking_changes_no_bit(nonzero):
     for terms in (_level_terms(P3, False), _level_terms(P3, True)):
         whole, whole_modulars = batch_luxemburg(rows, mesh.h, terms)
         assert not np.any(batch_luxemburg(rows[zero], mesh.h, terms))
-        for chunk in (STRADDLED_CHUNK, FIELD_CHUNK):
+        for chunk in (1, 5, 1000, STRADDLED_CHUNK, FIELD_CHUNK):
             # cut before every chunk-th nonzero row
             cuts = list(np.flatnonzero(np.any(rows, axis=1))[::chunk]) + [len(rows)]
             parts = [batch_luxemburg(rows[lo:hi], mesh.h, terms)
@@ -628,6 +628,23 @@ def test_operator_pairing_matches_symmetrized_double_sum():
     expected = double_sum + tails
     got = mesh.h * np.sum(operator_apply(u.values, P3, mesh, s) * phi.values)
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("batch", [(64,), (1,), (2,), (), (2, 3)])
+def test_operator_pairing_is_the_paired_operator(name, batch):
+    # the weak form over the unordered pairs is h sum(A(u) phi) of the
+    # operator, for a batch, one row, two rows, one field and two batch axes
+    G = FAMILIES[name]
+    rng = np.random.default_rng(14)
+    mesh = Mesh(0.0, 1.0, 12)
+    count = int(np.prod(batch))
+    u = np.exp(random_fourier(rng, mesh, count)[1]).reshape(batch + (mesh.n,))
+    phi = random_fourier(rng, mesh, count)[1].reshape(batch + (mesh.n,))
+    got = operator_pairing(u, phi, G, mesh, 0.5)
+    want = mesh.h * np.sum(operator_apply(u, G, mesh, 0.5) * phi, axis=-1)
+    assert np.shape(got) == batch
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def _dense_pair_reference(values, G, mesh, s):

@@ -71,6 +71,41 @@ def test_hidden_convexity_boundary_exponent_powerlog():
 # Picone
 # ---------------------------------------------------------------------------
 
+def _separate_evaluation_gaps(G, q, ux, uy, vx, vy, t):
+    """The Picone and hidden-convexity gaps with one G or g call per value."""
+    ux, uy, vx, vy, t = map(np.asarray, (ux, uy, vx, vy, t))
+    du = ux - uy
+    g1 = G(1.0)
+    ru, rv = G(np.abs(du)) / g1, G(np.abs(vx - vy)) / g1
+    pm, pp = G.p_minus, G.p_plus
+    lhs = G.deriv(np.abs(du)) * np.sign(du) * (vx ** q / ux ** (q - 1.0)
+                                               - vy ** q / uy ** (q - 1.0))
+    rhs = picone_constant(G, q)[0] * np.maximum(rv ** (q / pp), rv ** (q / pm)) \
+        * np.maximum(ru ** ((pm - q) / pp), ru ** ((pp - q) / pm))
+    sigma = lambda a, b: ((1.0 - t) * a ** q + t * b ** q) ** (1.0 / q)
+    convex = ((1.0 - t) * G(np.abs(ux - uy)) + t * G(np.abs(vx - vy))
+              - G(np.abs(sigma(ux, vx) - sigma(uy, vy))))
+    return (lhs, rhs, rhs - lhs), convex
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+def test_gaps_keep_the_bits_of_separate_evaluations(name):
+    # picone_gap and hidden_convexity_gap take their G and g values from
+    # one call each; the gaps keep the bits of one evaluation per value,
+    # on arrays and on the scalars witness sharpening passes
+    G = STANDARD_FAMILIES[name]
+    q = default_exponent(G)
+    rng = np.random.default_rng(8)
+    ux, uy, vx, vy = np.exp(rng.uniform(-2.0, 2.0, (4, 500)))
+    t = rng.uniform(0.0, 0.999, 500)
+    for i in [slice(None), *range(0, 500, 50)]:
+        args = [float(a) if isinstance(i, int) else a for a in (ux[i], uy[i], vx[i], vy[i])]
+        picone, convex = _separate_evaluation_gaps(G, q, *args, t[i])
+        got = picone_gap(G, q, *args)
+        assert all(np.array_equal(a, b) for a, b in zip(got, picone))
+        assert np.array_equal(hidden_convexity_gap(G, q, *args, t[i]), convex)
+
+
 def test_picone_trivial_cases():
     lhs, rhs, gap = picone_gap(PS, 2.5, 2.0, 2.0, 1.0, 3.0)
     assert lhs == 0.0 and gap >= 0.0  # equal u-values: sign convention
@@ -207,15 +242,15 @@ def test_diaz_saa_nan_gap_is_the_witness(monkeypatch):
     # a NaN pairing in row 550 (row 38 of the second chunk) is a violation,
     # and the witness holds that row's coefficients
     import fracorlicz.inequalities as ineq
-    real = ineq.operator_apply_batch
+    real = ineq.operator_pairing
 
-    def poisoned(values, G, mesh, s):
-        out = real(values, G, mesh, s)
-        if len(values) == 88:
-            out[38, 0] = np.nan
+    def poisoned(values, phi, G, mesh, s):
+        out = real(values, phi, G, mesh, s)
+        if values.shape[-2] == 88:
+            out[..., 38] = np.nan
         return out
 
-    monkeypatch.setattr(ineq, "operator_apply_batch", poisoned)
+    monkeypatch.setattr(ineq, "operator_pairing", poisoned)
     report = run_suite("diaz_saa", P3, 600, seed=5)
     assert report.violations == 1 and np.isnan(report.min_gap)
     rng = np.random.default_rng(5)

@@ -14,7 +14,7 @@ from fracorlicz.nfunctions import (
     estimate_indices, complementary, inverse_nfunction, sobolev_conjugate,
     compose_power, reaction_weight_nfunction, singular_weight_nfunction,
     essentially_faster, solve_increasing, LogLogTable, INDEX_GRID, _LOG_HUGE,
-    BISECT_REL_TOL,
+    BISECT_REL_TOL, _increasing_knots,
 )
 
 FAMILIES = {
@@ -812,6 +812,111 @@ def test_table_segment_matches_binary_search(name):
         lx = np.clip(np.log(x[keep]), -_LOG_HUGE, _LOG_HUGE)
     assert np.array_equal(c, table._coef[want[keep]])
     assert np.array_equal(s, lx - table._origin[want[keep]], equal_nan=True)
+
+
+def _block_horner(table, x):
+    """(value, log slope, derivative, second derivative) from a binary
+    search, one gathered (..., 4) coefficient block and the Horner
+    expressions on its columns: the reference for the in-place lookups."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
+        row = np.searchsorted(table._lx, lx, side="right")
+        c, s = table._coef[row], lx - table._origin[row]
+        log_v = ((c[..., 0] * s + c[..., 1]) * s + c[..., 2]) * s + c[..., 3]
+        sigma = (3.0 * c[..., 0] * s + 2.0 * c[..., 1]) * s + c[..., 2]
+        curvature = 6.0 * c[..., 0] * s + 2.0 * c[..., 1]
+        return (np.exp(log_v), sigma, np.exp(log_v - lx) * sigma,
+                np.exp(log_v - 2.0 * lx) * (sigma * (sigma - 1.0) + curvature))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", LOOKUP_TABLES)
+def test_table_lookups_keep_the_block_horner_bits(name):
+    # the lookups run their Horner passes in place on contiguous columns;
+    # they keep the bits of the block form at 0, inf, NaN, at the knots and
+    # their neighbours and at random points, for arrays of any shape, for
+    # 0-d arguments and with the level buffers batch_luxemburg passes
+    table = _lookup_table(name)
+    x = _segment_probes(table)
+    x = x[~(x < 0.0)]
+    value, sigma, derivative, _ = _block_horner(table, x)
+    assert _same_bits(table(x), value)
+    assert _same_bits(table.slope(x), sigma)
+    assert _same_bits(table.derivative(x), derivative)
+    level = value * sigma
+    assert all(_same_bits(a, b) for a, b in zip(table.level_terms(x), (value, level)))
+    grid = x[: x.size // 2 * 2].reshape(2, -1)
+    out = (np.empty(grid.shape), np.empty(grid.shape))
+    got = table.level_terms(grid, out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert _same_bits(got[0], value[: grid.size].reshape(grid.shape))
+    assert _same_bits(got[1], level[: grid.size].reshape(grid.shape))
+    for i in range(0, x.size, 997):
+        assert table(x[i]) == value[i] or np.isnan(value[i])
+        assert isinstance(table.derivative(x[i]), float)
+        assert _same_bits(table.slope(x[i]), sigma[i])
+
+
+def test_tabulated_second_derivative_keeps_the_block_horner_bits():
+    t = np.logspace(-3, 3, 200)
+    H = tabulated_nfunction(t, t ** 3 + t ** 2)
+    table = LogLogTable(t, t ** 3 + t ** 2)
+    x = _segment_probes(table)
+    x = x[~(x < 0.0)]
+    assert _same_bits(H.deriv2(x), _block_horner(table, x)[3])
+
+
+def _loop_knots(abscissa, values):
+    """The conjugate's knot filter as a greedy scan, the reference."""
+    keep = np.zeros(abscissa.size, dtype=bool)
+    last_a = last_v = -np.inf
+    for i in range(abscissa.size):
+        if abscissa[i] > last_a and values[i] > last_v and values[i] > 0.0:
+            keep[i] = True
+            last_a, last_v = abscissa[i], values[i]
+    return keep
+
+
+TABULATED_BASES = {
+    "tabulated-cubic": lambda t=np.logspace(-6, 6, 600): tabulated_nfunction(t, t ** 3 / 3.0),
+    "tabulated-curved": lambda t=np.logspace(-3, 3, 200): tabulated_nfunction(t, t ** 3 + t ** 2),
+}
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *TABULATED_BASES])
+def test_conjugate_knot_filter_is_the_greedy_scan(name, monkeypatch):
+    # complementary's vectorised filter keeps the knots the scan keeps, on
+    # the knots it builds (the powerlog kink span included), so the table
+    # is the one the scan gives
+    seen = []
+
+    def recorded(abscissa, values):
+        keep = _increasing_knots(abscissa, values)
+        seen.append((abscissa, values, keep))
+        return keep
+
+    monkeypatch.setattr("fracorlicz.nfunctions._increasing_knots", recorded)
+    G = FAMILIES[name] if name in FAMILIES else TABULATED_BASES[name]()
+    table = complementary(G).table
+    (abscissa, values, keep), = seen
+    assert np.array_equal(keep, _loop_knots(abscissa, values))
+    assert _same_bits(table.abscissa, abscissa[keep]) and _same_bits(table.values, values[keep])
+
+
+def test_knot_filter_drops_wiggles_like_the_scan():
+    # wiggling, nonpositive and NaN values over distinct sorted abscissae
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        abscissa = np.sort(rng.uniform(0.0, 10.0, 300))
+        values = np.cumsum(rng.normal(0.2, 1.0, 300))
+        values[rng.integers(0, 300, 5)] = np.nan
+        assert np.array_equal(_increasing_knots(abscissa, values),
+                              _loop_knots(abscissa, values))
 
 
 def _clamped_table():
