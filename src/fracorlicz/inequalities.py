@@ -14,6 +14,7 @@ front end; min_gap together with the witness makes a failing run replayable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -364,9 +365,10 @@ def sharpen_witness(gap_fn: Callable[[dict], float], witness: dict,
     """Shrink the worst gap by 120 rounds of multiplicative coordinate tweaks.
 
     Only numeric entries are perturbed; moves that violate the gap
-    function's own domain checks are discarded.  Returns (witness, gap).
+    function's own domain checks are discarded.  Returns (witness, gap):
+    the witness passed in, and its own gap, when no move is accepted.
     """
-    current = dict(witness)
+    current = witness
     best = gap_fn(current)
     keys = [k for k, v in current.items() if isinstance(v, float)]
     scales = (0.3, 0.1, 0.03, 0.01)
@@ -464,11 +466,17 @@ def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> Ine
     return _finish_report(name, gap, tols, witness, len(phi))
 
 
-def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> InequalityReport:
-    """Modular bracketed by powers of its own Luxemburg gauge (plain modular).
+@functools.lru_cache(maxsize=1)
+def _field_gauges(G: NFunction, samples: int, seed: int, chunk: int) -> tuple:
+    """(gauges, modulars, kept) of the seed's first FIELD_CELLS field draw.
 
-    The fields of random_fourier are formed, filtered and gauged one row
-    chunk at a time; coeff_row counts the fields kept.
+    The fields are the rows of the first fourier_coefficients(rng,
+    samples) block of default_rng(seed) times the sine basis, formed and
+    gauged one chunk of rows at a time; kept marks the fields that are not
+    numerically zero.  The modular-norm sandwich and the Hoelder sweep
+    both draw these fields first, so one entry, read-only, serves a
+    family's two sweeps: batch_luxemburg solves each row on its own, so
+    the gauges are those each sweep would solve.
     """
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
     coeff = fourier_coefficients(np.random.default_rng(seed), samples)
@@ -476,11 +484,24 @@ def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> Inequa
 
     def solve(rows):
         fields = coeff[rows] @ basis
-        fields = fields[np.max(np.abs(fields), axis=1) > 1e-12]
-        return batch_luxemburg(fields, mesh.h, G.level_terms)
+        return (*batch_luxemburg(fields, mesh.h, G.level_terms),
+                np.max(np.abs(fields), axis=1) > 1e-12)
 
-    norm, phi = _by_row_chunks(samples, solve, FIELD_CHUNK)
-    return _sandwich_report("modular_norm_sandwich", G, phi, norm)
+    parts = _by_row_chunks(samples, solve, chunk)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def sweep_modular_norm_sandwich(G: NFunction, samples: int, seed: int) -> InequalityReport:
+    """Modular bracketed by powers of its own Luxemburg gauge (plain modular).
+
+    The gauges and modulars of the seed's random_fourier fields come from
+    _field_gauges, which the Hoelder sweep shares; numerically zero fields
+    are dropped, and coeff_row counts the fields kept.
+    """
+    norm, phi, kept = _field_gauges(G, samples, seed, FIELD_CHUNK)
+    return _sandwich_report("modular_norm_sandwich", G, phi[kept], norm[kept])
 
 
 def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
@@ -518,8 +539,9 @@ def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
     """Orlicz Hoelder pairing bound over random field pairs.
 
     All coefficients of u are drawn before those of v, as two random_fourier
-    calls would; the fields, the pairing and both gauges are formed one row
-    chunk at a time.
+    calls would; the fields, the pairing and the conjugate gauges of v are
+    formed one row chunk at a time.  The gauges of u are those of the
+    modular-norm sandwich's fields (_field_gauges), solved once.
     """
     rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
@@ -527,6 +549,7 @@ def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
     coeff_u = fourier_coefficients(rng, samples)
     coeff_v = fourier_coefficients(rng, samples)
     basis = sine_basis(mesh)
+    nu = _field_gauges(G, samples, seed, FIELD_CHUNK)[0]
 
     def solve(rows):
         u = coeff_u[rows] @ basis
@@ -535,10 +558,9 @@ def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
         # bound dwarfs the interpolation error, and it is several times
         # cheaper than the polished pointwise conjugate
         return (mesh.h * np.sum(u * v, axis=1),
-                batch_luxemburg(u, mesh.h, G.level_terms)[0],
                 batch_luxemburg(v, mesh.h, conj.table.level_terms)[0])
 
-    lhs, nu, nv = _by_row_chunks(samples, solve, FIELD_CHUNK)
+    lhs, nv = _by_row_chunks(samples, solve, FIELD_CHUNK)
     rhs = 2.0 * nu * nv
     gap = rhs - lhs
     tols = _scaled_tol(rhs)
@@ -601,8 +623,14 @@ def sweep_hidden_convexity(G: NFunction, samples: int, seed: int) -> InequalityR
 
 
 def _sharpen_into(report: InequalityReport, gap_of, rng):
+    """Adopt the sharpened witness and gap when an accepted move lowered min_gap.
+
+    Without an accepted move the gap is the witness's own, re-evaluated on
+    scalars, whose last bits may differ from the sweep's array value; it
+    replaces nothing.
+    """
     witness, best = sharpen_witness(gap_of, report.witness, rng)
-    if best < report.min_gap:
+    if witness is not report.witness and best < report.min_gap:
         report.min_gap = best
         report.witness = witness
         if best < -report.tolerance:

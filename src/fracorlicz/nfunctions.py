@@ -34,6 +34,7 @@ in this module on numpy alone.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -111,10 +112,14 @@ def solve_increasing(fn, target, args=(), at_one=None):
     Each element keeps a bracket [lo, hi] of its root in y from the signs
     of f seen so far.  It takes the Newton step when that lands strictly
     inside the bracket and its last evaluation at least halved |f|;
-    otherwise it bisects the bracket, or, while one end is still open (and
-    where the level is 0 or inf), walks outward by the larger of |f| and
-    log 2 * 2^k at its k-th walk step.  MAX_WALK_STEPS walk steps reach
-    2^+-255, and one more raises BracketExpansionError.  No iterate leaves
+    otherwise it takes the false-position step through the bracket ends,
+    Illinois style (an end that stays while the other end moves twice in
+    a row counts with half its f; Dowell & Jarratt, BIT 11, 1971), and
+    bisects where that step does not land strictly inside; while one end
+    is still open (and where the level is 0 or inf), it walks outward by
+    the larger of |f| and log 2 * 2^k at its k-th walk step.
+    MAX_WALK_STEPS walk steps reach 2^+-255, and one more raises
+    BracketExpansionError.  No iterate leaves
     |y| <= _LOG_X_MAX, so fn is never evaluated at 0 or inf.
 
     fn must have log-log slope >= 1 wherever it is positive, as every
@@ -139,12 +144,13 @@ def solve_increasing(fn, target, args=(), at_one=None):
     log_t = np.log(flat[pos])
     args = tuple(np.ravel(a)[pos] for a in args)
     # per open element: its position in root, its iterate y, the bracket
-    # [lo, hi] with the gaps there, the gap at the previous iterate and the
-    # number of walk steps taken
+    # [lo, hi] with the gaps there and their Illinois weights w_lo, w_hi,
+    # the end the previous evaluation moved (-1 lo, +1 hi), the gap at the
+    # previous iterate and the number of walk steps taken
     y = np.zeros(pos.size)
     lo, hi = np.full(pos.size, -np.inf), np.full(pos.size, np.inf)
-    f_lo, f_hi, f_last = (np.full(pos.size, np.inf) for _ in range(3))
-    walks = np.zeros(pos.size)
+    f_lo, f_hi, w_lo, w_hi, f_last = (np.full(pos.size, np.inf) for _ in range(5))
+    moved, walks = np.zeros(pos.size), np.zeros(pos.size)
     for step in range(MAX_ROOT_STEPS + 1):
         if not pos.size:
             break
@@ -158,6 +164,9 @@ def solve_increasing(fn, target, args=(), at_one=None):
         below, above = f < 0.0, f > 0.0
         lo, f_lo = np.where(below, y, lo), np.where(below, f, f_lo)
         hi, f_hi = np.where(above, y, hi), np.where(above, f, f_hi)
+        w_lo = np.where(below, f, np.where(above & (moved > 0.0), 0.5 * w_lo, w_lo))
+        w_hi = np.where(above, f, np.where(below & (moved < 0.0), 0.5 * w_hi, w_hi))
+        moved = above.astype(float) - below
         done = np.abs(f) <= 0.5 * BISECT_REL_TOL
         stop = done | (hi - lo < BISECT_REL_TOL) | np.isnan(f) | (step == MAX_ROOT_STEPS)
         if stop.any():
@@ -166,8 +175,9 @@ def solve_increasing(fn, target, args=(), at_one=None):
             root[pos[k]] = np.where(np.isnan(f[k]), np.nan,
                                     np.exp(np.where(done[k], y[k], end)))
             k = np.flatnonzero(~stop)
-            pos, y, f, slope, lo, hi, f_lo, f_hi, f_last, walks, log_t = (
-                a[k] for a in (pos, y, f, slope, lo, hi, f_lo, f_hi, f_last, walks, log_t))
+            pos, y, f, slope, lo, hi, f_lo, f_hi, w_lo, w_hi, moved, f_last, walks, log_t = (
+                a[k] for a in (pos, y, f, slope, lo, hi, f_lo, f_hi, w_lo, w_hi, moved,
+                               f_last, walks, log_t))
             args = tuple(a[k] for a in args)
         with np.errstate(invalid="ignore"):
             y_next = y - f / np.fmax(slope, 1.0)
@@ -183,7 +193,11 @@ def solve_increasing(fn, target, args=(), at_one=None):
                     if np.any(f[stuck] < 0.0) else "lower bracket expansion exhausted")
             gap = np.where(np.isfinite(f[k]), np.abs(f[k]), 0.0)
             reach = -np.sign(f[k]) * np.fmax(gap, np.log(2.0) * 2.0 ** walks[k])
-            y_next[k] = np.where(walk, y[k] + reach, 0.5 * (lo[k] + hi[k]))
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                inside = lo[k] - w_lo[k] * (hi[k] - lo[k]) / (w_hi[k] - w_lo[k])
+            inside = np.where((lo[k] < inside) & (inside < hi[k]), inside,
+                              0.5 * (lo[k] + hi[k]))
+            y_next[k] = np.where(walk, y[k] + reach, inside)
             walks[k] += walk
         y = np.clip(y_next, -_LOG_X_MAX, _LOG_X_MAX, out=y_next)
     return _float_if_0d(root.reshape(target.shape))
@@ -220,12 +234,13 @@ class LogLogTable:
     slopes, or the end secant where PCHIP clamps an end slope to 0 (so
     monotonicity survives extrapolation, which cubic extension would not
     guarantee, and both extensions increase strictly).  A lookup finds the
-    segment through a bucket index (`_segment`), gathers its four
-    coefficients from contiguous columns and runs one Horner pass in place
-    for the log value or the log slope; the value and the derivative are
-    exponentials of it, so 0 maps to 0, inf to inf and NaN to NaN with no
-    mask, and a negative argument is a ValueError.  Results follow the
-    scalar rule (`_float_if_0d`).
+    segment through a bucket index (`_segment`) and runs one pass
+    (`_horner`) that gathers the four coefficient columns one at a time and
+    steps the Horner forms of the log value and the log slope in place
+    together; the value and the derivative are exponentials of them, so 0
+    maps to 0, inf to inf and NaN to NaN with no mask, and a negative
+    argument is a ValueError.  Results follow the scalar rule
+    (`_float_if_0d`).
     split_at lists abscissae where the tabulated function has a derivative
     kink: knot slopes are computed per piece between them, so the C1
     smoothing of a single PCHIP cannot smear error across the kink.
@@ -281,90 +296,106 @@ class LogLogTable:
         self._lower = np.concatenate([[-np.inf], lx])   # segment i is [lower[i], upper[i])
         self._upper = np.concatenate([lx, [np.inf]])
 
-    def _segment(self, x):
-        """(row, log x clipped to +-_LOG_HUGE): row is the segment holding x.
+    def _segment(self, x, spare=None):
+        """(row, log x clipped to +-_LOG_HUGE), both shaped like x: row is the segment holding x.
 
         row equals np.searchsorted(self._lx, log x, side="right"), and NaN
-        gets the last segment.  The bucket of log x gives a first guess;
-        each correction moves a row one segment towards the one whose
-        bounds hold log x, and only rows that moved are looked at again, so
-        the loop ends after at most N + 1 steps.
+        gets the last segment.  The bucket of log x gives a first guess,
+        formed in place in spare, a flat float buffer of x's size (None: a
+        fresh one); each correction moves a row one segment towards the one
+        whose bounds hold log x, and only rows that moved are looked at
+        again, so the loop ends after at most N + 1 steps.  The corrections
+        gather the segment bounds into spare too.
         """
         with np.errstate(divide="ignore", over="ignore"):
-            lx = np.clip(np.log(x), -_LOG_HUGE, _LOG_HUGE)
-            bucket = (lx - self._lx[0]) * self._bucket_scale + 1.0
+            lx = np.log(np.reshape(x, -1))
+            np.clip(lx, -_LOG_HUGE, _LOG_HUGE, out=lx)
+            spare = np.subtract(lx, self._lx[0], out=spare)
+            spare *= self._bucket_scale
+            spare += 1.0
         # fmin sends NaN to the last bucket; on [0, B + 1] truncation is floor
-        bucket = np.fmax(np.fmin(bucket, self._bucket_row.size - 1), 0.0)
-        flat = np.ravel(lx)
-        row = self._bucket_row.take(np.ravel(bucket).astype(np.intp))
-        todo, l, r = None, flat, row
+        np.fmin(spare, self._bucket_row.size - 1, out=spare)
+        np.fmax(spare, 0.0, out=spare)
+        row = self._bucket_row.take(spare.astype(np.intp))
+        todo, l, r = None, lx, row
         while True:
-            step = ((l >= self._upper.take(r)).view(np.int8)
-                    - (l < self._lower.take(r)).view(np.int8))
+            bound = spare[:r.size]
+            step = (l >= self._upper.take(r, out=bound, mode="clip")).view(np.int8)
+            step = step - (l < self._lower.take(r, out=bound, mode="clip")).view(np.int8)
             moved = np.flatnonzero(step)
             if not moved.size:
-                return row.reshape(np.shape(lx)), lx
+                return row.reshape(np.shape(x)), lx.reshape(np.shape(x))
             todo = moved if todo is None else todo[moved]
             row[todo] += step[moved]
-            l, r = flat[todo], row[todo]
+            l, r = lx[todo], row[todo]
 
-    def _locate(self, x):
-        """(coefficients (..., 4), offsets s in them, log x) of x's segments.
+    def _horner(self, x, value=None, slope=None, curvature=None, keep_log=False):
+        """One lookup of x: log value, log slope and curvature into buffers shaped like x.
 
         Every lookup goes through here, so this is where a negative
-        argument is rejected.  The coefficients are gathered column by
-        column into fresh memory that the caller owns, so each c[..., k] is
-        contiguous; arrays come back even for a 0-d x, so the Horner passes
-        can run in place.
+        argument is rejected.  value receives ((c0 s + c1) s + c2) s + c3,
+        slope (3 c0 s + 2 c1) s + c2 and curvature 6 c0 s + 2 c1, for the
+        coefficients c of x's segment and the offset s of log x in it; a
+        None buffer is skipped.  The coefficient columns are gathered one
+        at a time into one scratch buffer just before their Horner step,
+        and the passes are interleaved.  Returns log x (clipped) when
+        keep_log, else its buffer serves as the scratch and None comes back.
         """
         x = _as_array(x)
         if np.any(x < 0.0):
             raise ValueError("table argument must be nonnegative")
-        row, lx = self._segment(x.ravel())
-        s = self._origin.take(row)
-        np.subtract(lx, s, out=s)
-        c = np.empty((4, row.size))
-        for column, gathered in zip(self._columns, c):
-            column.take(row, out=gathered, mode="clip")
-        return (np.moveaxis(c.reshape((4,) + x.shape), 0, -1),
-                s.reshape(x.shape), lx.reshape(x.shape))
+        flat = np.empty(x.size)
+        row, lx = self._segment(x, flat)
+        row = row.reshape(-1)
+        self._origin.take(row, out=flat, mode="clip")
+        np.subtract(lx.reshape(-1), flat, out=flat)
+        scratch = np.empty(row.shape) if keep_log else lx.reshape(-1)
+        s, c = flat.reshape(x.shape), scratch.reshape(x.shape)
 
-    @staticmethod
-    def _log_value(c, s, out):
-        """((c0 s + c1) s + c2) s + c3, the log value, into out."""
-        v = np.multiply(c[..., 0], s, out=out)
-        v += c[..., 1]
-        v *= s
-        v += c[..., 2]
-        v *= s
-        v += c[..., 3]
-        return v
+        def gather(k):   # coefficient column k into the scratch buffer c views
+            self._columns[k].take(row, out=scratch, mode="clip")
 
-    @staticmethod
-    def _log_slope(c, s, out):
-        """(3 c0 s + 2 c1) s + c2, the log slope, into out.
-
-        It scales c0 by 3 and c1 by 2 in place, so it comes after any
-        other use of them.
-        """
-        c[..., 0] *= 3.0
-        c[..., 1] *= 2.0
-        d = np.multiply(c[..., 0], s, out=out)
-        d += c[..., 1]
-        d *= s
-        d += c[..., 2]
-        return d
+        gather(0)
+        if value is not None:
+            np.multiply(c, s, out=value)
+        if curvature is not None:
+            np.multiply(c, 6.0, out=curvature)
+            curvature *= s
+        if slope is not None:
+            c *= 3.0
+            np.multiply(c, s, out=slope)
+        gather(1)
+        if value is not None:
+            value += c
+            value *= s
+        if slope is not None or curvature is not None:
+            c *= 2.0
+        if slope is not None:
+            slope += c
+            slope *= s
+        if curvature is not None:
+            curvature += c
+        gather(2)
+        if slope is not None:
+            slope += c
+        if value is not None:
+            value += c
+            value *= s
+            gather(3)
+            value += c
+        return lx if keep_log else None
 
     def __call__(self, x):
-        c, s, _ = self._locate(x)
-        value = self._log_value(c, s, np.empty(s.shape))
+        value = np.empty(np.shape(x))
+        self._horner(x, value)
         with np.errstate(over="ignore"):
             return _float_if_0d(np.exp(value, out=value))
 
     def slope(self, x):
         """d(log value)/d(log abscissa), constant beyond the knots."""
-        c, s, _ = self._locate(x)
-        return _float_if_0d(self._log_slope(c, s, np.empty(s.shape)))
+        slope = np.empty(np.shape(x))
+        self._horner(x, slope=slope)
+        return _float_if_0d(slope)
 
     def level_terms(self, x, out=None):
         """(v, v * log slope) from one lookup, as NFunction.level_terms gives them.
@@ -373,10 +404,8 @@ class LogLogTable:
         holds two buffers shaped like x that receive them (None: fresh
         arrays), as batch_luxemburg passes them.
         """
-        c, s, _ = self._locate(x)
-        value, slope = (np.empty(s.shape), np.empty(s.shape)) if out is None else out
-        self._log_value(c, s, value)
-        self._log_slope(c, s, slope)
+        value, slope = _buffers(np.shape(x), (None, None) if out is None else out)
+        self._horner(x, value, slope)
         with np.errstate(over="ignore"):
             np.exp(value, out=value)
         slope *= value
@@ -389,12 +418,11 @@ class LogLogTable:
         as an N-function, its conjugate and its Sobolev conjugate have, and
         inf (0) for d < 1, as an inverse has; d exactly 1 gives 1 there.
         """
-        c, s, lx = self._locate(x)
-        value = self._log_value(c, s, np.empty(s.shape))
-        value -= lx
+        value, slope = np.empty(np.shape(x)), np.empty(np.shape(x))
+        value -= self._horner(x, value, slope, keep_log=True)
         with np.errstate(over="ignore"):
             np.exp(value, out=value)
-        value *= self._log_slope(c, s, lx)
+        value *= slope
         return _float_if_0d(value)
 
 
@@ -594,9 +622,9 @@ def _power(x, k: float, out):
     return out
 
 
-def _buffers(t, out):
-    """The pair_terms buffers: those of out, fresh arrays for a None."""
-    return [np.empty(t.shape) if buf is None else buf for buf in out]
+def _buffers(shape, out):
+    """The pair_terms buffers: those of out, fresh arrays of shape for a None."""
+    return [np.empty(shape) if buf is None else buf for buf in out]
 
 
 def power_nfunction(p: float) -> NFunction:
@@ -642,7 +670,7 @@ def power_sum_nfunction(p: float, q: float) -> NFunction:
     def pair_terms(t, out):
         # c = max(t, 0), a = c**(p - 1), b = c**(q - 1): g = a + b and
         # G = t ((q/p - 1) a + g) / q = t a / p + t b / q, clamped at +0
-        a, b = _buffers(t, out)
+        a, b = _buffers(t.shape, out)
         np.maximum(t, 0.0, out=a)
         _power(a, q - 1.0, b)
         _power(a, p - 1.0, a)
@@ -688,7 +716,7 @@ def power_log_nfunction(p: float) -> NFunction:
         # c = max(t, tiny), L = ln c, a = c**(p - 1) and w = (|L| + 1) a:
         # G = w t / p clamped at +0, g = w + copysign(a, L) / p (so t = 1,
         # where L = +0, takes c_hi); the sign of L rides on a
-        G, a = _buffers(t, out)
+        G, a = _buffers(t.shape, out)
         np.maximum(t, tiny, out=G)
         _power(G, p - 1.0, a)
         L = np.log(G, out=G)
@@ -758,23 +786,19 @@ def tabulated_nfunction(abscissa, values, label: str = "tabulated") -> NFunction
 
     def pair_terms(t, out):
         # G = v and g = (v / t) sigma, sigma the log slope, from one lookup
-        c, s, lt = table._locate(t)
-        G, g = _buffers(t, out)
-        log_v = table._log_value(c, s, G)
-        table._log_slope(c, s, g)
-        np.subtract(log_v, lt, out=lt)
+        G, g = _buffers(t.shape, out)
+        lt = table._horner(t, G, g, keep_log=True)
+        np.subtract(G, lt, out=lt)
         with np.errstate(over="ignore"):
             g *= np.exp(lt, out=lt)
-            return np.exp(log_v, out=log_v), g
+            return np.exp(G, out=G), g
 
     def deriv2(x):
         # the interpolant's own second derivative, (v / x^2)(sigma^2 - sigma
         # + sigma'), sigma' = d sigma / d log x, from one lookup: at 0 and inf
         # it is the power-law extension's limit
-        c, s, lx = table._locate(x)
-        curvature = 6.0 * c[..., 0] * s + 2.0 * c[..., 1]
-        log_v = table._log_value(c, s, np.empty(s.shape))
-        sigma = table._log_slope(c, s, np.empty(s.shape))
+        log_v, sigma, curvature = (np.empty(x.shape) for _ in range(3))
+        lx = table._horner(x, log_v, sigma, curvature, keep_log=True)
         with np.errstate(over="ignore"):
             return np.exp(log_v - 2.0 * lx) * (sigma * (sigma - 1.0) + curvature)
 
@@ -899,6 +923,7 @@ def _increasing_knots(abscissa: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rises & (values > earlier) & (values > 0.0)
 
 
+@functools.lru_cache(maxsize=1)
 def complementary(nf) -> DerivedNFunction:
     """The complementary function sup_tau (t*tau - G(tau)), seeded by its table.
 
@@ -914,6 +939,8 @@ def complementary(nf) -> DerivedNFunction:
     an affine stretch of the conjugate; that stretch is filled with exact
     knots so interpolation stays accurate across it, and the breakpoints
     enter the evaluation as candidate maximizers.
+    The last build is kept (one entry: the verify sweeps of one family
+    share it), so the result is shared and must not be changed.
     """
     breaks = tuple(getattr(nf, "breakpoints", ()))
     grid = log_grid(*TABLE_LOG10_RANGE, TABLE_KNOTS, breaks)

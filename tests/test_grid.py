@@ -531,6 +531,33 @@ def test_wrong_slope_steers_but_the_value_certifies(name, wrong):
     assert np.max(np.abs(norms / ref - 1.0)) <= BISECT_REL_TOL
 
 
+@pytest.mark.parametrize("name", ["power3", "powersum34", "powerlog3"])
+@pytest.mark.parametrize("wrong", ["quadruple", "one"])
+def test_stalled_newton_steps_through_the_bracket_ends(name, wrong):
+    # a slope 4x too steep, or a constant 1, stalls the Newton step; the
+    # false-position step through the bracket ends then takes over, which
+    # costs at most 10.3 level evaluations per row here (bisecting a
+    # bracket as wide as the walk step took 40-62)
+    rng = np.random.default_rng(9)
+    mesh = Mesh(0.0, 1.0, 32)
+    _, rows = random_fourier(rng, mesh, 200)
+    G = FAMILIES[name]
+    entries = []
+
+    def terms(t, out):
+        entries.append(t.size)
+        e, tg = G.level_terms(t, out)
+        if wrong == "one":
+            tg[...] = e
+        else:
+            tg *= 4.0
+        return e, tg
+
+    norms = batch_luxemburg(rows, mesh.h, terms)[0]
+    assert sum(entries) / rows.size <= 11.0
+    assert np.max(np.abs(norms / _reference_norms(G, rows, mesh.h) - 1.0)) <= BISECT_REL_TOL
+
+
 @pytest.mark.parametrize("domain", ["omega", "full"])
 @pytest.mark.parametrize("name", ["power3", "powerlog3"])
 def test_gagliardo_seminorm_matches_reference(name, domain):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from fracorlicz.nfunctions import (power_nfunction, power_sum_nfunction,
-                                   power_log_nfunction)
+                                   power_log_nfunction, complementary)
 from fracorlicz.grid import (Mesh, GridFunction, random_positive, seminorm_modular,
-                             gagliardo_seminorm)
+                             gagliardo_seminorm, batch_luxemburg, fourier_coefficients,
+                             sine_basis)
 from fracorlicz.inequalities import (
     InequalityReport, FCFunction, fc_check, hidden_convexity_gap, picone_gap,
     picone_constant, diaz_saa_value, monotone_difference_gap,
     ray_convexity_probe, f2_monotonicity_check, default_exponent, run_suite,
     SUITES, STANDARD_FAMILIES, sharpen_witness, sweep_seminorm_sandwich,
-    _finish_report, SEMINORM_CELLS,
+    _finish_report, _field_gauges, _sharpen_into, SEMINORM_CELLS, FIELD_CELLS,
+    FIELD_CHUNK,
 )
 
 P2 = power_nfunction(2.0)
@@ -445,6 +447,91 @@ def test_field_sweeps_do_not_depend_on_the_row_chunk(monkeypatch, name):
                 report = run_suite(name, G, samples, 5)
             assert report.csv_row() == reference.csv_row()
             assert report.witness_text() == reference.witness_text()
+
+
+STRADDLING_SAMPLES = FIELD_CHUNK + 3   # two row chunks, the second of 3 rows
+
+
+def _chunked_fields(coeff, mesh):
+    """The sweeps' fields: coefficients times the sine basis, FIELD_CHUNK rows at a time."""
+    basis = sine_basis(mesh)
+    return np.concatenate([coeff[lo:lo + FIELD_CHUNK] @ basis
+                           for lo in range(0, len(coeff), FIELD_CHUNK)])
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+def test_holder_reads_the_gauges_of_its_own_u_fields(name):
+    # the shared gauges are batch_luxemburg's on the u fields the Hoelder
+    # sweep draws first, bit for bit, and the Hoelder report is the one
+    # both gauges solved in the sweep give
+    G = STANDARD_FAMILIES[name]
+    mesh = Mesh(0.0, 1.0, FIELD_CELLS)
+    rng = np.random.default_rng(6)
+    u = _chunked_fields(fourier_coefficients(rng, STRADDLING_SAMPLES), mesh)
+    v = _chunked_fields(fourier_coefficients(rng, STRADDLING_SAMPLES), mesh)
+    nu = batch_luxemburg(u, mesh.h, G.level_terms)[0]
+    assert np.array_equal(_field_gauges(G, STRADDLING_SAMPLES, 6, FIELD_CHUNK)[0], nu)
+    nv = batch_luxemburg(v, mesh.h, complementary(G).table.level_terms)[0]
+    lhs = mesh.h * np.sum(u * v, axis=1)
+    rhs = 2.0 * nu * nv
+    report = run_suite("holder", G, STRADDLING_SAMPLES, 6)
+    worst = int(np.argmin(rhs - lhs))
+    assert report.min_gap == rhs[worst] - lhs[worst]
+    assert report.witness["coeff_row"] == worst
+    assert (report.witness["lhs"], report.witness["rhs"]) == (lhs[worst], rhs[worst])
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_FAMILIES))
+def test_shared_gauges_do_not_depend_on_the_sweep_order(name):
+    # a Hoelder run on a cold memo equals one after the modular sandwich
+    # filled it, and the sandwich likewise, report and witness included
+    G = STANDARD_FAMILIES[name]
+
+    def cold(suite):
+        _field_gauges.cache_clear()
+        return run_suite(suite, G, STRADDLING_SAMPLES, 8)
+
+    for first, second in (("modular_norm_sandwich", "holder"),
+                          ("holder", "modular_norm_sandwich")):
+        reference = cold(second)
+        cold(first)
+        warm = run_suite(second, G, STRADDLING_SAMPLES, 8)
+        assert _field_gauges.cache_info().currsize == 1
+        assert warm.csv_row() == reference.csv_row()
+        assert warm.witness_text() == reference.witness_text()
+
+
+def test_shared_gauges_keep_one_read_only_entry():
+    # one entry: another seed, sample count or chunk solves anew
+    _field_gauges.cache_clear()
+    first = _field_gauges(P3, 300, 1, FIELD_CHUNK)
+    assert _field_gauges(P3, 300, 1, FIELD_CHUNK) is first
+    assert _field_gauges.cache_info().hits == 1
+    assert all(not part.flags.writeable for part in first)
+    for args in ((P3, 300, 2, FIELD_CHUNK), (P3, 301, 1, FIELD_CHUNK),
+                 (P3, 300, 1, 37), (PS, 300, 1, FIELD_CHUNK)):
+        assert _field_gauges(*args) is not first
+        assert _field_gauges.cache_info().currsize == 1
+    assert _field_gauges.cache_info().hits == 1
+    again = _field_gauges(P3, 300, 1, FIELD_CHUNK)
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
+
+
+def test_sharpening_without_an_accepted_move_keeps_min_gap():
+    # the scalar re-evaluation of the witness reads lower than the sweep's
+    # array value, and every move raises the gap: nothing is adopted
+    witness = {"a": 2.0, "family": "test"}
+    gap_of = lambda w: 0.5 if w["a"] == 2.0 else 3.0
+    report = InequalityReport(name="test", samples=1, violations=0, min_gap=1.0,
+                              witness=witness, tolerance=1e-8)
+    _sharpen_into(report, gap_of, np.random.default_rng(0))
+    assert report.min_gap == 1.0 and report.witness is witness
+    # an accepted move that lowers the gap is adopted
+    report.min_gap = 1.0
+    _sharpen_into(report, lambda w: 2.0 if w["a"] == 2.0 else 0.25,
+                  np.random.default_rng(0))
+    assert report.min_gap == 0.25 and report.witness["a"] != 2.0
 
 
 def test_default_exponent_respects_lower_index():

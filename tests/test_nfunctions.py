@@ -173,13 +173,13 @@ def test_complementary_reads_its_table_once_per_call(monkeypatch):
     # the Newton refinement is seeded from the table slope, the one lookup
     conj = complementary(power_nfunction(3.0))
     calls = []
-    locate = LogLogTable._locate
+    horner = LogLogTable._horner
 
-    def counted(self, x):
+    def counted(self, x, *args, **kwargs):
         calls.append(1)
-        return locate(self, x)
+        return horner(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(LogLogTable, "_locate", counted)
+    monkeypatch.setattr(LogLogTable, "_horner", counted)
     conj(np.array([0.5, 2.0]))
     assert len(calls) == 1
 
@@ -803,15 +803,20 @@ def test_table_segment_matches_binary_search(name):
         for v in [*SPECIAL_PROBES, knots[0], knots[-1], np.nextafter(knots[7], 0.0)]:
             one = table._segment(np.array(v))[0]
             assert one.shape == () and one == _searchsorted_row(table, np.array(v))
-        # the lookup gathers exactly the rows the binary search names, and
+        # the lookup reads exactly the rows the binary search names, and
         # rejects the negative probes
         with pytest.raises(ValueError, match="nonnegative"):
-            table._locate(x)
+            table._horner(x, np.empty(x.shape))
         keep = ~(x < 0.0)   # NaN stays
-        c, s, _ = table._locate(x[keep])
+        got = [np.empty(np.count_nonzero(keep)) for _ in range(3)]
+        log_x = table._horner(x[keep], *got, keep_log=True)
         lx = np.clip(np.log(x[keep]), -_LOG_HUGE, _LOG_HUGE)
-    assert np.array_equal(c, table._coef[want[keep]])
-    assert np.array_equal(s, lx - table._origin[want[keep]], equal_nan=True)
+        c, s = table._coef[want[keep]], lx - table._origin[want[keep]]
+        want_terms = (((c[:, 0] * s + c[:, 1]) * s + c[:, 2]) * s + c[:, 3],
+                      (3.0 * c[:, 0] * s + 2.0 * c[:, 1]) * s + c[:, 2],
+                      6.0 * c[:, 0] * s + 2.0 * c[:, 1])
+    assert np.array_equal(log_x, lx, equal_nan=True)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want_terms))
 
 
 def _block_horner(table, x):
@@ -862,6 +867,40 @@ def test_table_lookups_keep_the_block_horner_bits(name):
         assert _same_bits(table.slope(x[i]), sigma[i])
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_conjugate_level_terms_allocate_four_chunk_arrays(name):
+    # one lookup pass into the level buffers batch_luxemburg passes holds
+    # log x, the segment offsets, the rows and, while the bucket guess is
+    # read, its integer copy: four (1024, 32) arrays of 262 kB (the
+    # gathered (..., 4) coefficient block peaked at 1.75 MB)
+    import tracemalloc
+    table = complementary(FAMILIES[name]).table
+    x = np.abs(np.random.default_rng(4).normal(0.0, 3.0, (1024, 32)))
+    out = (np.empty(x.shape), np.empty(x.shape))
+    table.level_terms(x, out)
+    tracemalloc.start()
+    try:
+        table.level_terms(x, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1e6
+
+
+def test_complementary_keeps_one_build():
+    # a family's sweeps share its conjugate: the last build is kept, one
+    # entry only, and another base builds anew
+    P3, P4 = FAMILIES["power3"], FAMILIES["power4"]
+    first = complementary(P3)
+    assert complementary(P3) is first
+    assert complementary.cache_info().maxsize == 1
+    other = complementary(P4)
+    assert other is not first and complementary.cache_info().currsize == 1
+    again = complementary(P3)
+    assert again is not first
+    assert _same_bits(again.table.values, first.table.values)
+
+
 def test_tabulated_second_derivative_keeps_the_block_horner_bits():
     t = np.logspace(-3, 3, 200)
     H = tabulated_nfunction(t, t ** 3 + t ** 2)
@@ -901,6 +940,7 @@ def test_conjugate_knot_filter_is_the_greedy_scan(name, monkeypatch):
         return keep
 
     monkeypatch.setattr("fracorlicz.nfunctions._increasing_knots", recorded)
+    complementary.cache_clear()   # build the table here, not in an earlier test
     G = FAMILIES[name] if name in FAMILIES else TABULATED_BASES[name]()
     table = complementary(G).table
     (abscissa, values, keep), = seen
@@ -1012,12 +1052,14 @@ def test_nan_target_has_a_nan_root():
 
 @pytest.mark.parametrize("name", ["conjugate-powerlog3", "tabulated-clustered"])
 @pytest.mark.parametrize("guess", ["first", "last"])
-def test_table_segment_corrects_any_first_guess(name, guess):
+def test_table_segment_corrects_any_first_guess(name, guess, monkeypatch):
     # a bucket index that names the first (or last) segment for every
     # finite argument leaves all the work to the corrections, which must
     # walk up (or down) to the binary-search row and stop there
     table = _lookup_table(name)
-    table._bucket_row[:-1] = 0 if guess == "first" else table._lx.size
+    bucket_row = table._bucket_row.copy()   # the conjugate table is shared
+    bucket_row[:-1] = 0 if guess == "first" else table._lx.size
+    monkeypatch.setattr(table, "_bucket_row", bucket_row)
     x = _segment_probes(table)
     with np.errstate(divide="ignore", invalid="ignore"):
         row, _ = table._segment(x)
