@@ -473,25 +473,27 @@ def batch_luxemburg(values: np.ndarray, h: float, terms: Callable) -> tuple:
     bounds its memory passes its rows a chunk at a time (the verify
     sweeps).  Rows are solved independently: each row's sums run in an
     order fixed by the row alone, so how the rows are cut moves no bit.
-    |values| is taken once, and each evaluation gathers only the rows
-    still open into kept buffers, so terms sees about 2 entries per batch
-    entry for a pure power.
+    |values| is taken once and read directly at mu = 1; each later
+    evaluation gathers only the rows still open into kept buffers, so
+    terms sees about 2 entries per batch entry for a pure power.
     """
     norms, modulars = np.zeros(values.shape[0]), np.zeros(values.shape[0])
     rows = np.flatnonzero(np.any(values, axis=1))
     magnitude = np.abs(values[rows])
     work = np.empty((3,) + magnitude.shape)
 
-    def level(mu, open_rows):
-        t, F_buf, tF_buf = work[:, :open_rows.size]
-        np.take(magnitude, open_rows, axis=0, out=t, mode="clip")
-        t *= mu[:, None]
-        F, tF = terms(t, (F_buf, tF_buf))
+    def sums(F, tF):
         # the derivative only steers: einsum's row sum is the faster one
         # whose order does not depend on the number of rows
         return h * np.sum(F, axis=1), h * np.einsum("ij->i", tF)
 
-    at_one = level(np.ones(rows.size), np.arange(rows.size))
+    def level(mu, open_rows):
+        t, F_buf, tF_buf = work[:, :open_rows.size]
+        np.take(magnitude, open_rows, axis=0, out=t, mode="clip")
+        t *= mu[:, None]
+        return sums(*terms(t, (F_buf, tF_buf)))
+
+    at_one = sums(*terms(magnitude, (work[1], work[2])))
     modulars[rows] = at_one[0]
     norms[rows] = _unit_level_gauge(level, rows.size, at_one)
     return norms, modulars

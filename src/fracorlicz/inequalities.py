@@ -24,9 +24,9 @@ import numpy as np
 from .nfunctions import (NFunction, complementary, convex_samples,
                          power_nfunction, power_log_nfunction,
                          power_sum_nfunction)
-from .grid import (GridFunction, Mesh, operator_pairing, seminorm_modular,
-                   batch_luxemburg, difference_quotients, fourier_coefficients,
-                   random_fourier, sine_basis)
+from .grid import (FOURIER_MODES, GridFunction, Mesh, operator_pairing,
+                   seminorm_modular, batch_luxemburg, difference_quotients,
+                   fourier_coefficients, random_fourier, sine_basis)
 # no sweep calls it any more, but benchmarks/tracing.py wraps this name here
 from .grid import operator_apply_batch  # noqa: F401
 
@@ -443,13 +443,14 @@ def _by_row_chunks(samples: int, solve: Callable, chunk: int) -> tuple:
 
     solve returns a tuple of per-sample vectors for the samples of its
     slice (a filtered slice returns fewer); each is concatenated over the
-    slices.  The sweeps form their fields, quotients and gauges inside
-    solve, so they hold O(chunk x cells) field data and O(samples) result
-    vectors, whatever the sample count.  The field sweeps draw their
-    coefficients up front and solve rows independently, so the chunk size
-    moves at most an ulp of a gauge (batch_luxemburg); a solve that draws
-    its samples from the stream as it goes (Diaz-Saa) makes the chunk part
-    of its sample law.
+    slices.  The sweeps draw their coefficients and form their fields,
+    quotients and gauges inside solve, so they hold O(chunk x cells) field
+    data and O(samples) result vectors, whatever the sample count.  The
+    field sweeps draw one coefficient row per sample from each stream, in
+    order, and solve rows independently, so the chunk size moves at most
+    an ulp of a gauge (batch_luxemburg); a solve that draws two rows per
+    sample from one stream (Diaz-Saa: the chunk's u rows, then its v rows)
+    makes the chunk part of its sample law.
     """
     parts = [solve(slice(lo, min(lo + chunk, samples))) for lo in range(0, samples, chunk)]
     return tuple(np.concatenate(vectors) for vectors in zip(*parts))
@@ -466,24 +467,37 @@ def _sandwich_report(name: str, G: NFunction, phi, norm, **witness_extra) -> Ine
     return _finish_report(name, gap, tols, witness, len(phi))
 
 
+def _coefficient_stream(seed: int, rows: int) -> np.random.Generator:
+    """default_rng(seed) positioned after its first rows coefficient rows.
+
+    Each coefficient of fourier_coefficients is one uniform double, one
+    step of the bit generator, so the stream skips rows * FOURIER_MODES
+    steps without drawing them; the next draw is row `rows` of one block
+    draw from default_rng(seed).
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(rows * FOURIER_MODES)
+    return rng
+
+
 @functools.lru_cache(maxsize=1)
 def _field_gauges(G: NFunction, samples: int, seed: int, chunk: int) -> tuple:
     """(gauges, modulars, kept) of the seed's first FIELD_CELLS field draw.
 
-    The fields are the rows of the first fourier_coefficients(rng,
-    samples) block of default_rng(seed) times the sine basis, formed and
-    gauged one chunk of rows at a time; kept marks the fields that are not
-    numerically zero.  The modular-norm sandwich and the Hoelder sweep
-    both draw these fields first, so one entry, read-only, serves a
-    family's two sweeps: batch_luxemburg solves each row on its own, so
-    the gauges are those each sweep would solve.
+    The fields are the first samples coefficient rows of default_rng(seed)
+    times the sine basis, drawn, formed and gauged one chunk of rows at a
+    time; kept marks the fields that are not numerically zero.  The
+    modular-norm sandwich and the Hoelder sweep both draw these fields
+    first, so one entry, read-only, serves a family's two sweeps:
+    batch_luxemburg solves each row on its own, so the gauges are those
+    each sweep would solve.
     """
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
-    coeff = fourier_coefficients(np.random.default_rng(seed), samples)
+    rng = np.random.default_rng(seed)
     basis = sine_basis(mesh)
 
     def solve(rows):
-        fields = coeff[rows] @ basis
+        fields = fourier_coefficients(rng, rows.stop - rows.start) @ basis
         return (*batch_luxemburg(fields, mesh.h, G.level_terms),
                 np.max(np.abs(fields), axis=1) > 1e-12)
 
@@ -508,18 +522,18 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
                             s: float = 0.5) -> InequalityReport:
     """Same sandwich for the Gagliardo modular and its gauge, on SEMINORM_CELLS cells.
 
-    Per row chunk, the fields' scaled difference quotients over the
-    unordered node pairs are formed once, so the Gagliardo modular is a
-    kernel-weighted plain modular of them, and the gauge and the modular
-    come from one batch_luxemburg solve, independent of the claim under
-    test.  Constant fields are dropped; coeff_row counts the fields kept.
+    Per row chunk, the fields' coefficients are drawn and their scaled
+    difference quotients over the unordered node pairs are formed once, so
+    the Gagliardo modular is a kernel-weighted plain modular of them, and
+    the gauge and the modular come from one batch_luxemburg solve,
+    independent of the claim under test.  Constant fields are dropped; coeff_row counts the fields kept.
     """
     mesh = Mesh(0.0, 1.0, SEMINORM_CELLS)
-    coeff = fourier_coefficients(np.random.default_rng(seed), samples)
+    rng = np.random.default_rng(seed)
     basis = sine_basis(mesh)
 
     def solve(rows):
-        fields = coeff[rows] @ basis
+        fields = fourier_coefficients(rng, rows.stop - rows.start) @ basis
         fields = fields[np.max(np.abs(fields - fields[:, :1]), axis=1) > 1e-9]
         quotients, weights = difference_quotients(fields, mesh, s)
 
@@ -538,22 +552,24 @@ def sweep_seminorm_sandwich(G: NFunction, samples: int, seed: int,
 def sweep_holder(G: NFunction, samples: int, seed: int) -> InequalityReport:
     """Orlicz Hoelder pairing bound over random field pairs.
 
-    All coefficients of u are drawn before those of v, as two random_fourier
-    calls would; the fields, the pairing and the conjugate gauges of v are
-    formed one row chunk at a time.  The gauges of u are those of the
-    modular-norm sandwich's fields (_field_gauges), solved once.
+    The coefficients of u are the seed's first samples rows and those of v
+    the next samples rows, as two random_fourier calls would draw them;
+    each chunk draws its u rows from one stream and its v rows from a
+    second one that starts after the u rows (_coefficient_stream), and
+    forms the fields, the pairing and the conjugate gauges of v.  The
+    gauges of u are those of the modular-norm sandwich's fields
+    (_field_gauges), solved once.
     """
-    rng = np.random.default_rng(seed)
     mesh = Mesh(0.0, 1.0, FIELD_CELLS)
     conj = complementary(G)
-    coeff_u = fourier_coefficients(rng, samples)
-    coeff_v = fourier_coefficients(rng, samples)
+    rng_u = np.random.default_rng(seed)
+    rng_v = _coefficient_stream(seed, samples)
     basis = sine_basis(mesh)
     nu = _field_gauges(G, samples, seed, FIELD_CHUNK)[0]
 
     def solve(rows):
-        u = coeff_u[rows] @ basis
-        v = coeff_v[rows] @ basis
+        u = fourier_coefficients(rng_u, rows.stop - rows.start) @ basis
+        v = fourier_coefficients(rng_v, rows.stop - rows.start) @ basis
         # the conjugate gauge reads the raw table: the factor-2 slack of the
         # bound dwarfs the interpolation error, and it is several times
         # cheaper than the polished pointwise conjugate
@@ -693,22 +709,31 @@ def sweep_diaz_saa(G: NFunction, samples: int, seed: int, s: float = 0.5) -> Ine
     mutual ratios) on DIAZ_SAA_CELLS cells, paired at the exponent
     default_exponent(G); the pairings are weak forms over the unordered
     node pairs with the exact exterior tails (operator_pairing),
-    DIAZ_SAA_CHUNK field pairs at a time.
+    DIAZ_SAA_CHUNK field pairs at a time.  Only the gaps and scales are
+    kept: the witness replays the stream to the worst pair's chunk and
+    draws that chunk's coefficients again.
     """
     rng = np.random.default_rng(seed)
     q = default_exponent(G)
     mesh = Mesh(0.0, 1.0, DIAZ_SAA_CELLS)
 
     def solve(rows):
-        cu, u = random_fourier(rng, mesh, rows.stop - rows.start)
-        cv, v = random_fourier(rng, mesh, rows.stop - rows.start)
+        u = random_fourier(rng, mesh, rows.stop - rows.start)[1]
+        v = random_fourier(rng, mesh, rows.stop - rows.start)[1]
         pair_u, pair_v = _diaz_saa_parts(np.exp(u), np.exp(v), G, mesh, s, q)
-        return pair_u + pair_v, np.abs(pair_u) + np.abs(pair_v), cu, cv
+        return pair_u + pair_v, np.abs(pair_u) + np.abs(pair_v)
 
-    gaps, scales, coeff_u, coeff_v = _by_row_chunks(samples, solve, DIAZ_SAA_CHUNK)
+    def witness(i):
+        lo = i - i % DIAZ_SAA_CHUNK
+        rows = min(DIAZ_SAA_CHUNK, samples - lo)
+        replay = _coefficient_stream(seed, 2 * lo)   # every earlier chunk is full
+        coeff_u = fourier_coefficients(replay, rows)
+        coeff_v = fourier_coefficients(replay, rows)
+        return {"coeff_u": coeff_u[i - lo].tolist(), "coeff_v": coeff_v[i - lo].tolist(),
+                "q": q, "s": s, "n": DIAZ_SAA_CELLS, "family": G.name}
+
+    gaps, scales = _by_row_chunks(samples, solve, DIAZ_SAA_CHUNK)
     tols = SCALED_TOL * (1.0 + scales)
-    witness = lambda i: {"coeff_u": coeff_u[i].tolist(), "coeff_v": coeff_v[i].tolist(),
-                         "q": q, "s": s, "n": DIAZ_SAA_CELLS, "family": G.name}
     return _finish_report("diaz_saa", gaps, tols, witness, samples)
 
 

@@ -285,49 +285,53 @@ class LogLogTable:
         self._origin = np.concatenate([lx[:1], lx])
         self._lx = lx
         # bucket index over B equal widths of [lx[0], lx[-1]]: bucket k,
-        # 1 <= k <= B, starts at lx[0] + (k - 1) * width, and _bucket_row[k]
-        # is the segment of that start; bucket 0 takes everything below
-        # lx[0], bucket B + 1 everything from lx[-1] on and NaN
+        # 1 <= k <= B, starts at lx[0] + (k - 1) * width; bucket 0 takes
+        # everything below lx[0], bucket B + 1 the next width from lx[-1]
+        # on, and bucket B + 2, which holds no knot, everything above and
+        # NaN.  Each knot is bucketed by the lookup's own arithmetic
+        # (_bucket), which is monotone in log x, so a knot in a lower bucket
+        # lies below any log x of the bucket and one in a higher bucket
+        # above it: _bucket_row[b] counts the knots in buckets below b, and
+        # the row of log x adds the knots of its bucket at or below it
         buckets = BUCKETS_PER_KNOT * lx.size
         self._bucket_scale = buckets / (lx[-1] - lx[0])
-        edges = lx[0] + np.arange(buckets) * ((lx[-1] - lx[0]) / buckets)
-        self._bucket_row = np.concatenate(
-            [[0], np.searchsorted(lx, edges, side="right"), [lx.size]])
-        self._lower = np.concatenate([[-np.inf], lx])   # segment i is [lower[i], upper[i])
-        self._upper = np.concatenate([lx, [np.inf]])
+        self._bucket_top = buckets + 2.0
+        counts = np.bincount(self._bucket(lx).astype(np.intp), minlength=buckets + 3)
+        self._bucket_row = np.concatenate([[0], np.cumsum(counts[:-1])])
+        self._bucket_knots = int(counts.max())   # the compares a lookup makes
+        self._knots = np.concatenate([lx, [np.inf]])
+
+    def _bucket(self, lx, out=None):
+        """The bucket of each clipped log x as a whole float, into out (None: fresh).
+
+        Truncation is floor on [0, _bucket_top], and fmin sends NaN to the
+        top bucket.
+        """
+        with np.errstate(over="ignore"):
+            out = np.subtract(lx, self._lx[0], out=out)
+            out *= self._bucket_scale
+        out += 1.0
+        np.fmin(out, self._bucket_top, out=out)
+        return np.fmax(out, 0.0, out=out)
 
     def _segment(self, x, spare=None):
         """(row, log x clipped to +-_LOG_HUGE), both shaped like x: row is the segment holding x.
 
         row equals np.searchsorted(self._lx, log x, side="right"), and NaN
-        gets the last segment.  The bucket of log x gives a first guess,
-        formed in place in spare, a flat float buffer of x's size (None: a
-        fresh one); each correction moves a row one segment towards the one
-        whose bounds hold log x, and only rows that moved are looked at
-        again, so the loop ends after at most N + 1 steps.  The corrections
-        gather the segment bounds into spare too.
+        gets the last segment.  The row starts at the count of knots in
+        the buckets below that of log x and steps over each knot of its
+        bucket at or below log x: the knots in order, at most
+        _bucket_knots of them, gathered into spare, a flat float buffer of
+        x's size (None: a fresh one) that first holds the bucket.
         """
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore"):
             lx = np.log(np.reshape(x, -1))
-            np.clip(lx, -_LOG_HUGE, _LOG_HUGE, out=lx)
-            spare = np.subtract(lx, self._lx[0], out=spare)
-            spare *= self._bucket_scale
-            spare += 1.0
-        # fmin sends NaN to the last bucket; on [0, B + 1] truncation is floor
-        np.fmin(spare, self._bucket_row.size - 1, out=spare)
-        np.fmax(spare, 0.0, out=spare)
+        np.clip(lx, -_LOG_HUGE, _LOG_HUGE, out=lx)
+        spare = self._bucket(lx, spare)
         row = self._bucket_row.take(spare.astype(np.intp))
-        todo, l, r = None, lx, row
-        while True:
-            bound = spare[:r.size]
-            step = (l >= self._upper.take(r, out=bound, mode="clip")).view(np.int8)
-            step = step - (l < self._lower.take(r, out=bound, mode="clip")).view(np.int8)
-            moved = np.flatnonzero(step)
-            if not moved.size:
-                return row.reshape(np.shape(x)), lx.reshape(np.shape(x))
-            todo = moved if todo is None else todo[moved]
-            row[todo] += step[moved]
-            l, r = lx[todo], row[todo]
+        for _ in range(self._bucket_knots):
+            row += lx >= self._knots.take(row, out=spare)
+        return row.reshape(np.shape(x)), lx.reshape(np.shape(x))
 
     def _horner(self, x, value=None, slope=None, curvature=None, keep_log=False):
         """One lookup of x: log value, log slope and curvature into buffers shaped like x.

@@ -13,8 +13,8 @@ from fracorlicz.inequalities import (
     picone_constant, diaz_saa_value, monotone_difference_gap,
     ray_convexity_probe, f2_monotonicity_check, default_exponent, run_suite,
     SUITES, STANDARD_FAMILIES, sharpen_witness, sweep_seminorm_sandwich,
-    _finish_report, _field_gauges, _sharpen_into, SEMINORM_CELLS, FIELD_CELLS,
-    FIELD_CHUNK,
+    _finish_report, _field_gauges, _sharpen_into, _coefficient_stream, SEMINORM_CELLS,
+    FIELD_CELLS, FIELD_CHUNK, DIAZ_SAA_CHUNK,
 )
 
 P2 = power_nfunction(2.0)
@@ -419,9 +419,9 @@ FIELD_SWEEPS = ("modular_norm_sandwich", "seminorm_sandwich", "holder")
 @pytest.mark.parametrize("name, bound_mb", [
     ("modular_norm_sandwich", 6), ("seminorm_sandwich", 8), ("holder", 12)])
 def test_field_sweeps_hold_chunks_not_samples(name, bound_mb):
-    # fields, quotients and gauges are formed one FIELD_CHUNK of rows at
-    # a time, so at 20 000 samples the traced peak is the (samples, 8)
-    # coefficients, the per-sample result vectors and one chunk's
+    # coefficients, fields, quotients and gauges are formed one
+    # FIELD_CHUNK of rows at a time, so at 20 000 samples the traced peak
+    # is the per-sample result vectors and one chunk's coefficients and
     # temporaries (whole-sample arrays peaked at 12-26 MB)
     import tracemalloc
     tracemalloc.start()
@@ -431,6 +431,70 @@ def test_field_sweeps_hold_chunks_not_samples(name, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak < bound_mb * 1e6
+
+
+@pytest.mark.parametrize("name", ["holder", "diaz_saa"])
+def test_pair_sweeps_keep_no_coefficient_block(name):
+    # each chunk draws its own u and v coefficients and only per-sample
+    # vectors outlive it, so at 20 000 samples the traced peak is one
+    # chunk's temporaries (keeping the (samples, 8) coefficient blocks,
+    # these sweeps peaked at 6.05 and 6.13 MB); the memo of the shared
+    # gauges starts cold, and the conjugate table is built and numpy.random
+    # (imported on first use) loaded untraced
+    import tracemalloc
+    _field_gauges.cache_clear()
+    complementary(P3)
+    np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        run_suite(name, P3, 20000, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+@pytest.mark.parametrize("total", [DIAZ_SAA_CHUNK + 3, FIELD_CHUNK + 3])
+def test_coefficient_stream_starts_at_its_row(total):
+    # the positioned stream, drawn from in two parts as a chunked sweep
+    # draws, gives rows [k:] of one block draw from default_rng(seed), for
+    # k at and around each chunk boundary
+    block = fourier_coefficients(np.random.default_rng(9), total)
+    for k in {0, 1, DIAZ_SAA_CHUNK - 1, DIAZ_SAA_CHUNK, DIAZ_SAA_CHUNK + 1,
+              FIELD_CHUNK - 1, FIELD_CHUNK, FIELD_CHUNK + 1, total - 1, total}:
+        if k > total:
+            continue
+        stream = _coefficient_stream(9, k)
+        first = fourier_coefficients(stream, min(1, total - k))
+        rest = fourier_coefficients(stream, total - k - len(first))
+        assert np.array_equal(np.concatenate([first, rest]), block[k:])
+
+
+@pytest.mark.parametrize("samples", [300, 2 * DIAZ_SAA_CHUNK + 77])
+def test_diaz_saa_witness_in_the_last_partial_chunk_replays(samples, monkeypatch):
+    # a pairing pushed far below zero in the last row of the last, partial
+    # chunk makes that row the witness, and its coefficients are the
+    # ones the sweep drew for it: the chunk's u block, then its v block
+    import fracorlicz.inequalities as ineq
+    real = ineq.operator_pairing
+    last = samples % DIAZ_SAA_CHUNK
+
+    def lowered(values, phi, G, mesh, s):
+        out = real(values, phi, G, mesh, s)
+        if values.shape[-2] == last:
+            out[..., -1] -= 1e6
+        return out
+
+    monkeypatch.setattr(ineq, "operator_pairing", lowered)
+    report = run_suite("diaz_saa", P3, samples, seed=5)
+    assert report.violations == 1 and report.min_gap < -1e6
+    rng = np.random.default_rng(5)
+    for lo in range(0, samples, DIAZ_SAA_CHUNK):
+        rows = min(DIAZ_SAA_CHUNK, samples - lo)
+        coeff_u = fourier_coefficients(rng, rows)
+        coeff_v = fourier_coefficients(rng, rows)
+    assert report.witness["coeff_u"] == coeff_u[-1].tolist()
+    assert report.witness["coeff_v"] == coeff_v[-1].tolist()
 
 
 @pytest.mark.parametrize("name", FIELD_SWEEPS)

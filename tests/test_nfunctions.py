@@ -14,7 +14,7 @@ from fracorlicz.nfunctions import (
     estimate_indices, complementary, inverse_nfunction, sobolev_conjugate,
     compose_power, reaction_weight_nfunction, singular_weight_nfunction,
     essentially_faster, solve_increasing, LogLogTable, INDEX_GRID, _LOG_HUGE,
-    BISECT_REL_TOL, _increasing_knots,
+    BISECT_REL_TOL, BUCKETS_PER_KNOT, _increasing_knots,
 )
 
 FAMILIES = {
@@ -870,7 +870,7 @@ def test_table_lookups_keep_the_block_horner_bits(name):
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_conjugate_level_terms_allocate_four_chunk_arrays(name):
     # one lookup pass into the level buffers batch_luxemburg passes holds
-    # log x, the segment offsets, the rows and, while the bucket guess is
+    # log x, the segment offsets, the rows and, while the bucket is
     # read, its integer copy: four (1024, 32) arrays of 262 kB (the
     # gathered (..., 4) coefficient block peaked at 1.75 MB)
     import tracemalloc
@@ -1050,17 +1050,53 @@ def test_nan_target_has_a_nan_root():
         assert np.isnan(roots[0]) and roots[1] == 0.0 and roots[2] > 0.0
 
 
-@pytest.mark.parametrize("name", ["conjugate-powerlog3", "tabulated-clustered"])
-@pytest.mark.parametrize("guess", ["first", "last"])
-def test_table_segment_corrects_any_first_guess(name, guess, monkeypatch):
-    # a bucket index that names the first (or last) segment for every
-    # finite argument leaves all the work to the corrections, which must
-    # walk up (or down) to the binary-search row and stop there
-    table = _lookup_table(name)
-    bucket_row = table._bucket_row.copy()   # the conjugate table is shared
-    bucket_row[:-1] = 0 if guess == "first" else table._lx.size
-    monkeypatch.setattr(table, "_bucket_row", bucket_row)
-    x = _segment_probes(table)
+def _edge_table():
+    """A table whose interior knots sit on and beside its own bucket edges.
+
+    Its first and last knots fix the bucket grid; each interior triple is
+    the last log knot below an edge, the first at or above it and the next
+    one, in the lookup's own bucket arithmetic."""
+    a, b, triples = 1e-2, 1e2, 12
+    size = 2 + 3 * triples
+    grid = LogLogTable(np.logspace(-2.0, 2.0, size), np.logspace(-6.0, 6.0, size))
+    knots = [a]
+    for edge in np.linspace(5, BUCKETS_PER_KNOT * size - 5, triples).astype(int):
+        start = np.exp(grid._lx[0] + (edge - 1) / grid._bucket_scale)
+        x = start * (1.0 + np.arange(-400, 401) * 2.0 ** -52)
+        lx, first = np.unique(np.log(x), return_index=True)   # distinct log knots
+        on = int(np.argmax(grid._bucket(lx) >= edge))
+        assert 0 < on < lx.size - 1
+        knots += [x[first[on - 1]], x[first[on]], x[first[on + 1]]]
+    knots.append(b)
+    table = LogLogTable(np.array(knots), np.array(knots) ** 3)
+    assert table._bucket_scale == grid._bucket_scale and table._lx[0] == grid._lx[0]
+    return table
+
+
+@pytest.mark.parametrize("name", ["edges", *LOOKUP_TABLES])
+def test_table_segment_counts_the_knots_below_and_in_its_bucket(name):
+    # _bucket_row[b] counts the knots the lookup's own arithmetic puts in
+    # buckets below b, and a lookup compares log x with at most
+    # _bucket_knots knots of its bucket: one for the conjugate and inverse
+    # tables, more for the edge and clustered ones; the rows are the binary
+    # search's at the knots, their float neighbours and the bucket edges
+    table = _edge_table() if name == "edges" else _lookup_table(name)
+    knot_bucket = table._bucket(table._lx).astype(int)
+    buckets = np.arange(table._bucket_row.size)
+    assert np.array_equal(table._bucket_row,
+                          np.sum(knot_bucket[None, :] < buckets[:, None], axis=1))
+    assert table._bucket_knots == np.bincount(knot_bucket).max()
+    assert knot_bucket.max() < table._bucket_row.size - 1   # NaN's bucket holds no knot
+    if name == "edges":   # on an edge: a whole bucket value, that of the next knot too
+        on_edge = table._bucket(table._lx) == knot_bucket
+        assert np.count_nonzero(on_edge[1:-1]) >= 6
+    if name in ("edges", "tabulated-clustered"):
+        assert table._bucket_knots >= 2
+    else:
+        assert table._bucket_knots == 1
+    edges = table._lx[0] + (np.arange(table._bucket_row.size) - 1) / table._bucket_scale
+    x = np.concatenate([_segment_probes(table), np.exp(edges),
+                        np.nextafter(np.exp(edges), 0.0), np.nextafter(np.exp(edges), np.inf)])
     with np.errstate(divide="ignore", invalid="ignore"):
         row, _ = table._segment(x)
     assert np.array_equal(row, _searchsorted_row(table, x))
