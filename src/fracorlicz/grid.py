@@ -165,15 +165,22 @@ PAIR_SLABS = 4   # slab buffers of the pair pass: difference, quotient, G and g 
 
 @functools.lru_cache(maxsize=8)
 def _kernel(mesh: Mesh, s: float):
-    """Pairwise powers 1/d^s, 1/d, 1/d^(1+s) (zero diagonal), boundary powers.
+    """Pairwise powers 1/d^s, 1/d, 1/d^(1+s) (zero diagonal).
 
     d = h |i - j| makes each pairwise power a read-only Toeplitz view.
     """
     d = mesh.h * np.arange(1, mesh.n)
-    x = mesh.nodes
     view = lambda v: sliding_window_view(np.concatenate([v[::-1], [0.0], v]), mesh.n)[::-1]
-    return (view(d ** (-s)), view(1.0 / d), view(d ** (-1.0 - s)),
-            (x - mesh.a) ** (-s), (mesh.b - x) ** (-s))
+    return view(d ** (-s)), view(1.0 / d), view(d ** (-1.0 - s))
+
+
+@functools.lru_cache(maxsize=8)
+def _gap_powers(mesh: Mesh, s: float) -> np.ndarray:
+    """(2, n) read-only: each node's distance to a, then to b, to the power -s."""
+    x = mesh.nodes
+    ends = np.stack([(x - mesh.a) ** (-s), (mesh.b - x) ** (-s)])
+    ends.flags.writeable = False
+    return ends
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,7 +192,7 @@ def _unordered_pairs(mesh: Mesh, s: float):
     values @ incidence forms every difference u_i - u_j exactly (one
     product by +1, one by -1, the rest zeros) where values are finite.
     """
-    inv_s, inv_1, inv_1s, _, _ = _kernel(mesh, s)
+    inv_s, inv_1, inv_1s = _kernel(mesh, s)
     i, j = np.triu_indices(mesh.n, 1)
     incidence = np.zeros((mesh.n, i.size))
     incidence[i, np.arange(i.size)] = 1.0
@@ -245,7 +252,7 @@ def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
     buffers of _slab_workspace; energy and gradient pick the sums taken.
     The returned arrays are fresh and share no memory with the buffers.
     """
-    inv_s, inv_1, inv_1s, _, _ = _kernel(mesh, s)
+    inv_s, inv_1, inv_1s = _kernel(mesh, s)
     slab = values.size * min(PAIR_BLOCK, mesh.n)
     work = _slab_workspace(PAIR_SLABS * slab)
     total = 0.0
@@ -272,6 +279,28 @@ def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
             2.0 * mesh.h * grad if gradient else None)
 
 
+def _exterior_tails(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
+                    energy: bool, gradient: bool):
+    """(exterior_tail_energy, exterior_tail_gradient); a part not asked for is None.
+
+    The arguments |u_i| gap^-s of both ends are stacked on an axis before
+    the nodes, so the energy takes one tail-primitive call and the gradient
+    one pair_terms call.  The two ends are added node by node before any
+    sum, so the values do not depend on the stacking.
+    """
+    c = np.abs(values)
+    t = c[..., None, :] * _gap_powers(mesh, s)
+    tail_energy = tail_gradient = None
+    if energy:
+        lam = G.integral_over_t(t)
+        tail_energy = float(2.0 * mesh.h / s * (lam[..., 0, :] + lam[..., 1, :]).sum())
+    if gradient:
+        ends = G.pair_terms(t, (None, None))[0]
+        contrib = ends[..., 0, :] + ends[..., 1, :]
+        tail_gradient = np.sign(values) * contrib / (s * np.where(c > 0.0, c, 1.0))
+    return tail_energy, tail_gradient
+
+
 def exterior_tail_energy(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> float:
     """Exact kernel integral of the zero extension against every node.
 
@@ -280,10 +309,7 @@ def exterior_tail_energy(values: np.ndarray, G: NFunction, mesh: Mesh, s: float)
     integral_over_t(|u| * gap^{-s}) / s; the symmetric pair orders
     contribute the factor 2.
     """
-    _, _, _, left_s, right_s = _kernel(mesh, s)
-    c = np.abs(values)
-    lam = G.integral_over_t
-    return float(2.0 * mesh.h / s * np.sum(lam(c * left_s) + lam(c * right_s)))
+    return _exterior_tails(values, G, mesh, s, energy=True, gradient=False)[0]
 
 
 def exterior_tail_gradient(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> np.ndarray:
@@ -293,10 +319,7 @@ def exterior_tail_gradient(values: np.ndarray, G: NFunction, mesh: Mesh, s: floa
     exact weak-form pairing of the operator against the exterior zeros;
     values may carry leading batch axes.
     """
-    _, _, _, left_s, right_s = _kernel(mesh, s)
-    c = np.abs(values)
-    contrib = G(c * left_s) + G(c * right_s)
-    return np.sign(values) * contrib / (s * np.where(c > 0.0, c, 1.0))
+    return _exterior_tails(values, G, mesh, s, energy=False, gradient=True)[1]
 
 
 def seminorm_modular(u: GridFunction, G: NFunction, s: float,
@@ -370,8 +393,8 @@ def operator_pairing(values: np.ndarray, phi: np.ndarray, G: NFunction, mesh: Me
 def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float):
     """seminorm_modular(..., "full") and operator_apply from one pair pass."""
     interior, grad = _pair_pass(values, G, mesh, s, energy=True, gradient=True)
-    return (float(interior) + exterior_tail_energy(values, G, mesh, s),
-            grad + 2.0 * exterior_tail_gradient(values, G, mesh, s))
+    tail_energy, tail_gradient = _exterior_tails(values, G, mesh, s, True, True)
+    return float(interior) + tail_energy, grad + 2.0 * tail_gradient
 
 
 # ---------------------------------------------------------------------------

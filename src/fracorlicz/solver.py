@@ -9,14 +9,17 @@ energy
     f (u+eps)^-alpha + k (u+eps)^beta
 
 over the box 0 <= u <= obstacle (the obstacle is optional), by projected
-gradient descent with Barzilai-Borwein step proposals guarded by an Armijo
-backtracking line search (factor 1/2, slope fraction 1e-4).  The descent
-runs in the metric of the spectral fractional Laplacian of the interval,
-applied in O(n log n) by one sine transform, which is spectrally comparable
-to the quadratic operator, so the iteration count barely grows with n
-(preconditioned Barzilai-Borwein, Molina & Raydan 1996).  A box clamp is an
-exact projection only under a diagonal metric, so an iteration at which a
-bound binds steps in the identity metric instead (Bertsekas 1982).  The
+L-BFGS descent guarded by an Armijo backtracking line search (factor 1/2,
+slope fraction 1e-4).  The descent runs in the metric of the spectral
+fractional Laplacian of the interval, applied in O(n log n) by one sine
+transform, which is spectrally comparable to the quadratic operator, so the
+iteration count barely grows with n (preconditioned Barzilai-Borwein,
+Molina & Raydan 1996).  The L-BFGS memory of the last MEMORY curvature
+pairs (Liu & Nocedal 1989) sits on that Barzilai-Borwein-scaled metric and
+takes up the few slow modes left, where the p = 3 Hessian's weights vanish
+on the flat top of the profile.  A box clamp is an exact projection only
+under a diagonal metric, so an iteration at which a bound binds clears the
+memory and steps in the identity metric instead (Bertsekas 1982).  The
 regularization is then driven down a geometric schedule, and the stagewise
 Cauchy increments (the sup distances between consecutive stage solutions)
 are recorded.  The schedule is a predictor-corrector continuation (Allgower
@@ -70,6 +73,7 @@ logger = logging.getLogger(__name__)
 
 COARSEST_CELLS = 32   # the nested solve halves the mesh down to no fewer cells
 PREDICTOR_POINTS = 3  # coarse stage starts extrapolate the last three solutions
+MEMORY = 5            # curvature pairs behind the L-BFGS direction
 ARMIJO_SLOPE = 1e-4
 ARMIJO_FACTOR = 0.5
 ENERGY_DESCENT_SLACK = 1e-12
@@ -172,8 +176,9 @@ class StageStats:
     level, the interpolated coarse solution).
     pair_passes counts the O(n^2) kernel sweeps: one at the start and one
     per evaluated Armijo trial.  backtracks counts rejected trials,
-    bb_fallbacks the Barzilai-Borwein proposals discarded for nonpositive
-    curvature, and plain_steps the iterations that stepped in the identity
+    bb_fallbacks the curvature pairs discarded for nonpositive curvature
+    (each clears the L-BFGS memory and doubles the Barzilai-Borwein scale
+    instead), and plain_steps the iterations that stepped in the identity
     metric because a bound was binding.  stop is "pg_tol" (converged),
     "linesearch_stall" or "max_iter".  seconds is wall-clock time, so it
     never enters the solution files.
@@ -206,25 +211,31 @@ class SolveResult:
 # Energy and residual
 # ---------------------------------------------------------------------------
 
-def _reaction_primitive(spec: ProblemSpec, values: np.ndarray, epsilon: float) -> np.ndarray:
-    """Nodewise primitive of the regularized right-hand side from 0 to u_i.
+def _reaction(spec: ProblemSpec, values: np.ndarray,
+              epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(primitive, forcing) of the regularized right-hand side at each node.
 
-    Closed form for the built-in reaction; the alpha = 1 branch is the
-    logarithm exactly.  The general path integrates F numerically on
+    The forcing is f (u+eps)^-alpha + k (u+eps)^beta and the primitive its
+    integral from 0 to u_i, in closed form from the same two powers of
+    u + eps; the alpha = 1 branch is the logarithm exactly.  The general
+    path evaluates F_custom at u + eps and integrates it numerically on
     log-spaced panels so the near-origin steepness is resolved.
     """
-    w = values
+    shifted = values + epsilon
     if spec.F_custom is not None:
-        return _general_primitive(spec.F_custom, spec.mesh.nodes, w, epsilon)
-    shifted = w + epsilon
+        return (_general_primitive(spec.F_custom, spec.mesh.nodes, values, epsilon),
+                call_vectorised(spec.F_custom, spec.mesh.nodes, shifted))
+    singular = shifted ** (-spec.alpha)
+    reaction = shifted ** spec.beta
+    forcing = spec.f.values * singular + spec.k.values * reaction
     if spec.alpha == 1.0:
         f_part = spec.f.values * np.log(shifted / epsilon)
     else:
         e = 1.0 - spec.alpha
-        f_part = spec.f.values * (shifted ** e - epsilon ** e) / e
+        f_part = spec.f.values * (shifted * singular - epsilon ** e) / e
     e2 = 1.0 + spec.beta
-    k_part = spec.k.values * (shifted ** e2 - epsilon ** e2) / e2
-    return f_part + k_part
+    k_part = spec.k.values * (shifted * reaction - epsilon ** e2) / e2
+    return f_part + k_part, forcing
 
 
 def _general_primitive(F, x_nodes, w, epsilon):
@@ -248,18 +259,10 @@ def _general_primitive(F, x_nodes, w, epsilon):
     return out
 
 
-def _forcing(spec: ProblemSpec, values: np.ndarray, epsilon: float) -> np.ndarray:
-    shifted = values + epsilon
-    if spec.F_custom is not None:
-        return call_vectorised(spec.F_custom, spec.mesh.nodes, shifted)
-    return spec.f.values * shifted ** (-spec.alpha) + spec.k.values * shifted ** spec.beta
-
-
 def energy(spec: ProblemSpec, u: GridFunction, epsilon: float) -> float:
     """Regularized energy: full nonlocal modular minus the reaction term."""
-    mesh = spec.mesh
-    primitive = _reaction_primitive(spec, u.values, epsilon)
-    return seminorm_modular(u, spec.G, spec.s, "full") - float(mesh.h * np.sum(primitive))
+    primitive = _reaction(spec, u.values, epsilon)[0]
+    return seminorm_modular(u, spec.G, spec.s, "full") - float(spec.mesh.h * np.sum(primitive))
 
 
 def weak_residual(u: GridFunction, spec: ProblemSpec, epsilon: float) -> GridFunction:
@@ -270,16 +273,15 @@ def weak_residual(u: GridFunction, spec: ProblemSpec, epsilon: float) -> GridFun
     subtracts the regularized forcing.
     """
     op = operator_apply(u.values, spec.G, spec.mesh, spec.s)
-    return u.with_values(op - _forcing(spec, u.values, epsilon), label="residual")
+    return u.with_values(op - _reaction(spec, u.values, epsilon)[1], label="residual")
 
 
 def _energy_and_residual(spec: ProblemSpec, values: np.ndarray,
                          epsilon: float) -> Tuple[float, np.ndarray]:
     """energy and weak_residual at raw nodal values, from one pair pass."""
     full, op = modular_and_operator(values, spec.G, spec.mesh, spec.s)
-    primitive = _reaction_primitive(spec, values, epsilon)
-    return (full - float(spec.mesh.h * np.sum(primitive)),
-            op - _forcing(spec, values, epsilon))
+    primitive, forcing = _reaction(spec, values, epsilon)
+    return full - float(spec.mesh.h * primitive.sum()), op - forcing
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +313,71 @@ def spectral_inverse_metric(mesh: Mesh, s: float) -> Callable[[np.ndarray], np.n
     return lambda g: np.fft.irfft(weights * np.fft.rfft(np.concatenate([g, -g[::-1]])), 2 * n)[:n]
 
 
+def _lbfgs_direction(grad: np.ndarray, metric_grad: np.ndarray, gamma: float,
+                     S: np.ndarray, Y: np.ndarray, MY: np.ndarray, rho: Sequence[float],
+                     order: Sequence[int]) -> np.ndarray:
+    """H grad for the L-BFGS inverse Hessian H of the pairs in the rows of S, Y.
+
+    Row i holds a pair s_i = du, y_i = dg, MY the row M^-1 y_i and rho[i]
+    = 1 / (s_i . y_i) > 0; order lists the rows oldest first.  H is the
+    two-loop recursion (Nocedal 1980) over the pairs on H0 = gamma M^-1,
+    metric_grad = M^-1 grad.  It runs in matrix form (Byrd, Nocedal &
+    Schnabel 1994): the products S grad, S Y^T, alpha M^-1 Y, Y r and
+    (alpha - beta) S are one call each, and only the two scalar recursions
+    over the rows run in Python floats, so the count of array calls does
+    not depend on the number of rows.
+    """
+    Sg = (S @ grad).tolist()
+    SY = (S @ Y.T).tolist()          # SY[i][j] = s_i . y_j
+    alpha = [0.0] * len(order)
+    for pos in range(len(order) - 1, -1, -1):
+        i = order[pos]               # s_i . q, q = grad - sum over newer j of alpha_j y_j
+        acc = Sg[i]
+        for j in order[pos + 1:]:
+            acc -= alpha[j] * SY[i][j]
+        alpha[i] = rho[i] * acc
+    r = metric_grad - np.dot(alpha, MY)
+    r *= gamma
+    Yr = (Y @ r).tolist()
+    gain = [0.0] * len(order)        # alpha_i - beta_i
+    for pos, i in enumerate(order):  # y_i . r, r grown by the older gain_j s_j
+        acc = Yr[i]
+        for j in order[:pos]:
+            acc += gain[j] * SY[j][i]
+        gain[i] = alpha[i] - rho[i] * acc
+    return r + np.dot(gain, S)
+
+
 def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
                     tol: float = 1e-9, max_iter: Optional[int] = None) -> SolveResult:
     """Minimize the regularized energy over the constraint box.
 
-    Projected gradient descent in the spectral metric M of
-    spectral_inverse_metric: each trial is the clamp of u - eta M^-1 grad,
-    with the unit step first, shortened so that it moves no node by more
-    than FIRST_STEP_CAP, and then the Barzilai-Borwein step
-    (du.dg) / (dg.M^-1 dg), doubled when du.dg <= 0.  A clamp projects
-    exactly only under a diagonal metric, so an iteration at which a bound
-    binds (u_i = 0 with grad_i > 0, or u_i = obstacle_i with grad_i < 0)
-    takes its step, and its BB step, in the identity metric instead
-    (counted in plain_steps).  A node whose obstacle is <= 0 is fixed at
-    0, not a binding bound: its gradient is zeroed before either metric
-    applies, so it moves no other node, and the clamp holds it.  Armijo
-    backtracking never accepts an energy increase, and a trial whose clamp
-    points uphill is halved without an evaluation.  The loop ends on the
-    infinity norm of the unpreconditioned unit-step projected gradient, so
-    converged means pg_inf < tol whatever the metric.  Each evaluated trial
-    costs one pair pass, which yields its energy and residual together; the
-    accepted trial's residual is the next gradient.  Non-convergence is
-    reported in the result, never raised; a start on another mesh is a
-    ValueError.
+    Projected L-BFGS descent in the spectral metric M of
+    spectral_inverse_metric: each trial is the clamp of u - t H grad, with
+    t = 1 first and then halved.  H is the L-BFGS inverse Hessian of the
+    last MEMORY curvature pairs (du, dg) on the initial H0 = eta M^-1, eta
+    the Barzilai-Borwein scale (du.dg) / (dg.M^-1 dg) of the newest pair
+    (_lbfgs_direction).  M^-1 dg is the difference of the two transformed
+    gradients, so an iteration takes one sine transform; the first one
+    after a binding iteration transforms dg as well.  A pair with du.dg <=
+    0 clears the memory and doubles eta instead (counted in bb_fallbacks),
+    and with an empty memory H grad is eta M^-1 grad.  A stage's first
+    trial is the unit step on M^-1 grad, shortened so that it moves no node
+    by more than FIRST_STEP_CAP.  A clamp projects exactly only under a
+    diagonal metric, so an iteration at which a bound binds (u_i = 0 with
+    grad_i > 0, or u_i = obstacle_i with grad_i < 0) clears the memory and
+    steps along eta grad, with eta the Barzilai-Borwein scale in the
+    identity metric (counted in plain_steps).  A node whose obstacle is <=
+    0 is fixed at 0, not a binding bound: its gradient is zeroed before
+    either metric applies, so it moves no other node, and the clamp holds
+    it.  Armijo backtracking never accepts an energy increase, and a trial
+    whose clamp points uphill is halved without an evaluation.  The loop
+    ends on the infinity norm of the unpreconditioned unit-step projected
+    gradient, so converged means pg_inf < tol whatever the metric.  Each
+    evaluated trial costs one pair pass, which yields its energy and
+    residual together; the accepted trial's residual is the next gradient.
+    Non-convergence is reported in the result, never raised; a start on
+    another mesh is a ValueError.
     """
     start = time.perf_counter()
     mesh = spec.mesh
@@ -344,6 +388,11 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     upper = None if spec.obstacle is None else spec.obstacle.values
     pinned = None if upper is None else upper <= 0.0
     inverse_metric = spectral_inverse_metric(mesh, spec.s)
+    # the curvature pairs in rows of (MEMORY, n) buffers: held rows, the
+    # oldest at slot once all are held, and the next pair written at slot
+    S, Y, MY = (np.empty((MEMORY, mesh.n)) for _ in range(3))
+    rho = [0.0] * MEMORY
+    held = slot = 0
 
     u = _project(u_init.values, upper)
     E, grad = _energy_and_residual(spec, u, epsilon)
@@ -351,12 +400,12 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
     eta = 1.0
     passes = 1
     backtracks = bb_fallbacks = plain_steps = 0
-    prev_u = prev_grad = None
+    prev_u = prev_grad = prev_metric_grad = None
     stop = "max_iter"
 
     it = 0
     for it in range(1, max_iter + 1):
-        pg_inf = float(np.max(np.abs(u - _project(u - grad, upper))))
+        pg_inf = float(np.abs(u - _project(u - grad, upper)).max())
         if pg_inf < tol:
             break
 
@@ -365,28 +414,49 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
         if upper is not None:
             binds = (binds | ((u >= upper) & (grad < 0.0))) & ~pinned
             free_grad = np.where(pinned, 0.0, grad)
-        plain = bool(np.any(binds))
+        plain = bool(binds.any())
         plain_steps += plain
-        metric = (lambda g: g) if plain else inverse_metric
+        metric_grad = None if plain else inverse_metric(free_grad)
+        if plain:
+            held = slot = 0
         if prev_u is not None:
-            du = u - prev_u
-            dg = free_grad - prev_grad
+            du = np.subtract(u, prev_u, out=S[slot])
+            dg = np.subtract(free_grad, prev_grad, out=Y[slot])
             denom = float(np.dot(du, dg))
-            if denom > 0.0:
-                eta = denom / float(np.dot(dg, metric(dg)))
-            else:
+            if denom <= 0.0:
                 eta *= 2.0
                 bb_fallbacks += 1
-        eta = float(np.clip(eta, 1e-14, 1e14))
-        step = metric(free_grad)
+                held = slot = 0
+            elif plain:
+                eta = denom / float(np.dot(dg, dg))
+            else:
+                metric_dg = MY[slot]
+                if prev_metric_grad is None:
+                    metric_dg[:] = inverse_metric(dg)
+                else:
+                    np.subtract(metric_grad, prev_metric_grad, out=metric_dg)
+                eta = denom / float(np.dot(dg, metric_dg))
+                rho[slot] = 1.0 / denom
+                held = min(held + 1, MEMORY)
+                slot = (slot + 1) % MEMORY
+        eta = min(max(eta, 1e-14), 1e14)
+        if plain:
+            step = eta * free_grad
+        elif held:
+            order = [(slot - held + i) % MEMORY for i in range(held)]
+            step = _lbfgs_direction(free_grad, metric_grad, eta, S[:held], Y[:held],
+                                    MY[:held], rho, order)
+        else:
+            step = eta * metric_grad
+        length = 1.0
         if prev_u is None:
             reach = float(np.max(np.abs(step)))
-            if eta * reach > FIRST_STEP_CAP:
-                eta = FIRST_STEP_CAP / reach
+            if reach > FIRST_STEP_CAP:
+                length = FIRST_STEP_CAP / reach
 
         accepted = False
         for _ in range(60):
-            trial = _project(u - eta * step, upper)
+            trial = _project(u - length * step, upper)
             direction = trial - u
             slope = mesh.h * float(np.dot(grad, direction))  # <dJ, d>
             if slope == 0.0:
@@ -398,13 +468,14 @@ def minimize_energy(spec: ProblemSpec, epsilon: float, u_init: GridFunction,
                     accepted = True
                     break
                 backtracks += 1
-            eta *= ARMIJO_FACTOR
+            length *= ARMIJO_FACTOR
         if not accepted:
             # stationary within line-search resolution
             stop = "linesearch_stall"
             break
 
-        prev_u, prev_grad = u, free_grad
+        eta *= length
+        prev_u, prev_grad, prev_metric_grad = u, free_grad, metric_grad
         u, grad, E = trial, grad_trial, E_trial
         trace.append((it, E))
 

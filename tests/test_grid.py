@@ -645,7 +645,7 @@ def test_operator_pairing_matches_symmetrized_double_sum():
     s = 0.5
     u = fourier_field(rng, mesh)
     phi = fourier_field(rng, mesh)
-    inv_s, _, inv_1s, _, _ = _kernel(mesh, s)
+    inv_s, _, inv_1s = _kernel(mesh, s)
     du = u.values[:, None] - u.values[None, :]
     dphi = phi.values[:, None] - phi.values[None, :]
     double_sum = mesh.h ** 2 * np.sum(
