@@ -9,7 +9,8 @@ config error, 3 inconclusive.  VERDICT_EXIT holds the code of each verdict:
 PASS, REPORTED (an out-of-hypothesis uniqueness run) and CONTROL (a symmetry
 run on asymmetric data) exit 0, FAIL 1, INCONCLUSIVE (a solve that did not
 converge; never reported as PASS) and ERROR (a numeric failure, such as a
-modular whose unit level cannot be bracketed) 3.  _Run.conclude writes
+modular whose unit level cannot be bracketed or an escaping
+ArithmeticError) 3.  _Run.conclude writes
 verdict=... to the manifest and, for compare, uniqueness and symmetry,
 prints the verdict line.  A solve that did not converge exits 3.  Every
 config problem is a ConfigError: one "config error:" line, no manifest, and
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         run.discard()
         return EXIT_CONFIG
-    except (ModularNotDecreasingError, BracketExpansionError) as err:
+    except (ModularNotDecreasingError, BracketExpansionError, ArithmeticError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         code = run.conclude("ERROR")
     try:

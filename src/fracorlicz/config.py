@@ -137,7 +137,9 @@ def build_nfunction(parser, base_dir: Optional[Path] = None) -> NFunction:
             if val is not None:
                 params[key] = val
         return construct_nfunction(family, **params)
-    except (ValueError, OSError, KeyError) as err:
+    except KeyError as err:   # a parameter the family needs and the config lacks
+        raise ConfigError(f"missing [nfunction] {err.args[0]}") from err
+    except (ValueError, OSError) as err:
         raise ConfigError(f"[nfunction]: {err}") from err
 
 

@@ -12,8 +12,8 @@ term reduces in closed form to the cumulative integral of G(r)/r (see
 NFunction.integral_over_t), so no truncation radius enters the value.
 
 The kernel powers depend only on |i - j|, so they are cached as O(n) data
-behind (n, n) Toeplitz views, and one row-blocked pair pass yields the
-double sum of G (the modular), of g (the operator), or both at once.  The
+behind (n, n) Toeplitz views, and one row-blocked pair pass yields both
+the double sum of G (the modular) and that of g (the operator).  The
 pass takes G and g together from the N-function's pair_terms, the one
 evaluator each family supplies, and writes its slabs with out= into one
 workspace that every pass, for one field or a batch, keeps while the slab
@@ -21,7 +21,9 @@ size stays; pair_terms writes its terms into the G and g slabs too, so a
 warm pass of a built-in family allocates no slab-sized array.  The
 operator paired with a test field (operator_pairing) takes the weak form
 instead: one g term per unordered node pair, over the pair enumeration
-that difference_quotients uses, in the same workspace.  That workspace
+that difference_quotients uses, in the same workspace.  The modular's
+domain, omega or full, is switched in one place (_modular_pass), under
+seminorm_modular, its slope and modular_and_operator.  That workspace
 makes pair passes from several threads at once unsafe; the package runs
 them from one thread.
 
@@ -63,17 +65,25 @@ class ModularNotDecreasingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Cell-centered mesh on (a, b) with n cells."""
+    """Cell-centered mesh on (a, b) with n cells.
+
+    a and b are finite, and the cell width h has a positive finite square,
+    as the modulars' h^2 weights need.
+    """
 
     a: float
     b: float
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"mesh needs finite a and b, got a = {self.a}, b = {self.b}")
         if not (self.b > self.a):
             raise ValueError("mesh needs b > a")
         if self.n < 8:
             raise ValueError("mesh needs at least 8 cells")
+        if not (0.0 < self.h * self.h < math.inf):
+            raise ValueError(f"mesh cell width {self.h:g} squares outside the float range")
 
     @property
     def h(self) -> float:
@@ -229,8 +239,8 @@ def _check_order(s: float):
 # ---------------------------------------------------------------------------
 
 def modular(u: GridFunction, G: NFunction) -> float:
-    """Integral of G(|u|) over the domain (midpoint rule)."""
-    return float(u.mesh.h * np.sum(G(np.abs(u.values))))
+    """Integral of G(|u|) over the domain (midpoint rule): modular_and_slope's value."""
+    return modular_and_slope(u, G)[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -239,24 +249,23 @@ def _slab_workspace(floats: int) -> np.ndarray:
     return np.empty(floats)
 
 
-def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
-               energy: bool, gradient: bool):
+def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float):
     """(h^2 sum_ij G(q_ij) / d_ij, 2h sum_j g(q_ij) sign(u_i - u_j) / d_ij^(1+s)).
 
-    q_ij = |u_i - u_j| / d_ij^s over i != j; a part not asked for is None,
-    and values may carry batch axes.  A block of rows meets the columns from
-    its first row on, so pairs across blocks are evaluated once: G terms are
-    symmetric, g terms antisymmetric (later columns take negated sums).
-    Every block takes G and g from one G.pair_terms call and writes its
-    difference, quotient and term slabs with out= into the PAIR_SLABS flat
-    buffers of _slab_workspace; energy and gradient pick the sums taken.
-    The returned arrays are fresh and share no memory with the buffers.
+    q_ij = |u_i - u_j| / d_ij^s over i != j, and values may carry batch
+    axes.  A block of rows meets the columns from its first row on, so
+    pairs across blocks are evaluated once: G terms are symmetric, g terms
+    antisymmetric (later columns take negated sums).  Every block takes G
+    and g from one G.pair_terms call and writes its difference, quotient
+    and term slabs with out= into the PAIR_SLABS flat buffers of
+    _slab_workspace; both sums are taken in every block.  The returned
+    arrays are fresh and share no memory with the buffers.
     """
     inv_s, inv_1, inv_1s = _kernel(mesh, s)
     slab = values.size * min(PAIR_BLOCK, mesh.n)
     work = _slab_workspace(PAIR_SLABS * slab)
     total = 0.0
-    grad = np.zeros(values.shape) if gradient else None
+    grad = np.zeros(values.shape)
     for lo in range(0, mesh.n, PAIR_BLOCK):
         b = min(PAIR_BLOCK, mesh.n - lo)
         shape = values.shape[:-1] + (b, mesh.n - lo)
@@ -266,39 +275,36 @@ def _pair_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
         np.abs(diff, out=q)
         q *= inv_s[lo:lo + b, lo:]
         e, g = G.pair_terms(q, out=(G_slab, g_slab))
-        if energy:
-            w = inv_1[lo:lo + b, lo:]
-            total = total + (2.0 * np.einsum("...ij,ij->...", e, w)
-                             - np.einsum("...ij,ij->...", e[..., :b], w[:, :b]))
-        if gradient:
-            t = np.copysign(g, diff, out=g_slab)
-            t *= inv_1s[lo:lo + b, lo:]
-            grad[..., lo:lo + b] += t.sum(axis=-1)
-            grad[..., lo + b:] -= t[..., b:].sum(axis=-2)
-    return (mesh.h ** 2 * total if energy else None,
-            2.0 * mesh.h * grad if gradient else None)
+        w = inv_1[lo:lo + b, lo:]
+        total = total + (2.0 * np.einsum("...ij,ij->...", e, w)
+                         - np.einsum("...ij,ij->...", e[..., :b], w[:, :b]))
+        t = np.copysign(g, diff, out=g_slab)
+        t *= inv_1s[lo:lo + b, lo:]
+        grad[..., lo:lo + b] += t.sum(axis=-1)
+        grad[..., lo + b:] -= t[..., b:].sum(axis=-2)
+    return mesh.h ** 2 * total, 2.0 * mesh.h * grad
 
 
-def _exterior_tails(values: np.ndarray, G: NFunction, mesh: Mesh, s: float,
-                    energy: bool, gradient: bool):
-    """(exterior_tail_energy, exterior_tail_gradient); a part not asked for is None.
+def _exterior_tails(values: np.ndarray, G: NFunction, mesh: Mesh, s: float, energy: bool):
+    """(exterior_tail_energy or None unless energy, exterior_tail_gradient).
 
     The arguments |u_i| gap^-s of both ends are stacked on an axis before
     the nodes, so the energy takes one tail-primitive call and the gradient
-    one pair_terms call.  The two ends are added node by node before any
-    sum, so the values do not depend on the stacking.
+    one pair_terms call.  The energy is taken only when asked for:
+    operator_pairing, which the Diaz-Saa sweeps run, reads the gradient
+    alone, and the tail primitive would add a large share to each of its
+    calls.  The two ends are added node by node before any sum, so the
+    values do not depend on the stacking.
     """
     c = np.abs(values)
     t = c[..., None, :] * _gap_powers(mesh, s)
-    tail_energy = tail_gradient = None
+    tail_energy = None
     if energy:
         lam = G.integral_over_t(t)
         tail_energy = float(2.0 * mesh.h / s * (lam[..., 0, :] + lam[..., 1, :]).sum())
-    if gradient:
-        ends = G.pair_terms(t, (None, None))[0]
-        contrib = ends[..., 0, :] + ends[..., 1, :]
-        tail_gradient = np.sign(values) * contrib / (s * np.where(c > 0.0, c, 1.0))
-    return tail_energy, tail_gradient
+    ends = G.pair_terms(t, (None, None))[0]
+    contrib = ends[..., 0, :] + ends[..., 1, :]
+    return tail_energy, np.sign(values) * contrib / (s * np.where(c > 0.0, c, 1.0))
 
 
 def exterior_tail_energy(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> float:
@@ -309,7 +315,7 @@ def exterior_tail_energy(values: np.ndarray, G: NFunction, mesh: Mesh, s: float)
     integral_over_t(|u| * gap^{-s}) / s; the symmetric pair orders
     contribute the factor 2.
     """
-    return _exterior_tails(values, G, mesh, s, energy=True, gradient=False)[0]
+    return _exterior_tails(values, G, mesh, s, energy=True)[0]
 
 
 def exterior_tail_gradient(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> np.ndarray:
@@ -319,7 +325,7 @@ def exterior_tail_gradient(values: np.ndarray, G: NFunction, mesh: Mesh, s: floa
     exact weak-form pairing of the operator against the exterior zeros;
     values may carry leading batch axes.
     """
-    return _exterior_tails(values, G, mesh, s, energy=False, gradient=True)[1]
+    return _exterior_tails(values, G, mesh, s, energy=False)[1]
 
 
 def seminorm_modular(u: GridFunction, G: NFunction, s: float,
@@ -331,13 +337,24 @@ def seminorm_modular(u: GridFunction, G: NFunction, s: float,
     domain "full": adds the exact exterior contribution of the zero
     extension, making the value the full-space modular.
     """
+    return _modular_pass(u.values, G, u.mesh, s, domain)[0]
+
+
+def _modular_pass(values: np.ndarray, G: NFunction, mesh: Mesh, s: float, domain: str):
+    """(seminorm_modular of the field, its gradient divided by h) from one pair pass.
+
+    The one place the domain is switched: "full" adds the exterior tails'
+    energy and twice their gradient to the pair pass, "omega" takes the
+    pass alone.  The gradient on "full" is operator_apply.
+    """
     _check_order(s)
-    interior = float(_pair_pass(u.values, G, u.mesh, s, energy=True, gradient=False)[0])
+    if domain not in ("omega", "full"):
+        raise ValueError(f"unknown modular domain {domain!r}")
+    value, operator = _pair_pass(values, G, mesh, s)
     if domain == "omega":
-        return interior
-    if domain == "full":
-        return interior + exterior_tail_energy(u.values, G, u.mesh, s)
-    raise ValueError(f"unknown modular domain {domain!r}")
+        return float(value), operator
+    tail_energy, tail_gradient = _exterior_tails(values, G, mesh, s, energy=True)
+    return float(value) + tail_energy, operator + 2.0 * tail_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +369,7 @@ def operator_apply(values: np.ndarray, G: NFunction, mesh: Mesh, s: float) -> np
     gradient of the full-space modular with respect to u_i divided by h;
     values may carry leading batch axes.
     """
-    interior = _pair_pass(values, G, mesh, s, energy=False, gradient=True)[1]
+    interior = _pair_pass(values, G, mesh, s)[1]
     return interior + 2.0 * exterior_tail_gradient(values, G, mesh, s)
 
 
@@ -392,9 +409,7 @@ def operator_pairing(values: np.ndarray, phi: np.ndarray, G: NFunction, mesh: Me
 
 def modular_and_operator(values: np.ndarray, G: NFunction, mesh: Mesh, s: float):
     """seminorm_modular(..., "full") and operator_apply from one pair pass."""
-    interior, grad = _pair_pass(values, G, mesh, s, energy=True, gradient=True)
-    tail_energy, tail_gradient = _exterior_tails(values, G, mesh, s, True, True)
-    return float(interior) + tail_energy, grad + 2.0 * tail_gradient
+    return _modular_pass(values, G, mesh, s, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +435,7 @@ def seminorm_modular_and_slope(u: GridFunction, G: NFunction, s: float,
     the modular of mu u in log mu at mu = 1 is h times the operator paired
     with u.
     """
-    _check_order(s)
-    if domain == "omega":
-        value, operator = _pair_pass(u.values, G, u.mesh, s, energy=True, gradient=True)
-        value = float(value)
-    elif domain == "full":
-        value, operator = modular_and_operator(u.values, G, u.mesh, s)
-    else:
-        raise ValueError(f"unknown modular domain {domain!r}")
+    value, operator = _modular_pass(u.values, G, u.mesh, s, domain)
     return value, float(u.mesh.h * (operator @ u.values))
 
 

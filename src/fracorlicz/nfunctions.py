@@ -333,17 +333,18 @@ class LogLogTable:
             row += lx >= self._knots.take(row, out=spare)
         return row.reshape(np.shape(x)), lx.reshape(np.shape(x))
 
-    def _horner(self, x, value=None, slope=None, curvature=None, keep_log=False):
+    def _horner(self, x, value, slope, curvature=None, keep_log=False):
         """One lookup of x: log value, log slope and curvature into buffers shaped like x.
 
         Every lookup goes through here, so this is where a negative
         argument is rejected.  value receives ((c0 s + c1) s + c2) s + c3,
         slope (3 c0 s + 2 c1) s + c2 and curvature 6 c0 s + 2 c1, for the
-        coefficients c of x's segment and the offset s of log x in it; a
-        None buffer is skipped.  The coefficient columns are gathered one
-        at a time into one scratch buffer just before their Horner step,
-        and the passes are interleaved.  Returns log x (clipped) when
-        keep_log, else its buffer serves as the scratch and None comes back.
+        coefficients c of x's segment and the offset s of log x in it;
+        value and slope are always filled, curvature only when it is given.
+        The coefficient columns are gathered one at a time into one scratch
+        buffer just before their Horner step, and the passes are
+        interleaved.  Returns log x (clipped) when keep_log, else its
+        buffer serves as the scratch and None comes back.
         """
         x = _as_array(x)
         if np.any(x < 0.0):
@@ -360,45 +361,38 @@ class LogLogTable:
             self._columns[k].take(row, out=scratch, mode="clip")
 
         gather(0)
-        if value is not None:
-            np.multiply(c, s, out=value)
+        np.multiply(c, s, out=value)
         if curvature is not None:
             np.multiply(c, 6.0, out=curvature)
             curvature *= s
-        if slope is not None:
-            c *= 3.0
-            np.multiply(c, s, out=slope)
+        c *= 3.0
+        np.multiply(c, s, out=slope)
         gather(1)
-        if value is not None:
-            value += c
-            value *= s
-        if slope is not None or curvature is not None:
-            c *= 2.0
-        if slope is not None:
-            slope += c
-            slope *= s
+        value += c
+        value *= s
+        c *= 2.0
+        slope += c
+        slope *= s
         if curvature is not None:
             curvature += c
         gather(2)
-        if slope is not None:
-            slope += c
-        if value is not None:
-            value += c
-            value *= s
-            gather(3)
-            value += c
+        slope += c
+        value += c
+        value *= s
+        gather(3)
+        value += c
         return lx if keep_log else None
 
     def __call__(self, x):
-        value = np.empty(np.shape(x))
-        self._horner(x, value)
+        value, slope = np.empty(np.shape(x)), np.empty(np.shape(x))
+        self._horner(x, value, slope)
         with np.errstate(over="ignore"):
             return _float_if_0d(np.exp(value, out=value))
 
     def slope(self, x):
         """d(log value)/d(log abscissa), constant beyond the knots."""
-        slope = np.empty(np.shape(x))
-        self._horner(x, slope=slope)
+        value, slope = np.empty(np.shape(x)), np.empty(np.shape(x))
+        self._horner(x, value, slope)
         return _float_if_0d(slope)
 
     def level_terms(self, x, out=None):

@@ -678,6 +678,53 @@ def test_numeric_failure_is_inconclusive_error(tmp_path, capsys, monkeypatch, er
     assert "verdict=ERROR" in (tmp_path / "o" / "manifest.txt").read_text()
 
 
+def test_escaping_arithmetic_error_is_inconclusive_error(tmp_path, capsys, monkeypatch):
+    # an OverflowError from deep in a run is a numeric failure: verdict
+    # ERROR and exit 3 with one line, not a traceback that exits 1
+    import fracorlicz.cli as cli
+
+    def overflowing(spec, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(cli, "solve_singular", overflowing)
+    code = main(["solve", "--config", torsion_config(tmp_path, n=16),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert "verdict=ERROR" in (tmp_path / "o" / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1e200), (0.0, 1e308), (0.0, "inf"), ("-inf", 1.0),
+                                  (0.0, 1e-300)])
+def test_mesh_outside_the_float_range_is_config_error(tmp_path, capsys, a, b):
+    # a width whose square overflows (or underflows to 0), or an infinite
+    # end, is refused before any stage runs on NaN
+    text = BASE.format(a=a, b=b, n=16, family="power", p=2, alpha=0, beta=0,
+                       f="0", k="1", eps0="1e-2", epsmin="1e-2")
+    cfg = write(tmp_path, "wide.ini", text)
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("config error: [mesh]: ")
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("family, given, missing", [("power", "", "p"),
+                                                    ("powerlog", "", "p"),
+                                                    ("powersum", "q = 4\n", "p"),
+                                                    ("powersum", "p = 3\n", "q")])
+def test_missing_family_parameter_is_named(tmp_path, capsys, family, given, missing):
+    text = (BASE.replace("p = {p}\n", given)
+            .format(a=0.0, b=1.0, n=16, family=family, alpha=0, beta=0,
+                    f="0", k="1", eps0="1e-2", epsmin="1e-2"))
+    cfg = write(tmp_path, "nop.ini", text)
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: missing [nfunction] {missing}"]
+
+
 def test_missing_listed_output_is_inconclusive_error(tmp_path, capsys, monkeypatch):
     import fracorlicz.cli as cli
 

@@ -45,6 +45,17 @@ def test_mesh_invariants():
         Mesh(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         Mesh(1.0, 0.0, 16)
+    for a, b in [(0.0, 1e150), (0.0, 1e-140), (-1e100, 1e100)]:
+        assert 0.0 < Mesh(a, b, 16).h ** 2 < np.inf
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1e200), (0.0, 1e308), (-1e308, 1e308), (0.0, np.inf),
+                                  (-np.inf, 1.0), (np.nan, 1.0), (0.0, 1e-300)])
+def test_mesh_rejects_widths_outside_the_float_range(a, b):
+    # the modulars weigh by h^2: a non-finite end, or a cell width whose
+    # square overflows or underflows to 0, is refused when the mesh is made
+    with pytest.raises(ValueError, match="mesh needs finite|float range"):
+        Mesh(a, b, 16)
 
 
 def test_grid_function_checks():
@@ -116,12 +127,45 @@ def test_seminorm_modular_trivial():
 
 
 def test_seminorm_modular_checks_order():
+    # the domain is switched in one evaluator, so the modular, its slope
+    # and the fused modular-and-operator reject the same inputs alike
+    from fracorlicz.grid import modular_and_operator
     mesh = Mesh(0.0, 1.0, 16)
     u = GridFunction.constant(mesh, 1.0)
     with pytest.raises(ValueError):
         seminorm_modular(u, P2, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as plain:
         seminorm_modular(u, P2, 0.5, "weird")
+    with pytest.raises(ValueError) as sloped:
+        seminorm_modular_and_slope(u, P2, 0.5, "weird")
+    assert str(sloped.value) == str(plain.value) == "unknown modular domain 'weird'"
+    for s in (1.5, 0.0):
+        with pytest.raises(ValueError, match="fractional order"):
+            modular_and_operator(u.values, P2, mesh, s)
+        with pytest.raises(ValueError, match="fractional order"):
+            seminorm_modular_and_slope(u, P2, s, "full")
+
+
+@pytest.mark.parametrize("entry", ["seminorm_modular", "seminorm_modular_and_slope",
+                                   "modular_and_operator", "operator_apply"])
+@pytest.mark.parametrize("domain", ["omega", "full"])
+def test_each_modular_entry_takes_one_pair_pass(monkeypatch, entry, domain):
+    # every entry point evaluates the pass whole, once: the modular and the
+    # operator come from the same blocks, and "full" adds only the tails
+    import fracorlicz.grid as grid
+    mesh = Mesh(0.0, 1.0, 70)
+    u = GridFunction(mesh, np.sin(np.pi * mesh.nodes))
+    calls = []
+    inner = grid._pair_pass
+    monkeypatch.setattr(grid, "_pair_pass", lambda *a, **k: calls.append(1) or inner(*a, **k))
+    run = {
+        "seminorm_modular": lambda: grid.seminorm_modular(u, P3, 0.5, domain),
+        "seminorm_modular_and_slope": lambda: grid.seminorm_modular_and_slope(u, P3, 0.5, domain),
+        "modular_and_operator": lambda: grid.modular_and_operator(u.values, P3, mesh, 0.5),
+        "operator_apply": lambda: grid.operator_apply(u.values, P3, mesh, 0.5),
+    }[entry]
+    run()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -313,6 +357,9 @@ def test_modular_and_slope_share_one_evaluation():
     mesh = Mesh(0.0, 1.0, 16)
     u = fourier_field(rng, mesh)
     eps = 1e-6
+    # the plain modular is the value of modular_and_slope: h sum G(|u|) bit for bit
+    for G in (*FAMILIES.values(), complementary(P3)):
+        assert modular(u, G) == float(mesh.h * np.sum(G(np.abs(u.values))))
     for G in FAMILIES.values():
         pairs = [(lambda w: modular_and_slope(w, G), lambda w: modular(w, G))]
         pairs += [(lambda w, d=d: seminorm_modular_and_slope(w, G, 0.5, d),

@@ -225,6 +225,22 @@ def test_diaz_saa_random_pairs_nonnegative():
 
 
 @pytest.mark.parametrize("family", sorted(STANDARD_FAMILIES))
+def test_diaz_saa_sweep_takes_no_tail_primitive(monkeypatch, family):
+    # the pairings read the exterior tails' gradient alone: the tail
+    # primitive, a large share of each pairing call, is never evaluated
+    from fracorlicz.nfunctions import NFunction
+    import fracorlicz.grid as grid
+    primitive, tails = [], []
+    integral, exterior = NFunction.integral_over_t, grid._exterior_tails
+    monkeypatch.setattr(NFunction, "integral_over_t",
+                        lambda self, x: primitive.append(1) or integral(self, x))
+    monkeypatch.setattr(grid, "_exterior_tails", lambda *a, **k: tails.append(1) or exterior(*a, **k))
+    report = run_suite("diaz_saa", STANDARD_FAMILIES[family], 40, seed=3)
+    assert report.samples == 40
+    assert tails and not primitive
+
+
+@pytest.mark.parametrize("family", sorted(STANDARD_FAMILIES))
 def test_diaz_saa_witness_replays(family):
     # the witness coefficients rebuild the worst pair of the sweep (600
     # samples: a full chunk and a partial one); its single-pair value is

@@ -806,7 +806,7 @@ def test_table_segment_matches_binary_search(name):
         # the lookup reads exactly the rows the binary search names, and
         # rejects the negative probes
         with pytest.raises(ValueError, match="nonnegative"):
-            table._horner(x, np.empty(x.shape))
+            table._horner(x, np.empty(x.shape), np.empty(x.shape))
         keep = ~(x < 0.0)   # NaN stays
         got = [np.empty(np.count_nonzero(keep)) for _ in range(3)]
         log_x = table._horner(x[keep], *got, keep_log=True)
